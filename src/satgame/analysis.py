@@ -13,7 +13,7 @@ from math import comb
 from typing import Optional, Sequence, Union
 
 from .engine import GameRecord, Player
-from .families import ForbiddenFamily, has_legal_move, is_free
+from .families import ForbiddenFamily, creates_forbidden, is_free
 from .graph import Graph
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
 
@@ -139,7 +139,8 @@ def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
 def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     """All family-saturated graphs on n vertices up to isomorphism."""
     return tuple(
-        g for g in free_graphs(n, family) if not has_legal_move(g, family)
+        g for g in free_graphs(n, family)
+        if all(creates_forbidden(g, family, e) for e in g.absent_edges())
     )
 
 

@@ -21,7 +21,6 @@ from .families import (
     Move,
     creates_forbidden,
     family_name,
-    has_legal_move,
     parse_family,
 )
 from .graph import Graph, from_graph6, norm_edge, to_graph6
@@ -99,7 +98,9 @@ class IllegalStrategyActionError(IllegalMoveError):
 
 
 def is_terminal(state: GameState) -> bool:
-    return not has_legal_move(state.graph, state.family)
+    """Saturated: every absent edge would create a forbidden subgraph."""
+    g = state.graph
+    return all(creates_forbidden(g, state.family, e) for e in g.absent_edges())
 
 
 def apply_action(state: GameState, action: Action) -> GameState:

@@ -1,9 +1,20 @@
-"""Forbidden families and freeness / move-legality predicates.
+"""Forbidden families, freeness, and the one move-legality predicate.
 
 A family is one of: all paths on k vertices are forbidden via the single
 graph P_k; all trees on k vertices (equivalently: no component may reach k
 vertices); a single star K_{1,s} (equivalently: max degree <= s-1); or an
 explicit list of connected graphs checked by subgraph containment.
+
+`creates_forbidden(g, family, e)` says whether adding the absent edge e = uv
+to the family-free g breaks freeness, and `legal_moves` lists the absent
+edges where it is false. Forbidden graphs are connected, so a new copy uses e
+and lies in the component(s) of u and v. For P_k, an e joining components A
+and B creates a P_k iff L_A(u) + L_B(v) >= k, where L_C(x) counts the
+vertices of the longest path in C ending at x; an e inside a component of
+fewer than k vertices is legal, and one inside a larger component runs an
+exact DFS on that component alone. The memos live on the graph, never
+process-wide: `Graph.memo["components"]`, and L_C(x) capped at k under
+`Graph.memo[("path_end", k, x)]`.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graph import Graph, bits, from_graph6, norm_edge, to_graph6
+from .graph import Graph, bits, from_graph6, to_graph6
 
 Move = tuple[int, int]
 
@@ -90,17 +101,17 @@ def parse_family(text: str) -> ForbiddenFamily:
 # --- path search ------------------------------------------------------------
 
 
-def _has_path_k(adj: tuple[int, ...], mask: int, k: int) -> bool:
-    """True iff some simple path within `mask` visits k vertices. Exact DFS."""
-    if mask.bit_count() < k:
-        return False
-    if k <= 1:
-        return mask != 0
+def _longest_path_from(adj: tuple[int, ...], x: int, k: int) -> int:
+    """Vertices on the longest simple path from x, capped at k. Exact DFS."""
+    best = 1
 
     def extend(v: int, visited: int, length: int) -> bool:
-        if length == k:
-            return True
-        nb = adj[v] & mask & ~visited
+        nonlocal best
+        if length > best:
+            best = length
+            if best >= k:
+                return True
+        nb = adj[v] & ~visited
         while nb:
             low = nb & -nb
             nb ^= low
@@ -109,10 +120,22 @@ def _has_path_k(adj: tuple[int, ...], mask: int, k: int) -> bool:
                 return True
         return False
 
-    for v in bits(mask):
-        if extend(v, 1 << v, 1):
-            return True
-    return False
+    extend(x, 1 << x, 1)
+    return best
+
+
+def _has_path_k(adj: tuple[int, ...], mask: int, k: int) -> bool:
+    """True iff the component `mask` holds a simple path on k vertices."""
+    return mask.bit_count() >= k and any(_longest_path_from(adj, x, k) >= k for x in bits(mask))
+
+
+def _path_end(g: Graph, x: int, k: int) -> int:
+    """L_C(x) of x's component C, capped at k, memoised on g."""
+    key = ("path_end", k, x)
+    length = g.memo.get(key)
+    if length is None:
+        length = g.memo[key] = _longest_path_from(g.adj, x, k)
+    return length
 
 
 def contains_subgraph(g: Graph, h: Graph) -> bool:
@@ -182,8 +205,8 @@ def is_free(g: Graph, family: ForbiddenFamily) -> bool:
 def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
     """Would adding `edge` to the family-free graph `g` break freeness?
 
-    Only the component touched by the edge can host a new forbidden subgraph,
-    so the search is restricted to it.
+    Only the component(s) touched by the edge can host a new forbidden
+    subgraph, so the search is restricted to them (see the module docstring).
     """
 
     u, v = edge
@@ -192,35 +215,26 @@ def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
     if isinstance(family, StarFamily):
         return g.degree(u) >= family.leaves - 1 or g.degree(v) >= family.leaves - 1
     cv = g.components()
-    if isinstance(family, TreeFamily):
-        if cv.labels[u] == cv.labels[v]:
-            return False
-        return cv.mask_of(u).bit_count() + cv.mask_of(v).bit_count() >= family.k
-    g2 = g.add_edge(u, v)
-    comp = cv.mask_of(u) | cv.mask_of(v) if cv.labels[u] != cv.labels[v] else cv.mask_of(u)
+    joins = cv.labels[u] != cv.labels[v]
     if isinstance(family, PathFamily):
-        return _has_path_k(g2.adj, comp, family.k)
-    sub = g2.induced(list(bits(comp)))
+        k = family.k
+        if joins:
+            return _path_end(g, u, k) + _path_end(g, v, k) >= k
+        mask = cv.mask_of(u)
+        return mask.bit_count() >= k and _has_path_k(g.add_edge(u, v).adj, mask, k)
+    mu, mv = cv.mask_of(u), cv.mask_of(v)
+    if isinstance(family, TreeFamily):
+        return joins and mu.bit_count() + mv.bit_count() >= family.k
+    sub = g.add_edge(u, v).induced(list(bits(mu | mv)))
     return any(h.n <= sub.n and contains_subgraph(sub, h) for h in family.members)
 
 
 def legal_moves(g: Graph, family: ForbiddenFamily) -> list[Move]:
     """Absent edges whose addition keeps freeness, lexicographically ordered.
 
-    Empty exactly when `g` is family-saturated.
+    Empty exactly when the family-free graph `g` is family-saturated.
     """
     return [e for e in g.absent_edges() if not creates_forbidden(g, family, e)]
-
-
-def has_legal_move(g: Graph, family: ForbiddenFamily) -> bool:
-    return any(not creates_forbidden(g, family, e) for e in g.absent_edges())
-
-
-def is_legal(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
-    u, v = edge
-    if u == v or not (0 <= u < g.n and 0 <= v < g.n) or g.has_edge(u, v):
-        return False
-    return not creates_forbidden(g, family, norm_edge(u, v))
 
 
 def max_saturated_edges(family: ForbiddenFamily, n: int) -> int:

@@ -7,8 +7,8 @@ keeps game-tree branching free of aliasing bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -26,6 +26,32 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitset with the bits of `vertices` set."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _component_masks(adj: Sequence[int]) -> list[int]:
+    """Vertex bitsets of the connected components, by least member."""
+    masks = []
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        comp = unseen & -unseen
+        frontier = comp
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v]
+            frontier = grow & ~comp
+            comp |= frontier
+        masks.append(comp)
+        unseen &= ~comp
+    return masks
+
+
 @dataclass(frozen=True)
 class ComponentView:
     """Connected components of a Graph.
@@ -37,10 +63,10 @@ class ComponentView:
     labels: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(ms[0] for ms in self.members)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {ms[0]: i for i, ms in enumerate(self.members)})
 
     @property
     def sizes(self) -> dict[int, int]:
@@ -53,20 +79,24 @@ class ComponentView:
         return self.masks[self.index_of(vertex)]
 
     def index_of(self, vertex: int) -> int:
-        label = self.labels[vertex]
-        for i, ms in enumerate(self.members):
-            if ms[0] == label:
-                return i
-        raise KeyError(vertex)
+        return self._index[self.labels[vertex]]
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; `adj[v]` is the neighbour bitset of v."""
+    """Simple undirected graph; `adj[v]` is the neighbour bitset of v.
+
+    `memo` caches values derived from this graph alone; it is not a field,
+    so equality, hashing and repr see only (n, adj, m).
+    """
 
     n: int
     adj: tuple[int, ...]
     m: int
+
+    @cached_property
+    def memo(self) -> dict:
+        return {}
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -129,27 +159,18 @@ class Graph:
         return tuple(v for v in range(self.n) if not self.adj[v])
 
     def components(self) -> ComponentView:
-        labels = [-1] * self.n
-        members: list[tuple[int, ...]] = []
-        masks: list[int] = []
-        unseen = (1 << self.n) - 1
-        while unseen:
-            start = (unseen & -unseen).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self.adj[v]
-                frontier = grow & ~comp
-                comp |= frontier
-            ms = tuple(bits(comp))
-            for v in ms:
-                labels[v] = start
-            members.append(ms)
-            masks.append(comp)
-            unseen &= ~comp
-        return ComponentView(tuple(labels), tuple(members), tuple(masks))
+        """Connected components, computed once per graph."""
+        memo = self.memo
+        cv = memo.get("components")
+        if cv is None:
+            masks = _component_masks(self.adj)
+            members = tuple(tuple(bits(comp)) for comp in masks)
+            labels = [-1] * self.n
+            for ms in members:
+                for v in ms:
+                    labels[v] = ms[0]
+            cv = memo["components"] = ComponentView(tuple(labels), members, tuple(masks))
+        return cv
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on `vertices`, relabelled to 0..len-1 in sorted order."""
@@ -184,13 +205,6 @@ class Graph:
 # --- traceability -----------------------------------------------------------
 
 
-def _component_mask(g: Graph, members: Sequence[int]) -> int:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return mask
-
-
 def _is_connected_within(g: Graph, mask: int) -> bool:
     start = (mask & -mask).bit_length() - 1
     seen = 1 << start
@@ -211,7 +225,7 @@ def everywhere_traceable(g: Graph, members: Sequence[int]) -> bool:
     Hamiltonian path iff it ends one, so one endpoint DP answers all starts.
     """
 
-    mask = _component_mask(g, members)
+    mask = vertex_mask(members)
     if not _is_connected_within(g, mask):
         raise ValueError("vertex set is not a connected component")
     verts = sorted(members)
@@ -247,7 +261,7 @@ def hamiltonian_path(g: Graph, members: Sequence[int]) -> Optional[tuple[int, ..
 
     verts = sorted(members)
     s = len(verts)
-    mask = _component_mask(g, members)
+    mask = vertex_mask(members)
     if s == 1:
         return (verts[0],)
     path: list[int] = []
@@ -359,10 +373,9 @@ def _canon_component(adj: Sequence[int], s: int) -> bytes:
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_key(n: int, adj: tuple[int, ...]) -> bytes:
-    g = Graph(n, adj, sum(a.bit_count() for a in adj) // 2)
     encs: list[tuple[int, bytes]] = []
-    for ms in g.components().members:
-        verts = list(ms)
+    for comp in _component_masks(adj):
+        verts = list(bits(comp))
         index = {v: i for i, v in enumerate(verts)}
         local = [0] * len(verts)
         for v in verts:
@@ -408,6 +421,8 @@ def from_graph6(text: str) -> Graph:
     data = [b - 63 for b in text.encode("ascii")]
     if any(not 0 <= d <= 63 for d in data):
         raise ValueError("invalid graph6 character")
+    if not data or data[0] == 63 and len(data) < 4:
+        raise ValueError(f"graph6 text {text!r} is empty or truncated")
     if data[0] == 63:  # leading chr(126): long form
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         data = data[4:]

@@ -8,9 +8,9 @@ edge with k pendants on one end and l on the other).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, bits, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ CLIQUE2 = ComponentLabel("clique", 2)
 TRIANGLE = ComponentLabel("clique", 3)
 
 
-def mask_of(members: Sequence[int]) -> int:
-    m = 0
-    for v in members:
-        m |= 1 << v
-    return m
-
-
 def has_triangle(g: Graph, mask: int) -> bool:
     for v in bits(mask):
         av = g.adj[v] & mask
@@ -67,7 +60,7 @@ def has_triangle(g: Graph, mask: int) -> bool:
 def label_component(g: Graph, members: Sequence[int]) -> ComponentLabel:
     ms = sorted(members)
     s = len(ms)
-    mask = mask_of(ms)
+    mask = vertex_mask(ms)
     degs = {v: (g.adj[v] & mask).bit_count() for v in ms}
     inner_edges = sum(degs.values()) // 2
     if inner_edges == s * (s - 1) // 2:
@@ -82,7 +75,7 @@ def label_component(g: Graph, members: Sequence[int]) -> ComponentLabel:
     core = [v for v in ms if degs[v] >= 2]
     if len(core) == 3 and len(pend) == s - 3 and inner_edges == s:
         hub = [v for v in core if degs[v] == s - 1]
-        if len(hub) == 1 and g.is_clique_mask(mask_of(core)):
+        if len(hub) == 1 and g.is_clique_mask(vertex_mask(core)):
             if all(g.adj[p] & mask == 1 << hub[0] for p in pend):
                 return ComponentLabel("tpend", s - 3)
     # D_{k,l}: adjacent centres x,y; every other vertex a pendant on one of them
@@ -108,15 +101,7 @@ def star_centres(g: Graph, members: Sequence[int]) -> tuple[int, ...]:
     if label == CLIQUE2:
         return tuple(sorted(members))
     if label.kind == "star":
-        mask = mask_of(members)
+        mask = vertex_mask(members)
         return tuple(v for v in members if (g.adj[v] & mask).bit_count() == len(members) - 1)
     return ()
 
-
-def triangle_hub(g: Graph, members: Sequence[int]) -> Optional[int]:
-    """For a T_j component, the triangle vertex carrying the pendants."""
-    label = label_component(g, members)
-    if label.kind != "tpend":
-        return None
-    mask = mask_of(members)
-    return max(members, key=lambda v: (g.adj[v] & mask).bit_count())

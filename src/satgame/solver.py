@@ -370,23 +370,23 @@ def load_table(
     if data[:4] != _MAGIC:
         raise ValueError(f"{path} is not a solver cache file")
     off = 4
-    var_code, file_n = struct.unpack_from(">BB", data, off)
-    off += 2
-    (name_len,) = struct.unpack_from(">H", data, off)
-    off += 2
-    name = data[off : off + name_len].decode()
-    off += name_len
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(data):
+            raise ValueError(f"{path} is a truncated solver cache file")
+        off += size
+        return data[off - size : off]
+
+    var_code, file_n, name_len = struct.unpack(">BBH", take(4))
+    name = take(name_len).decode()
     if var_code != _VARIANT_CODE[variant] or file_n != n or name != family_name(family):
         return {}
     table: PositionTable = {}
     while off < len(data):
-        (key_len,) = struct.unpack_from(">H", data, off)
-        off += 2
-        key = data[off : off + key_len]
-        off += key_len
-        mover = Player.PROLONGER if data[off] == 0 else Player.SHORTENER
-        off += 1
-        (value,) = struct.unpack_from(">i", data, off)
-        off += 4
+        (key_len,) = struct.unpack(">H", take(2))
+        key = take(key_len)
+        mover = Player.PROLONGER if take(1) == b"\x00" else Player.SHORTENER
+        (value,) = struct.unpack(">i", take(4))
         table[(key, mover)] = value
     return table

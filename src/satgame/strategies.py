@@ -15,13 +15,12 @@ from typing import Callable, Iterable, Optional
 
 from . import solver as _solver_mod
 from .engine import PASS, Action, GameState, Player, Variant
-from .families import Move, TreeFamily, is_legal, legal_moves
-from .graph import Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge
+from .families import Move, TreeFamily, creates_forbidden, legal_moves
+from .graph import Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge, vertex_mask
 from .shapes import (
     CLIQUE2,
     ComponentLabel,
     label_component,
-    mask_of,
     star_centres,
     has_triangle,
 )
@@ -37,20 +36,19 @@ class Strategy:
         return self.decide(state)
 
 
-def _least_legal(state: GameState, exclude: Iterable[Move] = ()) -> Optional[Action]:
+def _least_legal(state: GameState, exclude: Iterable[Move] = ()) -> Action:
+    """Least legal edge outside `exclude`, or the least legal edge when all
+    are excluded."""
+    moves = legal_moves(state.graph, state.family)
+    if not moves:
+        raise RuntimeError("asked to move in a terminal state")
     skip = set(exclude)
-    for e in state.graph.absent_edges():
-        if e not in skip and is_legal(state.graph, state.family, e):
-            return Action(e)
-    if skip:  # everything excluded: fall back to any legal edge
-        for e in state.graph.absent_edges():
-            if is_legal(state.graph, state.family, e):
-                return Action(e)
-    return None
+    return Action(next((e for e in moves if e not in skip), moves[0]))
 
 
 def _pick(state: GameState, candidates: Iterable[Move]) -> Optional[Action]:
-    legal = [e for e in candidates if is_legal(state.graph, state.family, e)]
+    """Least legal edge among `candidates`, which must all be absent."""
+    legal = [e for e in candidates if not creates_forbidden(state.graph, state.family, e)]
     return Action(min(legal)) if legal else None
 
 
@@ -71,14 +69,11 @@ def _decide_traceable(state: GameState) -> Action:
             path = hamiltonian_path(g, ms)
             if path is not None:
                 e = norm_edge(path[0], path[-1])
-                if is_legal(g, state.family, e):
+                if not creates_forbidden(g, state.family, e):
                     return Action(e)
     if state.variant is Variant.PROLONGER_MAY_PASS and state.to_move is Player.PROLONGER:
         return PASS
-    fallback = _least_legal(state)
-    if fallback is None:
-        raise RuntimeError("asked to move in a terminal state")
-    return fallback
+    return _least_legal(state)
 
 
 # --- the 4-vertex path game ---------------------------------------------------
@@ -110,15 +105,12 @@ def _decide_shortener_p4(state: GameState) -> Action:
     # (iv) close a 3-vertex path into a triangle
     leafpairs = []
     for ms in p3:
-        leaves = [v for v in ms if (g.adj[v] & mask_of(ms)).bit_count() == 1]
+        leaves = [v for v in ms if (g.adj[v] & vertex_mask(ms)).bit_count() == 1]
         leafpairs.append(norm_edge(*leaves))
     act = _pick(state, leafpairs)
     if act:
         return act
-    fallback = _least_legal(state)
-    if fallback is None:
-        raise RuntimeError("asked to move in a terminal state")
-    return fallback
+    return _least_legal(state)
 
 
 def _decide_prolonger_p4(state: GameState) -> Action:
@@ -129,7 +121,7 @@ def _decide_prolonger_p4(state: GameState) -> Action:
     cands = []
     for ms, lab in comps:
         if lab == ComponentLabel("star", 2):
-            leaves = [v for v in ms if (g.adj[v] & mask_of(ms)).bit_count() == 1]
+            leaves = [v for v in ms if (g.adj[v] & vertex_mask(ms)).bit_count() == 1]
             cands.append(norm_edge(*leaves))
     act = _pick(state, cands)
     if act:
@@ -152,10 +144,7 @@ def _decide_prolonger_p4(state: GameState) -> Action:
         act = _pick(state, [(iso[0], iso[1])])
         if act:
             return act
-    fallback = _least_legal(state)
-    if fallback is None:
-        raise RuntimeError("asked to move in a terminal state")
-    return fallback
+    return _least_legal(state)
 
 
 # --- the 5-vertex path game ---------------------------------------------------
@@ -181,7 +170,7 @@ def _decide_shortener_p5(state: GameState) -> Action:
         # pendant triangle -> attach at its hub
         cands = []
         for ms, lab in comps:
-            mask = mask_of(ms)
+            mask = vertex_mask(ms)
             if lab == ComponentLabel("dstar", 1, 1):  # 4-vertex path
                 inner = [v for v in ms if (g.adj[v] & mask).bit_count() == 2]
                 cands += [norm_edge(v, w) for v in inner for w in iso]
@@ -205,7 +194,7 @@ def _decide_shortener_p5(state: GameState) -> Action:
             for ms, lab in comps
             if len(ms) >= 5
             for v in ms
-            if is_legal(g, state.family, norm_edge(v, w))
+            if not creates_forbidden(g, state.family, norm_edge(v, w))
         ]
         if spots:
             return Action(norm_edge(min(spots), w))
@@ -225,10 +214,7 @@ def _decide_shortener_p5(state: GameState) -> Action:
         if act:
             return act
     # (vii) arbitrary
-    fallback = _least_legal(state)
-    if fallback is None:
-        raise RuntimeError("asked to move in a terminal state")
-    return fallback
+    return _least_legal(state)
 
 
 def _star_growing_moves(g: Graph, comps) -> set[Move]:
@@ -251,7 +237,7 @@ def _decide_prolonger_p5(state: GameState) -> Action:
     # join two leaves
     cands = []
     for ms, lab in comps:
-        mask = mask_of(ms)
+        mask = vertex_mask(ms)
         if lab == ComponentLabel("dstar", 1, 2):
             centres = [v for v in ms if (g.adj[v] & mask).bit_count() >= 2]
             # the pendant hanging off the degree-2 centre, joined to the far centre
@@ -271,7 +257,7 @@ def _decide_prolonger_p5(state: GameState) -> Action:
     # (ii) complete a triangle inside any triangle-free component
     cands = []
     for ms, lab in comps:
-        mask = mask_of(ms)
+        mask = vertex_mask(ms)
         if len(ms) >= 3 and not has_triangle(g, mask):
             for u in ms:
                 for v in bits(~g.adj[u] & mask & ~((1 << (u + 1)) - 1)):
@@ -300,10 +286,7 @@ def _decide_prolonger_p5(state: GameState) -> Action:
         if act:
             return act
     # (vi) arbitrary, but never grow a star into a larger star
-    fallback = _least_legal(state, exclude=_star_growing_moves(g, comps))
-    if fallback is None:
-        raise RuntimeError("asked to move in a terminal state")
-    return fallback
+    return _least_legal(state, exclude=_star_growing_moves(g, comps))
 
 
 # --- the all-trees game -------------------------------------------------------
@@ -329,12 +312,9 @@ def _decide_prolonger_trees(state: GameState) -> Action:
     if best is not None:
         i, j = pair
         e = min(norm_edge(u, v) for u in cv.members[i] for v in cv.members[j])
-        if is_legal(g, state.family, e):
+        if not creates_forbidden(g, state.family, e):
             return Action(e)
-    fallback = _least_legal(state)
-    if fallback is None:
-        raise RuntimeError("asked to move in a terminal state")
-    return fallback
+    return _least_legal(state)
 
 
 # --- the star game ------------------------------------------------------------

@@ -30,12 +30,11 @@ from .families import (
     PathFamily,
     StarFamily,
     TreeFamily,
-    has_legal_move,
     is_free,
     legal_moves,
 )
-from .graph import Graph, everywhere_traceable
-from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, mask_of
+from .graph import Graph, everywhere_traceable, vertex_mask
+from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
 from .solver import best_response, solve
 from .strategies import Strategy, make_strategy
 
@@ -117,7 +116,7 @@ def classifier_checks(
     for n in range(1, n_max + 1):
         for g in all_graphs(n):
             total += 1
-            saturated = is_free(g, family) and not has_legal_move(g, family)
+            saturated = is_free(g, family) and not legal_moves(g, family)
             if (classifier(g) is not None) != saturated:
                 mismatches += 1
     return [
@@ -350,7 +349,7 @@ def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Che
         g = rec.terminal
         for ms in g.components().members:
             lab = label_component(g, ms)
-            if len(ms) > 2 and lab.kind != "star" and not has_triangle(g, mask_of(ms)):
+            if len(ms) > 2 and lab.kind != "star" and not has_triangle(g, vertex_mask(ms)):
                 violations += 1
     checks.append(Check("claims", "p5-standalone-triangle", violations == 0,
                         f"{count} games, {violations} violations"))

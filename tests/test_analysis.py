@@ -268,18 +268,18 @@ class TestTerminalStructure:
 class TestClassifierOracle:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_p4_small(self, n):
-        from satgame.families import has_legal_move
+        from satgame.families import legal_moves
 
         fam = PathFamily(4)
         for g in all_graphs(n):
-            saturated = is_free(g, fam) and not has_legal_move(g, fam)
+            saturated = is_free(g, fam) and not legal_moves(g, fam)
             assert (classify_p4_saturated(g) is not None) == saturated
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_p5_small(self, n):
-        from satgame.families import has_legal_move
+        from satgame.families import legal_moves
 
         fam = PathFamily(5)
         for g in all_graphs(n):
-            saturated = is_free(g, fam) and not has_legal_move(g, fam)
+            saturated = is_free(g, fam) and not legal_moves(g, fam)
             assert (classify_p5_saturated(g) is not None) == saturated

@@ -45,6 +45,15 @@ class TestSolveCommand:
             main(["solve", "--family", "NOPE", "--n", "4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("family", ["List:", "List:Bw,", "List:~"])
+    def test_empty_or_truncated_family_list_is_usage_error(self, capsys, family):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--family", family, "--n", "4"])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        assert "graph6" in err_text.splitlines()[-1]
+
     def test_bad_range_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--family", "P4", "--n", "9..4"])

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satgame.analysis import all_graphs
 from satgame.families import (
@@ -142,3 +146,57 @@ class TestLegalMoves:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert legal_moves(g, fam) == []  # closing the triangle forbidden
         assert legal_moves(Graph.empty(3), fam) == [(0, 1), (0, 2), (1, 2)]
+
+
+# every family kind, with the sizes the games use and a two-member list
+PROPERTY_FAMILIES = (
+    [PathFamily(k) for k in range(3, 8)]
+    + [TreeFamily(k) for k in (3, 5, 7)]
+    + [StarFamily(s) for s in (2, 3, 4)]
+    + [parse_family("List:Bw,Cl")]  # triangle and 4-cycle
+)
+
+
+@st.composite
+def free_graphs(draw, family, max_n=14):
+    """A random family-free graph: edges tried in random order, kept while
+    whole-graph freeness holds, stopping after a random number of tries."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    g = Graph.empty(n)
+    for e in pairs[: draw(st.integers(0, len(pairs)))]:
+        h = g.add_edge(*e)
+        if is_free(h, family):
+            g = h
+    return g
+
+
+class TestLegalityProperties:
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_predicate_matches_freeness_oracle(self, family, data):
+        g = data.draw(free_graphs(family))
+        for e in g.absent_edges():
+            assert creates_forbidden(g, family, e) == (not is_free(g.add_edge(*e), family))
+
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_enumerator_filters_predicate(self, family, data):
+        g = data.draw(free_graphs(family))
+        expected = [e for e in g.absent_edges() if not creates_forbidden(g, family, e)]
+        assert legal_moves(g, family) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_filled_caches_leave_graph_identity_alone(self, data):
+        family = data.draw(st.sampled_from(PROPERTY_FAMILIES))
+        g = data.draw(free_graphs(family))
+        fresh = Graph(g.n, g.adj, g.m)
+        g.components()
+        legal_moves(g, family)
+        g.canonical_key()
+        assert g.memo and g.memo is not fresh.memo
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert {fresh: 1}[g] == 1

@@ -233,6 +233,20 @@ class TestGraph6:
         k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         assert from_graph6(">>graph6<<Bw").adj == k3.adj
 
+    @pytest.mark.parametrize("text", ["", "  ", ">>graph6<<", "~", "~BB", "B"])
+    def test_empty_or_truncated_rejected(self, text):
+        with pytest.raises(ValueError):
+            from_graph6(text)
+
+    @given(st.text(max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        try:
+            g = from_graph6(text)
+        except ValueError:
+            return
+        assert to_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
 
 class TestEdgeText:
     def test_roundtrip(self):

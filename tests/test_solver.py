@@ -166,3 +166,14 @@ class TestBestResponsePass:
         # against the scripted shortener the free value stays within her bound
         res = best_response(5, P4, Variant.STANDARD, make_strategy("s-p4"), Player.SHORTENER)
         assert res.score <= 5  # 4n/5 + 1
+
+
+class TestTruncatedCacheFile:
+    @pytest.mark.parametrize("keep", [5, 9, -1, -3, -6])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "cache.bin"
+        solve(6, P4, cache_path=str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:keep])
+        with pytest.raises(ValueError):
+            load_table(str(path), P4, Variant.STANDARD, 6)
