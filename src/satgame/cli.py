@@ -11,9 +11,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .analysis import bound, component_labels, saturated_graphs
@@ -27,7 +25,7 @@ from .families import (
     parse_family,
 )
 from .graph import to_graph6
-from .solver import BudgetExceeded, CapExceeded, solve
+from .solver import DEFAULT_N_CAP, BudgetExceeded, CapExceeded, solve
 from .strategies import make_strategy
 from .verify import SUITES, render_report, run_suites
 
@@ -69,14 +67,6 @@ def _variant(text: str) -> Variant:
         return Variant(text)
     except ValueError:
         raise argparse.ArgumentTypeError("variant must be standard or pass")
-
-
-def _workers() -> int:
-    raw = os.environ.get("SATGAME_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _apply_k(family: ForbiddenFamily, k: Optional[int]) -> ForbiddenFamily:
@@ -153,7 +143,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 res = solve(
                     n, args.family, args.variant, first,
                     n_cap=args.n_cap, node_cap=args.node_cap, time_cap=args.time_cap,
-                    workers=_workers(),
                 )
                 row["score"] = res.score
                 rep = _matching_bound(args.family, args.variant, n, res.score)
@@ -211,14 +200,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for sname in args.shortener.split(",")
     )
 
-    def run_cell(cell):
-        n, first, pname, sname = cell
+    rows = []
+    for n, first, pname, sname in cells:
         record = play(
             n, args.family, args.variant, Player(first),
             make_strategy(pname, default_seed=args.seed),
             make_strategy(sname, default_seed=args.seed),
         )
-        return {
+        rows.append({
             "family": family_name(args.family),
             "variant": args.variant.value,
             "first": first,
@@ -227,14 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "shortener": sname,
             "score": record.score,
             "terminal_graph6": to_graph6(record.terminal),
-        }
-
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+        })
     columns = ["family", "variant", "first", "n", "prolonger", "shortener",
                "score", "terminal_graph6"]
     _emit(rows, columns, args.format, args.out)
@@ -295,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exact scores with matching score windows")
     common(p_solve)
-    p_solve.add_argument("--n-cap", type=int, default=10)
+    p_solve.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP)
     p_solve.add_argument("--node-cap", type=int, default=None)
     p_solve.add_argument("--time-cap", type=float, default=None)
     p_solve.set_defaults(func=cmd_solve)

@@ -424,15 +424,21 @@ def from_graph6(text: str) -> Graph:
     if not data or data[0] == 63 and len(data) < 4:
         raise ValueError(f"graph6 text {text!r} is empty or truncated")
     if data[0] == 63:  # leading chr(126): long form
+        if data[1] == 63:
+            raise ValueError("graph6 eight-byte size form is not supported")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
+        if n <= 62:
+            raise ValueError("graph6 long form used for a size below 63")
         data = data[4:]
     else:
         n = data[0]
         data = data[1:]
-    g = Graph.empty(n)
     need = n * (n - 1) // 2
     if len(data) != (need + 5) // 6:
         raise ValueError("graph6 payload has wrong length")
+    if need % 6 and data[-1] & ((1 << (6 - need % 6)) - 1):
+        raise ValueError("graph6 padding bits must be zero")
+    g = Graph.empty(n)
     idx = 0
     for v in range(1, n):
         for u in range(v):

@@ -4,28 +4,20 @@ Positions are graded by edge count so the game DAG is acyclic (a pass keeps
 the graph but hands the move to the side that must add an edge). Values are
 the exact remaining score; pruning only uses admissible bounds (a maximising
 node stops at the family's saturation maximum, a minimising node at one more
-edge), so every table entry is exact and parallel runs agree with serial
-ones.
+edge), so every table entry is exact. Entries are keyed by the game as well as
+the position, so one table may serve many games.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import (
-    PASS,
-    Action,
-    GameState,
-    Player,
-    Variant,
-    initial_state,
-    is_terminal,
-)
+from .engine import PASS, Action, GameState, Player, Variant
 from .families import ForbiddenFamily, Move, family_name, legal_moves, max_saturated_edges
 from .graph import Graph
 
@@ -50,22 +42,12 @@ class SolveResult:
     elapsed: float
 
 
-PositionTable = dict[tuple[bytes, Player], int]
+# (family name, variant): a table shared between games keeps them apart
+Game = tuple[str, Variant]
+# position key is the canonical key (or the labelled adjacency when one side
+# is scripted); both encode n
+PositionTable = dict[tuple[Game, object, Player], int]
 DEFAULT_N_CAP = 10
-
-
-class _Budget:
-    def __init__(self, node_cap: Optional[int], time_cap: Optional[float]):
-        self.node_cap = node_cap
-        self.deadline = time.monotonic() + time_cap if time_cap else None
-        self.nodes = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            raise BudgetExceeded("nodes", f"node cap {self.node_cap} exceeded")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("time", "time cap exceeded")
 
 
 def _order_moves(g: Graph, moves: list[Move], mover: Player) -> list[Move]:
@@ -76,92 +58,116 @@ def _order_moves(g: Graph, moves: list[Move], mover: Player) -> list[Move]:
     return sorted(moves, key=lambda e: ((labels[e[0]] == labels[e[1]]) == joins_first, e))
 
 
-def _remaining(
-    g: Graph,
-    mover: Player,
-    family: ForbiddenFamily,
-    variant: Variant,
-    max_edges: int,
-    table: PositionTable,
-    budget: _Budget,
-) -> int:
-    key = (g.canonical_key(), mover)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
-    budget.tick()
-    moves = legal_moves(g, family)
-    if not moves:
-        value = 0
-    elif mover is Player.PROLONGER:
-        bound = max_edges - g.m
-        value = -1
-        for e in _order_moves(g, moves, mover):
-            child = 1 + _remaining(
-                g.add_edge(*e), mover.other, family, variant, max_edges, table, budget
-            )
-            if child > value:
-                value = child
-            if value >= bound:
-                break
-        if value < bound and variant is Variant.PROLONGER_MAY_PASS:
-            value = max(
-                value,
-                _remaining(g, mover.other, family, variant, max_edges, table, budget),
-            )
-    else:
-        value = None
-        for e in _order_moves(g, moves, mover):
-            child = 1 + _remaining(
-                g.add_edge(*e), mover.other, family, variant, max_edges, table, budget
-            )
-            if value is None or child < value:
-                value = child
-            if value <= 1:  # no cheaper finish exists: every move costs an edge
-                break
-    table[key] = value
-    return value
+class _Search:
+    """Memoised minimax of one game on n vertices.
 
+    With `fixed` given, `fixed_side` plays `fixed(state)` and the other
+    side's exact optimum is searched; the script sees labelled
+    positions, so the memo is keyed by the adjacency instead of the
+    canonical form.
+    """
 
-def _pv_from_table(
-    state: GameState,
-    table: PositionTable,
-    max_edges: int,
-    budget: _Budget,
-) -> list[Action]:
-    """Deterministic optimal line: lex-least optimal edge, with a pass only
-    when no edge achieves the value."""
-    pv: list[Action] = []
-    while True:
-        g, mover = state.graph, state.to_move
-        moves = legal_moves(g, state.family)
+    def __init__(
+        self,
+        n: int,
+        family: ForbiddenFamily,
+        variant: Variant,
+        first_mover: Player,
+        table: PositionTable,
+        *,
+        n_cap: int,
+        node_cap: Optional[int],
+        time_cap: Optional[float],
+        fixed: Optional[Callable[[GameState], Action]] = None,
+        fixed_side: Optional[Player] = None,
+    ):
+        if n > n_cap:
+            raise CapExceeded(f"n={n} exceeds the solver cap {n_cap}")
+        self.n, self.family, self.variant, self.first_mover = n, family, variant, first_mover
+        self.game: Game = (family_name(family), variant)
+        self.max_edges = max_saturated_edges(family, n)
+        self.table = table
+        self.node_cap = node_cap
+        self.deadline = time.monotonic() + time_cap if time_cap else None
+        self.nodes = 0
+        self.fixed, self.fixed_side = fixed, fixed_side
+
+    def _may_pass(self, mover: Player) -> bool:
+        return self.variant is Variant.PROLONGER_MAY_PASS and mover is Player.PROLONGER
+
+    def _state(self, g: Graph, mover: Player) -> GameState:
+        return GameState(g, mover, self.family, self.variant, self.first_mover)
+
+    def value(self, g: Graph, mover: Player) -> int:
+        """Exact remaining score of `g` with `mover` to move."""
+        key = (self.game, g.adj if self.fixed else g.canonical_key(), mover)
+        hit = self.table.get(key)
+        if hit is not None:
+            return hit
+        self.nodes += 1
+        if self.node_cap is not None and self.nodes > self.node_cap:
+            raise BudgetExceeded("nodes", f"node cap {self.node_cap} exceeded")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time", "time cap exceeded")
+        moves = legal_moves(g, self.family)
         if not moves:
-            return pv
-        target = _remaining(g, mover, state.family, state.variant, max_edges, table, budget)
-        chosen: Optional[Action] = None
-        for e in moves:
-            child = 1 + _remaining(
-                g.add_edge(*e), mover.other, state.family, state.variant,
-                max_edges, table, budget,
-            )
-            if child == target:
-                chosen = Action(e)
-                break
-        if chosen is None:
-            if (
-                state.variant is Variant.PROLONGER_MAY_PASS
-                and mover is Player.PROLONGER
-                and _remaining(g, mover.other, state.family, state.variant,
-                               max_edges, table, budget) == target
-            ):
-                chosen = PASS
+            value = 0
+        elif mover is self.fixed_side:
+            action = self.fixed(self._state(g, mover))
+            if action.is_pass:
+                if not self._may_pass(mover):
+                    raise RuntimeError(f"scripted side passed illegally on {g.edges()}")
+                value = self.value(g, mover.other)
+            elif action.edge not in moves:
+                raise RuntimeError(f"scripted side played illegal edge {action.edge} on {g.edges()}")
             else:
-                raise AssertionError("no action reproduces the solved value")
-        pv.append(chosen)
-        state = GameState(
-            g if chosen.is_pass else g.add_edge(*chosen.edge),
-            mover.other, state.family, state.variant, state.first_mover,
-        )
+                value = 1 + self.value(g.add_edge(*action.edge), mover.other)
+        elif mover is Player.PROLONGER:
+            bound = self.max_edges - g.m
+            value = -1
+            for e in _order_moves(g, moves, mover):
+                value = max(value, 1 + self.value(g.add_edge(*e), mover.other))
+                if value >= bound:
+                    break
+            if value < bound and self._may_pass(mover):
+                value = max(value, self.value(g, mover.other))
+        else:
+            value = None
+            for e in _order_moves(g, moves, mover):
+                child = 1 + self.value(g.add_edge(*e), mover.other)
+                if value is None or child < value:
+                    value = child
+                if value <= 1:  # no cheaper finish exists: every move costs an edge
+                    break
+        self.table[key] = value
+        return value
+
+    def best(self, g: Graph, mover: Player) -> Optional[Action]:
+        """The scripted action, or the lex-least optimal edge with a pass only
+        when no edge reaches the value; None in a terminal position."""
+        moves = legal_moves(g, self.family)
+        if not moves:
+            return None
+        if mover is self.fixed_side:
+            return self.fixed(self._state(g, mover))
+        target = self.value(g, mover)
+        for e in moves:
+            if 1 + self.value(g.add_edge(*e), mover.other) == target:
+                return Action(e)
+        if self._may_pass(mover) and self.value(g, mover.other) == target:
+            return PASS
+        raise AssertionError("no action reproduces the solved value")
+
+    def principal_variation(self) -> list[Action]:
+        """The line of `best` actions from the empty graph to a terminal one."""
+        pv: list[Action] = []
+        g, mover = Graph.empty(self.n), self.first_mover
+        while (action := self.best(g, mover)) is not None:
+            pv.append(action)
+            if not action.is_pass:
+                g = g.add_edge(*action.edge)
+            mover = mover.other
+        return pv
 
 
 def solve(
@@ -173,40 +179,24 @@ def solve(
     n_cap: int = DEFAULT_N_CAP,
     node_cap: Optional[int] = None,
     time_cap: Optional[float] = None,
-    workers: int = 1,
     table: Optional[PositionTable] = None,
     cache_path: Optional[str] = None,
 ) -> SolveResult:
-    """Exact score of the game on n vertices under optimal play by both sides."""
-    if n > n_cap:
-        raise CapExceeded(f"n={n} exceeds the solver cap {n_cap}")
+    """Exact score of the game on n vertices under optimal play by both sides.
+
+    `table` may be shared between calls, also of different games."""
     started = time.monotonic()
     if table is None:
         table = {}
+    search = _Search(n, family, variant, first_mover, table,
+                     n_cap=n_cap, node_cap=node_cap, time_cap=time_cap)
     if cache_path:
         table.update(load_table(cache_path, family, variant, n))
-    budget = _Budget(node_cap, time_cap)
-    max_edges = max_saturated_edges(family, n)
-    root = Graph.empty(n)
-
-    if workers > 1:
-        moves = legal_moves(root, family)
-
-        def eval_child(e: Move) -> int:
-            return 1 + _remaining(
-                root.add_edge(*e), first_mover.other, family, variant,
-                max_edges, table, budget,
-            )
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_child, moves))
-    score = _remaining(root, first_mover, family, variant, max_edges, table, budget)
-    pv = _pv_from_table(
-        initial_state(n, family, variant, first_mover), table, max_edges, budget
-    )
+    score = search.value(Graph.empty(n), first_mover)
+    pv = search.principal_variation()
     if cache_path:
         save_table(cache_path, family, variant, n, table)
-    return SolveResult(score, pv, budget.nodes, time.monotonic() - started)
+    return SolveResult(score, pv, search.nodes, time.monotonic() - started)
 
 
 def best_action(
@@ -218,28 +208,13 @@ def best_action(
     time_cap: Optional[float] = None,
 ) -> Action:
     """Optimal action for the side to move (used by the 'optimal' strategy)."""
-    if state.graph.n > n_cap:
-        raise CapExceeded(f"n={state.graph.n} exceeds the solver cap {n_cap}")
-    if table is None:
-        table = {}
-    budget = _Budget(node_cap, time_cap)
-    max_edges = max_saturated_edges(state.family, state.graph.n)
-    g, mover = state.graph, state.to_move
-    moves = legal_moves(g, state.family)
-    if not moves:
+    search = _Search(state.graph.n, state.family, state.variant, state.first_mover,
+                     {} if table is None else table,
+                     n_cap=n_cap, node_cap=node_cap, time_cap=time_cap)
+    action = search.best(state.graph, state.to_move)
+    if action is None:
         raise RuntimeError("asked to move in a terminal state")
-    target = _remaining(g, mover, state.family, state.variant, max_edges, table, budget)
-    for e in moves:
-        child = 1 + _remaining(
-            g.add_edge(*e), mover.other, state.family, state.variant,
-            max_edges, table, budget,
-        )
-        if child == target:
-            return Action(e)
-    return PASS  # only reachable for the maximiser in the pass variant
-
-
-# --- one side scripted --------------------------------------------------------
+    return action
 
 
 def best_response(
@@ -254,85 +229,13 @@ def best_response(
     node_cap: Optional[int] = None,
     time_cap: Optional[float] = None,
 ) -> SolveResult:
-    """Exact optimum for the free side while `fixed_side` plays its script.
-
-    The scripted side's choice is a function of the labelled position, so the
-    memo is keyed by the full adjacency rather than the canonical form.
-    """
-    if n > n_cap:
-        raise CapExceeded(f"n={n} exceeds the solver cap {n_cap}")
+    """Exact optimum for the free side while `fixed_side` plays its script."""
     started = time.monotonic()
-    budget = _Budget(node_cap, time_cap)
-    max_edges = max_saturated_edges(family, n)
-    free_side = fixed_side.other
-    table: dict[tuple[tuple[int, ...], Player], int] = {}
-
-    def rem(g: Graph, mover: Player) -> int:
-        key = (g.adj, mover)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        budget.tick()
-        moves = legal_moves(g, family)
-        if not moves:
-            value = 0
-        elif mover is fixed_side:
-            action = fixed(GameState(g, mover, family, variant, first_mover))
-            if action.is_pass:
-                if variant is not Variant.PROLONGER_MAY_PASS or mover is not Player.PROLONGER:
-                    raise RuntimeError(f"scripted side passed illegally on {g.edges()}")
-                value = rem(g, mover.other)
-            else:
-                e = action.edge
-                if e not in moves:
-                    raise RuntimeError(f"scripted side played illegal edge {e} on {g.edges()}")
-                value = 1 + rem(g.add_edge(*e), mover.other)
-        elif mover is Player.PROLONGER:
-            bound = max_edges - g.m
-            value = -1
-            for e in _order_moves(g, moves, mover):
-                value = max(value, 1 + rem(g.add_edge(*e), mover.other))
-                if value >= bound:
-                    break
-            if value < bound and variant is Variant.PROLONGER_MAY_PASS:
-                value = max(value, rem(g, mover.other))
-        else:
-            value = None
-            for e in _order_moves(g, moves, mover):
-                child = 1 + rem(g.add_edge(*e), mover.other)
-                if value is None or child < value:
-                    value = child
-                if value <= 1:
-                    break
-        table[key] = value
-        return value
-
-    root = Graph.empty(n)
-    score = rem(root, first_mover)
-
-    # principal variation: scripted action on the fixed side, lex-least
-    # optimal edge (pass only if forced) on the free side
-    pv: list[Action] = []
-    state = initial_state(n, family, variant, first_mover)
-    while not is_terminal(state):
-        g, mover = state.graph, state.to_move
-        if mover is fixed_side:
-            act = fixed(state)
-        else:
-            target = rem(g, mover)
-            act = None
-            for e in legal_moves(g, family):
-                if 1 + rem(g.add_edge(*e), mover.other) == target:
-                    act = Action(e)
-                    break
-            if act is None:
-                act = PASS
-        pv.append(act)
-        state = GameState(
-            g if act.is_pass else g.add_edge(*act.edge),
-            mover.other, family, variant, first_mover,
-        )
-    return SolveResult(score, pv, budget.nodes, time.monotonic() - started)
+    search = _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=node_cap,
+                     time_cap=time_cap, fixed=fixed, fixed_side=fixed_side)
+    score = search.value(Graph.empty(n), first_mover)
+    pv = search.principal_variation()
+    return SolveResult(score, pv, search.nodes, time.monotonic() - started)
 
 
 # --- optional on-disk cache ---------------------------------------------------
@@ -344,25 +247,38 @@ _VARIANT_CODE = {Variant.STANDARD: 0, Variant.PROLONGER_MAY_PASS: 1}
 def save_table(
     path: str, family: ForbiddenFamily, variant: Variant, n: int, table: PositionTable
 ) -> None:
-    name = family_name(family).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(">B", _VARIANT_CODE[variant]))
-        fh.write(struct.pack(">B", n))
-        fh.write(struct.pack(">H", len(name)))
-        fh.write(name)
-        for (key, mover), value in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-            fh.write(struct.pack(">H", len(key)))
-            fh.write(key)
-            fh.write(b"\x00" if mover is Player.PROLONGER else b"\x01")
-            fh.write(struct.pack(">i", value))
+    """Write the entries of one game on n vertices; a failed write leaves any
+    earlier file at `path` as it was."""
+    game = (family_name(family), variant)
+    entries = sorted(
+        ((key, mover, value) for (g, key, mover), value in table.items()
+         if g == game and key[0] == n),
+        key=lambda e: (e[0], e[1].value),
+    )
+    name = game[0].encode()
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack(">BBH", _VARIANT_CODE[variant], n, len(name)))
+            fh.write(name)
+            for key, mover, value in entries:
+                fh.write(struct.pack(">H", len(key)))
+                fh.write(key)
+                fh.write(b"\x00" if mover is Player.PROLONGER else b"\x01")
+                fh.write(struct.pack(">i", value))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(
     path: str, family: ForbiddenFamily, variant: Variant, n: int
 ) -> PositionTable:
-    """Load a cache written by save_table; a missing file is an empty table,
-    and a file for different game parameters is ignored."""
+    """Load a cache written by save_table, keyed as the solver keys it; a
+    missing file is an empty table, and a file for different game parameters
+    is ignored."""
     if not os.path.exists(path):
         return {}
     with open(path, "rb") as fh:
@@ -380,7 +296,8 @@ def load_table(
 
     var_code, file_n, name_len = struct.unpack(">BBH", take(4))
     name = take(name_len).decode()
-    if var_code != _VARIANT_CODE[variant] or file_n != n or name != family_name(family):
+    game = (family_name(family), variant)
+    if var_code != _VARIANT_CODE[variant] or file_n != n or name != game[0]:
         return {}
     table: PositionTable = {}
     while off < len(data):
@@ -388,5 +305,5 @@ def load_table(
         key = take(key_len)
         mover = Player.PROLONGER if take(1) == b"\x00" else Player.SHORTENER
         (value,) = struct.unpack(">i", take(4))
-        table[(key, mover)] = value
+        table[(game, key, mover)] = value
     return table

@@ -30,6 +30,7 @@ from .families import (
     PathFamily,
     StarFamily,
     TreeFamily,
+    family_name,
     is_free,
     legal_moves,
 )
@@ -417,16 +418,30 @@ def suite_algebra(seed: int = 0, games: int = 400, n_max: int = 20) -> list[Chec
     return checks
 
 
-def suite_determinism(seed: int = 0) -> list[Check]:
+def shared_table_checks(n: int) -> list[Check]:
+    """One table solves several games in turn; each score equals a fresh solve."""
+    table: dict = {}
     checks = []
-    fam = PathFamily(5)
-    serial = solve(6, fam, workers=1).score
-    parallel = solve(6, fam, workers=4).score
-    checks.append(Check("determinism", "parallel-equals-serial",
-                        serial == parallel, f"serial={serial} parallel={parallel}"))
-    again = solve(6, fam, workers=1).score  # fresh table each call
+    for family, variant in [
+        (PathFamily(4), Variant.STANDARD),
+        (PathFamily(4), Variant.PROLONGER_MAY_PASS),
+        (PathFamily(5), Variant.STANDARD),
+        (TreeFamily(4), Variant.STANDARD),
+    ]:
+        shared = solve(n, family, variant, table=table).score
+        fresh = solve(n, family, variant).score
+        checks.append(Check("determinism",
+                            f"shared-table {family_name(family)} {variant.value} n={n}",
+                            shared == fresh, f"shared={shared} fresh={fresh}"))
+    return checks
+
+
+def suite_determinism(seed: int = 0) -> list[Check]:
+    checks = shared_table_checks(6)
+    first = solve(6, PathFamily(5)).score
+    again = solve(6, PathFamily(5)).score  # fresh table each call
     checks.append(Check("determinism", "fresh-table-stable",
-                        serial == again, f"first={serial} second={again}"))
+                        first == again, f"first={first} second={again}"))
     a = render_report(suite_claims(games=60, n_max=12, seed=seed))
     b = render_report(suite_claims(games=60, n_max=12, seed=seed))
     checks.append(Check("determinism", "seeded-report-stable",

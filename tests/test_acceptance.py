@@ -4,25 +4,22 @@ Run with `pytest tests/test_acceptance.py -v -s` (or `satgame verify`).
 The fuzzed-claims criterion plays ten thousand games and dominates the runtime.
 """
 
-from satgame.analysis import f_closed, f_sequence, tree_score_formula
+from satgame.analysis import classify_p4_saturated, classify_p5_saturated
 from satgame.cli import main as cli_main
-from satgame.engine import Player
-from satgame.families import PathFamily, TreeFamily
-from satgame.solver import solve
+from satgame.families import PathFamily
 from satgame.verify import (
     Check,
     anchor_checks,
     classifier_checks,
-    naive_value,
     response_checks_p4,
     response_checks_p5,
+    shared_table_checks,
     solve_window_checks,
+    suite_algebra,
     suite_claims,
     suite_pass,
+    suite_trees,
 )
-from satgame.analysis import classify_p4_saturated, classify_p5_saturated
-
-BOTH = (Player.PROLONGER, Player.SHORTENER)
 
 
 def report(criterion: str, checks: list[Check]) -> None:
@@ -46,19 +43,7 @@ def test_criterion_2_p5_window():
 
 
 def test_criterion_3_tree_formula_exact():
-    checks = []
-    for k in (3, 4, 5):
-        for n in range(k, 10):
-            if n % (k - 1) == 1 % (k - 1):
-                continue
-            expected = tree_score_formula(n, k)
-            for first in BOTH:
-                got = solve(n, TreeFamily(k), first_mover=first).score
-                checks.append(
-                    Check("trees", f"k={k} n={n} first={first.value}",
-                          got == expected, f"solver={got} formula={expected}")
-                )
-    report("criterion 3: tree-game scores equal the closed formula", checks)
+    report("criterion 3: tree-game scores equal the closed formula", suite_trees(n_max=9))
 
 
 def test_criterion_4_pass_variant_floor():
@@ -82,19 +67,7 @@ def test_criterion_7_claim_invariants_fuzzed():
 
 
 def test_criterion_8_algebra_and_traces():
-    checks = []
-    bad = sum(
-        1
-        for k in range(2, 51)
-        for n in (10, 100, 1000)
-        for i in range(k)
-        if f_sequence(n, k)[i] != f_closed(n, k, i)
-    )
-    checks.append(Check("algebra", "f-recurrence-vs-closed-form", bad == 0,
-                        f"{bad} mismatches over k<=50"))
-    from satgame.verify import suite_algebra
-
-    checks += suite_algebra(seed=0, games=600)[1:]  # the two trace-inequality rows
+    checks = suite_algebra(seed=0, games=600)
     report("criterion 8: excess-degree algebra and trace inequalities", checks)
 
 
@@ -118,10 +91,6 @@ def test_criterion_9_determinism(tmp_path):
         outs.append(path.read_bytes())
     checks.append(Check("determinism", "verify-algebra-byte-identical", outs[0] == outs[1],
                         f"{len(outs[0])} bytes"))
-    # parallel and serial solver agreement
-    for fam, n in [(PathFamily(4), 7), (PathFamily(5), 7), (TreeFamily(4), 8)]:
-        serial = solve(n, fam, workers=1).score
-        parallel = solve(n, fam, workers=4).score
-        checks.append(Check("determinism", f"parallel n={n}", serial == parallel,
-                            f"serial={serial} parallel={parallel}"))
+    # scores do not depend on what a shared table solved before
+    checks += shared_table_checks(7)
     report("criterion 9: determinism", checks)

@@ -156,13 +156,6 @@ class TestOutputFiles:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["solve", "--family", "P4", "--n", "5..7", "--out", str(a)])
-        monkeypatch.setenv("SATGAME_THREADS", "4")
-        main(["solve", "--family", "P4", "--n", "5..7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
     def test_pass_variant_attaches_floor_bound(self, capsys):
         code, out = run(capsys, "solve", "--family", "P4", "--n", "6",
                         "--variant", "pass", "--first", "P")

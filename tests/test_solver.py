@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from satgame.engine import Player, Variant, apply_action, initial_state, is_terminal
@@ -89,8 +91,28 @@ class TestConsistency:
         b = solve(6, P4, table=table).score
         assert a == b and len(table) == cached_positions
 
-    def test_parallel_equals_serial(self):
-        assert solve(7, P5, workers=1).score == solve(7, P5, workers=4).score
+
+class TestSharedTable:
+    """One table serves several games; no score depends on what it held."""
+
+    def test_pass_variant_after_standard(self):
+        table = {}
+        solve(6, P4, table=table)
+        assert solve(6, P4, Variant.PROLONGER_MAY_PASS, table=table).score == 5
+        assert solve(6, P4, Variant.PROLONGER_MAY_PASS).score == 5
+
+    def test_other_family_after_p4(self):
+        table = {}
+        solve(6, P4, table=table)
+        solve(6, P4, Variant.PROLONGER_MAY_PASS, table=table)
+        res = solve(6, P5, table=table)
+        assert res.score == solve(6, P5).score
+        assert res.principal_variation == solve(6, P5).principal_variation
+
+    def test_other_n_after_p4(self):
+        table = {}
+        solve(5, P4, table=table)
+        assert solve(6, P4, table=table).score == solve(6, P4).score
 
 
 class TestPrincipalVariation:
@@ -147,6 +169,29 @@ class TestCacheFile:
         assert load_table(path, P5, Variant.STANDARD, 6) == {}
         assert load_table(path, P4, Variant.PROLONGER_MAY_PASS, 6) == {}
         assert load_table(path, P4, Variant.STANDARD, 7) == {}
+
+    def test_shared_table_saves_only_its_game(self, tmp_path):
+        table = {}
+        solve(6, P5, table=table)
+        solve(5, P4, table=table)
+        path = str(tmp_path / "cache.bin")
+        solve(6, P4, table=table, cache_path=path)
+        loaded = load_table(path, P4, Variant.STANDARD, 6)
+        assert loaded == {k: v for k, v in table.items()
+                          if k[0] == ("P4", Variant.STANDARD) and k[1][0] == 6}
+        assert solve(6, P5, table=loaded).score == solve(6, P5).score
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        solve(6, P4, cache_path=str(path))
+        before = path.read_bytes()
+        table = load_table(str(path), P4, Variant.STANDARD, 6)
+        last = max(table, key=lambda k: (k[1], k[2].value))  # written last
+        table[last] = 1 << 40  # does not pack as ">i"
+        with pytest.raises(struct.error):
+            save_table(str(path), P4, Variant.STANDARD, 6, table)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -196,6 +196,16 @@ class TestOptimalStrategy:
         rec = play(5, P4, strategy_p=make_strategy("optimal"), strategy_s=make_strategy("optimal"))
         assert rec.score == solve(5, P4).score
 
+    def test_reused_optimal_strategy_p5_after_p4(self):
+        opt = make_strategy("optimal")
+        play(6, P4, strategy_p=opt, strategy_s=opt)
+        assert play(6, P5, strategy_p=opt, strategy_s=opt).score == 7
+
+    def test_reused_optimal_strategy_p4_after_star(self):
+        opt = make_strategy("optimal")
+        play(4, StarFamily(3), strategy_p=opt, strategy_s=opt)
+        assert play(4, P4, strategy_p=opt, strategy_s=opt).score == 2  # no illegal pass
+
 
 class TestLegalityFuzz:
     NAMES = ("traceable", "s-p4", "p-p4", "s-p5", "p-p5", "p-trees", "p-star",
