@@ -218,25 +218,27 @@ def _is_connected_within(g: Graph, mask: int) -> bool:
     return seen == mask
 
 
-def everywhere_traceable(g: Graph, members: Sequence[int]) -> bool:
-    """True iff every vertex of the component starts a Hamiltonian path of it.
-
-    Exact bitmask DP over subsets: in an undirected graph a vertex starts a
-    Hamiltonian path iff it ends one, so one endpoint DP answers all starts.
-    """
-
-    mask = vertex_mask(members)
-    if not _is_connected_within(g, mask):
-        raise ValueError("vertex set is not a connected component")
-    verts = sorted(members)
-    s = len(verts)
-    if s <= 2:
-        return True
-    index = {v: i for i, v in enumerate(verts)}
-    local = [0] * s
+def _local_adj(adj: Sequence[int], verts: list[int]) -> list[int]:
+    """Adjacency induced on `verts`, relabelled so that verts[i] is vertex i."""
+    local_bit = {v: 1 << i for i, v in enumerate(verts)}
+    local = []
     for v in verts:
-        for w in bits(g.adj[v] & mask):
-            local[index[v]] |= 1 << index[w]
+        nbrs = 0
+        for w in bits(adj[v]):
+            nbrs |= local_bit.get(w, 0)
+        local.append(nbrs)
+    return local
+
+
+def _path_ends(g: Graph, verts: list[int]) -> tuple[list[int], list[int]]:
+    """Endpoint DP over the subsets of `verts` (sorted), in local indices.
+
+    Returns the local adjacency and `ends`, where bit i of `ends[sub]` is set
+    iff some path through exactly the vertices of `sub` ends at vertex i. A
+    path reversed is a path, so the same bit says one starts there.
+    """
+    s = len(verts)
+    local = _local_adj(g.adj, verts)
     full = (1 << s) - 1
     ends = [0] * (full + 1)
     for i in range(s):
@@ -248,68 +250,78 @@ def everywhere_traceable(g: Graph, members: Sequence[int]) -> bool:
         for e in bits(endset):
             for nb in bits(local[e] & ~sub):
                 ends[sub | (1 << nb)] |= 1 << nb
+    return local, ends
+
+
+def everywhere_traceable(g: Graph, members: Sequence[int]) -> bool:
+    """True iff every vertex of the component starts a Hamiltonian path of it."""
+
+    if not _is_connected_within(g, vertex_mask(members)):
+        raise ValueError("vertex set is not a connected component")
+    if len(members) <= 2:
+        return True
+    _, ends = _path_ends(g, sorted(members))
+    full = len(ends) - 1
     return ends[full] == full
 
 
 def hamiltonian_path(g: Graph, members: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Lexicographically least Hamiltonian path of the component, or None.
 
-    Ordered DFS (smallest start, then smallest next vertex) enumerates vertex
-    sequences in lexicographic order, so the first complete path found is the
-    least one.
+    Walks greedily from the least possible start to the least next vertex
+    that still starts a Hamiltonian path of the unvisited vertices, so the
+    walk never needs to back up.
     """
 
     verts = sorted(members)
-    s = len(verts)
-    mask = vertex_mask(members)
-    if s == 1:
-        return (verts[0],)
-    path: list[int] = []
-
-    def extend(v: int, visited: int) -> bool:
-        path.append(v)
-        if len(path) == s:
-            return True
-        for w in bits(g.adj[v] & mask & ~visited):
-            if extend(w, visited | (1 << w)):
-                return True
-        path.pop()
-        return False
-
-    for start in verts:
-        if extend(start, 1 << start):
-            return tuple(path)
-    return None
+    local, ends = _path_ends(g, verts)
+    rest = len(ends) - 1  # unvisited vertices
+    step = rest  # candidates for the next vertex
+    path = []
+    while rest:
+        choice = step & ends[rest]
+        if not choice:
+            return None
+        i = (choice & -choice).bit_length() - 1
+        path.append(verts[i])
+        rest ^= 1 << i
+        step = local[i]
+    return tuple(path)
 
 
 # --- canonical form ---------------------------------------------------------
 #
-# Per-component individualisation/refinement search for the minimum adjacency
-# encoding, with a shortcut for cells whose members are pairwise
-# interchangeable (identical outside neighbourhoods, clique or independent
-# inside): any ordering of such a cell yields the same encoding, so cliques,
-# independent sets and star leaves never branch. Component encodings are
-# sorted and concatenated, which is a complete invariant for the whole graph.
+# A graph is the disjoint union of its components, so its key is n followed by
+# the (size, encoding) pairs of its components in sorted order. A component's
+# encoding is its minimum adjacency encoding over the vertex orders that an
+# individualisation/refinement search reaches. Cells whose members are
+# pairwise interchangeable (identical outside neighbourhoods, clique or
+# independent inside) never branch: any order of such a cell gives the same
+# encoding, so cliques, independent sets and star leaves cost nothing.
+#
+# Encodings are memoised per component, keyed by the component's adjacency
+# relabelled to 0..s-1 in vertex order. A move touches at most two
+# components, so the other components of a child position are memo hits.
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     while True:
-        masks = []
-        for c in cells:
-            cm = 0
-            for v in c:
-                cm |= 1 << v
-            masks.append(cm)
+        masks = [vertex_mask(c) for c in cells]
         out: list[list[int]] = []
         changed = False
         for c in cells:
             if len(c) == 1:
                 out.append(c)
                 continue
-            sig = {v: tuple((adj[v] & cm).bit_count() for cm in masks) for v in c}
-            groups: dict[tuple[int, ...], list[int]] = {}
+            # neighbour counts per cell packed 7 bits each, first cell most
+            # significant: a count is at most 63, so ints sort as the tuples
+            groups: dict[int, list[int]] = {}
             for v in c:
-                groups.setdefault(sig[v], []).append(v)
+                av = adj[v]
+                sig = 0
+                for cm in masks:
+                    sig = sig << 7 | (av & cm).bit_count()
+                groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 out.append(c)
             else:
@@ -322,9 +334,7 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
 
 
 def _interchangeable(adj: Sequence[int], cell: list[int]) -> bool:
-    cmask = 0
-    for v in cell:
-        cmask |= 1 << v
+    cmask = vertex_mask(cell)
     outside = adj[cell[0]] & ~cmask
     if any(adj[v] & ~cmask != outside for v in cell[1:]):
         return False
@@ -343,7 +353,9 @@ def _encode_order(adj: Sequence[int], order: list[int]) -> int:
     return code
 
 
-def _canon_component(adj: Sequence[int], s: int) -> bytes:
+@lru_cache(maxsize=1 << 16)
+def _canon_component(adj: tuple[int, ...]) -> bytes:
+    """Encoding of the connected graph with adjacency `adj` on 0..s-1."""
     best: Optional[int] = None
 
     def search(cells: list[list[int]]) -> None:
@@ -365,23 +377,18 @@ def _canon_component(adj: Sequence[int], s: int) -> bytes:
                 search(cells[:target] + [[v], rest] + cells[target + 1 :])
             return
 
+    s = len(adj)
     search([list(range(s))])
     assert best is not None
     nbytes = (s * (s - 1) // 2 + 7) // 8
     return best.to_bytes(nbytes, "big")
 
 
-@lru_cache(maxsize=1 << 18)
 def _canonical_key(n: int, adj: tuple[int, ...]) -> bytes:
     encs: list[tuple[int, bytes]] = []
     for comp in _component_masks(adj):
         verts = list(bits(comp))
-        index = {v: i for i, v in enumerate(verts)}
-        local = [0] * len(verts)
-        for v in verts:
-            for w in bits(adj[v]):
-                local[index[v]] |= 1 << index[w]
-        encs.append((len(verts), _canon_component(local, len(verts))))
+        encs.append((len(verts), _canon_component(tuple(_local_adj(adj, verts)))))
     encs.sort()
     out = bytearray([n])
     for size, enc in encs:

@@ -58,6 +58,32 @@ def _order_moves(g: Graph, moves: list[Move], mover: Player) -> list[Move]:
     return sorted(moves, key=lambda e: ((labels[e[0]] == labels[e[1]]) == joins_first, e))
 
 
+def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
+    """The first of each set of twin-equivalent moves, in the given order.
+
+    Twins (vertices with the same open, or the same closed, neighbourhood)
+    may be permuted freely within their class by an automorphism, so two
+    edges whose endpoints map to the same pair of least twins give
+    isomorphic children.
+    """
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    least = []
+    for v, nbrs in enumerate(g.adj):
+        twin = first_open.setdefault(nbrs, v)
+        if twin == v:
+            twin = first_closed.setdefault(nbrs | 1 << v, v)
+        least.append(twin)
+    seen = set()
+    kept = []
+    for u, v in moves:
+        pair = 1 << least[u] | 1 << least[v]
+        if pair not in seen:
+            seen.add(pair)
+            kept.append((u, v))
+    return kept
+
+
 class _Search:
     """Memoised minimax of one game on n vertices.
 
@@ -98,6 +124,13 @@ class _Search:
     def _state(self, g: Graph, mover: Player) -> GameState:
         return GameState(g, mover, self.family, self.variant, self.first_mover)
 
+    def _expand(self, g: Graph, moves: list[Move], mover: Player) -> list[Move]:
+        # Twin-equivalent children are isomorphic, so every one after the
+        # first would be a table hit. A script sees labelled positions, so
+        # with one the children are not interchangeable.
+        moves = _order_moves(g, moves, mover)
+        return moves if self.fixed else _twin_distinct(g, moves)
+
     def value(self, g: Graph, mover: Player) -> int:
         """Exact remaining score of `g` with `mover` to move."""
         key = (self.game, g.adj if self.fixed else g.canonical_key(), mover)
@@ -125,7 +158,7 @@ class _Search:
         elif mover is Player.PROLONGER:
             bound = self.max_edges - g.m
             value = -1
-            for e in _order_moves(g, moves, mover):
+            for e in self._expand(g, moves, mover):
                 value = max(value, 1 + self.value(g.add_edge(*e), mover.other))
                 if value >= bound:
                     break
@@ -133,7 +166,7 @@ class _Search:
                 value = max(value, self.value(g, mover.other))
         else:
             value = None
-            for e in _order_moves(g, moves, mover):
+            for e in self._expand(g, moves, mover):
                 child = 1 + self.value(g.add_edge(*e), mover.other)
                 if value is None or child < value:
                     value = child
@@ -242,6 +275,8 @@ def best_response(
 
 _MAGIC = b"SGC1"
 _VARIANT_CODE = {Variant.STANDARD: 0, Variant.PROLONGER_MAY_PASS: 1}
+_MOVER_BYTE = {Player.PROLONGER: b"\x00", Player.SHORTENER: b"\x01"}
+_MOVER = {byte: mover for mover, byte in _MOVER_BYTE.items()}
 
 
 def save_table(
@@ -265,7 +300,7 @@ def save_table(
             for key, mover, value in entries:
                 fh.write(struct.pack(">H", len(key)))
                 fh.write(key)
-                fh.write(b"\x00" if mover is Player.PROLONGER else b"\x01")
+                fh.write(_MOVER_BYTE[mover])
                 fh.write(struct.pack(">i", value))
         os.replace(tmp, path)
     except BaseException:
@@ -278,7 +313,8 @@ def load_table(
 ) -> PositionTable:
     """Load a cache written by save_table, keyed as the solver keys it; a
     missing file is an empty table, and a file for different game parameters
-    is ignored."""
+    is ignored. A file that save_table cannot have written for this game
+    raises ValueError."""
     if not os.path.exists(path):
         return {}
     with open(path, "rb") as fh:
@@ -303,7 +339,13 @@ def load_table(
     while off < len(data):
         (key_len,) = struct.unpack(">H", take(2))
         key = take(key_len)
-        mover = Player.PROLONGER if take(1) == b"\x00" else Player.SHORTENER
+        if key[:1] != bytes([n]):
+            raise ValueError(f"{path} holds a position key for another n")
+        mover = _MOVER.get(take(1))
+        if mover is None:
+            raise ValueError(f"{path} holds an invalid mover byte")
         (value,) = struct.unpack(">i", take(4))
+        if value < 0:
+            raise ValueError(f"{path} holds a negative value")
         table[(game, key, mover)] = value
     return table

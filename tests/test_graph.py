@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satgame import graph
 from satgame.graph import (
     Graph,
+    bits,
     everywhere_traceable,
     from_edge_text,
     from_graph6,
@@ -27,6 +30,40 @@ def brute_canonical(g: Graph) -> int:
         if best is None or code < best:
             best = code
     return best
+
+
+def dfs_hamiltonian_path(g: Graph, members) -> tuple[int, ...] | None:
+    """Lexicographically least Hamiltonian path by unpruned ordered DFS."""
+    verts = sorted(members)
+    mask = sum(1 << v for v in verts)
+    path: list[int] = []
+
+    def extend(v: int, visited: int) -> bool:
+        path.append(v)
+        if len(path) == len(verts):
+            return True
+        for w in bits(g.adj[v] & mask & ~visited):
+            if extend(w, visited | (1 << w)):
+                return True
+        path.pop()
+        return False
+
+    for start in verts:
+        if extend(start, 1 << start):
+            return tuple(path)
+    return None
+
+
+def all_graphs_on(n: int):
+    """Every labelled graph on n vertices, in edge-mask order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        yield Graph(n, tuple(adj), mask.bit_count())
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -120,20 +157,38 @@ class TestCanonicalKey:
 
     def test_matches_brute_force_classes(self):
         # equal keys exactly when the brute-force canonical forms agree
-        for n in range(1, 6):
-            mine = {}
-            for mask in range(1 << (n * (n - 1) // 2)):
-                edges = []
-                idx = 0
-                for u in range(n):
-                    for v in range(u + 1, n):
-                        if mask >> idx & 1:
-                            edges.append((u, v))
-                        idx += 1
-                g = Graph.from_edges(n, edges)
+        for n, classes in zip(range(1, 6), (1, 2, 4, 11, 34)):
+            mine, theirs = {}, {}
+            for g in all_graphs_on(n):
                 key = g.canonical_key()
                 ref = brute_canonical(g)
                 assert mine.setdefault(key, ref) == ref
+                assert theirs.setdefault(ref, key) == key
+            assert len(mine) == len(theirs) == classes
+
+    def test_keys_do_not_depend_on_call_order(self):
+        rng = random.Random(777)
+        corpus = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]
+        corpus += [g.add_edge(*rng.choice(g.absent_edges()))
+                   for g in corpus[:150] if g.absent_edges()]
+        runs = []
+        for seed in (1, 2):
+            order = list(range(len(corpus)))
+            random.Random(seed).shuffle(order)
+            graph._canon_component.cache_clear()
+            keys = {i: corpus[i].canonical_key() for i in order}
+            runs.append([keys[i] for i in range(len(corpus))])
+        assert runs[0] == runs[1]
+
+    def test_golden_key_bytes_up_to_six_vertices(self):
+        # pins the byte format that solver cache files rely on
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for g in all_graphs_on(n):
+                key = g.canonical_key()
+                digest.update(bytes([len(key)]) + key)
+        assert digest.hexdigest() == (
+            "27d3f8a3ed50dc507f30a95b6adb19ca1f7cc49a04b465383a9ff435cdcee82d")
 
     def test_eleven_classes_on_four_vertices(self):
         keys = set()
@@ -200,6 +255,14 @@ class TestTraceability:
     def test_lexicographically_least(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert hamiltonian_path(g, range(4)) == (0, 1, 2, 3)
+
+    def test_hamiltonian_path_matches_dfs(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            for ms in g.components().members:
+                assert hamiltonian_path(g, ms) == dfs_hamiltonian_path(g, ms)
 
 
 class TestGraph6:

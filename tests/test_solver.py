@@ -2,8 +2,8 @@ import struct
 
 import pytest
 
-from satgame.engine import Player, Variant, apply_action, initial_state, is_terminal
-from satgame.families import PathFamily, TreeFamily
+from satgame.engine import GameState, Player, Variant, apply_action, initial_state, is_terminal
+from satgame.families import PathFamily, StarFamily, TreeFamily, is_free
 from satgame.graph import Graph
 from satgame.solver import (
     BudgetExceeded,
@@ -18,6 +18,21 @@ from satgame.verify import naive_value
 
 P4, P5 = PathFamily(4), PathFamily(5)
 BOTH = (Player.PROLONGER, Player.SHORTENER)
+
+
+def labelled_value(g, mover, family, script, side) -> int:
+    """Remaining score by plain minimax over labelled positions: no table,
+    no move pruning, legality by the freeness oracle."""
+    moves = [e for e in g.absent_edges() if is_free(g.add_edge(*e), family)]
+    if not moves:
+        return 0
+    if mover is side:
+        action = script(GameState(g, mover, family, Variant.STANDARD, Player.PROLONGER))
+        assert action.edge in moves
+        return 1 + labelled_value(g.add_edge(*action.edge), mover.other, family, script, side)
+    values = [1 + labelled_value(g.add_edge(*e), mover.other, family, script, side)
+              for e in moves]
+    return max(values) if mover is Player.PROLONGER else min(values)
 
 
 class TestSolveAnchors:
@@ -90,6 +105,27 @@ class TestConsistency:
         cached_positions = len(table)
         b = solve(6, P4, table=table).score
         assert a == b and len(table) == cached_positions
+
+
+class TestMovePruning:
+    """Twin pruning skips only children that would have been table hits."""
+
+    @pytest.mark.parametrize("n, family, positions", [(10, P5, 261), (9, StarFamily(3), 70)])
+    def test_search_size_is_pinned(self, n, family, positions):
+        table = {}
+        res = solve(n, family, table=table)
+        assert res.positions_expanded == positions
+        assert len(table) == positions
+
+    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 1064)])
+    def test_scripted_search_matches_labelled_minimax(self, family, name, positions):
+        # a script sees labels, so every labelled position is expanded
+        script = make_strategy(name)
+        for n in range(2, 8):
+            expected = labelled_value(Graph.empty(n), Player.PROLONGER, family, script, script.side)
+            res = best_response(n, family, Variant.STANDARD, script, script.side)
+            assert res.score == expected
+        assert res.positions_expanded == positions
 
 
 class TestSharedTable:
@@ -211,6 +247,47 @@ class TestBestResponsePass:
         # against the scripted shortener the free value stays within her bound
         res = best_response(5, P4, Variant.STANDARD, make_strategy("s-p4"), Player.SHORTENER)
         assert res.score <= 5  # 4n/5 + 1
+
+
+class TestPoisonedCacheFile:
+    """Entries that save_table cannot have written are rejected, not used."""
+
+    @staticmethod
+    def write_entry(path, key: bytes, mover: bytes, value: int, n: int = 6) -> None:
+        name = b"P4"
+        path.write_bytes(b"SGC1" + struct.pack(">BBH", 0, n, len(name)) + name
+                         + struct.pack(">H", len(key)) + key + mover + struct.pack(">i", value))
+
+    def test_well_formed_entry_loads(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        self.write_entry(path, b"\x06\x01", b"\x01", 3)
+        assert load_table(str(path), P4, Variant.STANDARD, 6) == {
+            (("P4", Variant.STANDARD), b"\x06\x01", Player.SHORTENER): 3}
+
+    def test_invalid_mover_byte(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        self.write_entry(path, b"\x06\x01", b"\x02", 3)
+        with pytest.raises(ValueError):
+            load_table(str(path), P4, Variant.STANDARD, 6)
+
+    @pytest.mark.parametrize("key", [b"\x05\x01", b""])
+    def test_key_for_another_n(self, tmp_path, key):
+        path = tmp_path / "cache.bin"
+        self.write_entry(path, key, b"\x00", 3)
+        with pytest.raises(ValueError):
+            load_table(str(path), P4, Variant.STANDARD, 6)
+
+    def test_negative_value(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        self.write_entry(path, b"\x06\x01", b"\x00", -1)
+        with pytest.raises(ValueError):
+            load_table(str(path), P4, Variant.STANDARD, 6)
+
+    def test_solve_refuses_poisoned_cache(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        self.write_entry(path, Graph.empty(6).canonical_key(), b"\x07", 99)
+        with pytest.raises(ValueError):
+            solve(6, P4, cache_path=str(path))
 
 
 class TestTruncatedCacheFile:
