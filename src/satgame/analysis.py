@@ -1,6 +1,12 @@
 """Saturated-graph classification and enumeration, score-bound evaluators,
 and per-game trace statistics.
 
+Free graphs are enumerated by vertex augmentation: each free graph on n-1
+vertices gains a vertex w whose free neighbourhoods a depth-first search grows
+one legal edge at a time with `creates_forbidden`, so only free graphs are
+built and canonicalised. `families.is_free` is not used here; it stays the
+independent oracle that the tests and `verify` check this enumeration with.
+
 All bound arithmetic is exact rational; verdicts never go through floats.
 """
 
@@ -10,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .engine import GameRecord, Player
-from .families import ForbiddenFamily, creates_forbidden, is_free
+from .families import ForbiddenFamily, creates_forbidden
 from .graph import Graph
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
 
@@ -95,45 +101,84 @@ ALL_GRAPHS_CAP = 8
 SATURATED_CAP = 9
 
 
+def _check_n(name: str, n: int, cap: int) -> None:
+    if n < 1:
+        raise ValueError(f"{name} needs n >= 1, got {n}")
+    if n > cap:
+        raise ValueError(f"{name} capped at n <= {cap}")
+
+
+def _with_vertex(g: Graph, subset: int) -> Graph:
+    """g plus a new vertex g.n whose neighbourhood is the bitset `subset`."""
+    adj = [a | ((subset >> v & 1) << g.n) for v, a in enumerate(g.adj)]
+    adj.append(subset)
+    return Graph(g.n + 1, tuple(adj), g.m + subset.bit_count())
+
+
+def _augment(
+    smaller: tuple[Graph, ...], extensions: Callable[[Graph], Iterable[Graph]]
+) -> tuple[Graph, ...]:
+    """One vertex more on each graph of `smaller`, up to isomorphism.
+
+    `extensions(g)` yields the graphs g + w in increasing order of w's
+    neighbourhood as an integer; the first graph met in each class is its
+    representative, and the classes come out sorted by canonical key.
+    """
+    seen: dict[bytes, Graph] = {}
+    for g in smaller:
+        for h in extensions(g):
+            seen.setdefault(h.canonical_key(), h)
+    return tuple(g for _, g in sorted(seen.items()))
+
+
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """Every graph on n vertices up to isomorphism (vertex augmentation with
     canonical deduplication), sorted by canonical key."""
-    if n > ALL_GRAPHS_CAP:
-        raise ValueError(f"all_graphs capped at n <= {ALL_GRAPHS_CAP}")
+    _check_n("all_graphs", n, ALL_GRAPHS_CAP)
     if n == 1:
         return (Graph.empty(1),)
-    seen: dict[bytes, Graph] = {}
-    for g in all_graphs(n - 1):
-        for subset in range(1 << (n - 1)):
-            adj = [a | ((subset >> v & 1) << (n - 1)) for v, a in enumerate(g.adj)]
-            adj.append(subset)
-            h = Graph(n, tuple(adj), g.m + subset.bit_count())
-            seen.setdefault(h.canonical_key(), h)
-    return tuple(g for _, g in sorted(seen.items()))
+    return _augment(
+        all_graphs(n - 1), lambda g: (_with_vertex(g, s) for s in range(1 << g.n))
+    )
+
+
+def _free_extensions(g: Graph, family: ForbiddenFamily) -> list[Graph]:
+    """Every free g + w, where g is free and w = g.n is a new vertex, in
+    increasing order of w's neighbourhood as an integer.
+
+    g + w with w isolated is free, as every forbidden graph is connected and
+    has an edge. A depth-first search then adds edges v-w in increasing order
+    of v while `creates_forbidden` allows them. Freeness survives deleting
+    edges, so each free neighbourhood is reached once, through its members in
+    increasing order, and each other one is cut at its first illegal edge.
+    """
+    w = g.n
+    found: dict[int, Graph] = {}
+
+    def grow(h: Graph, subset: int, start: int) -> None:
+        found[subset] = h
+        for v in range(start, w):
+            if not creates_forbidden(h, family, (v, w)):
+                grow(h.add_edge(v, w), subset | 1 << v, v + 1)
+
+    grow(_with_vertex(g, 0), 0, 0)
+    return [found[s] for s in sorted(found)]
 
 
 @lru_cache(maxsize=None)
 def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     """Every family-free graph on n vertices up to isomorphism.
 
-    Deleting a vertex preserves freeness, so augmenting the free graphs on
-    n-1 vertices covers everything.
+    Deleting a vertex preserves freeness, so adding a vertex to the free
+    graphs on n-1 vertices in every legal way covers everything. Only free
+    graphs are built and canonicalised; `is_free` is never called here and
+    stays an independent oracle for this enumeration.
     """
-    if n > SATURATED_CAP:
-        raise ValueError(f"free_graphs capped at n <= {SATURATED_CAP}")
+    _check_n("free_graphs", n, SATURATED_CAP)
     if n == 1:
         return (Graph.empty(1),)
-    seen: dict[bytes, Graph] = {}
-    for g in free_graphs(n - 1, family):
-        for subset in range(1 << (n - 1)):
-            adj = [a | ((subset >> v & 1) << (n - 1)) for v, a in enumerate(g.adj)]
-            adj.append(subset)
-            h = Graph(n, tuple(adj), g.m + subset.bit_count())
-            key = h.canonical_key()
-            if key not in seen and is_free(h, family):
-                seen[key] = h
-    return tuple(g for _, g in sorted(seen.items()))
+    return _augment(free_graphs(n - 1, family), lambda g: _free_extensions(g, family))
 
 
 def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:

@@ -45,14 +45,15 @@ def _family(text: str) -> ForbiddenFamily:
 def _n_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            a, b = int(lo), int(hi)
-            if a > b:
-                raise ValueError
-            return list(range(a, b + 1))
-        return [int(text)]
+        a = int(lo)
+        b = int(hi) if sep else a
+        if not 1 <= a <= b:
+            raise ValueError
+        return list(range(a, b + 1))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad n or n-range {text!r}; use e.g. 6 or 4..8")
+        raise argparse.ArgumentTypeError(
+            f"bad n or n-range {text!r}; use e.g. 6 or 4..8, with n >= 1"
+        )
 
 
 def _first(text: str) -> Player:
@@ -236,9 +237,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     args.family = _apply_k(args.family, args.k)
-    n = args.n[0]
     try:
-        graphs = saturated_graphs(n, args.family)
+        graphs = [g for n in args.n for g in saturated_graphs(n, args.family)]
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAPPED

@@ -174,14 +174,10 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on `vertices`, relabelled to 0..len-1 in sorted order."""
-        vs = sorted(vertices)
-        index = {v: i for i, v in enumerate(vs)}
-        g = Graph.empty(len(vs))
-        for i, v in enumerate(vs):
-            for w in bits(self.adj[v]):
-                if w > v and w in index:
-                    g = g.add_edge(i, index[w])
-        return g
+        if not vertices:
+            raise ValueError("induced subgraph needs at least one vertex")
+        local = _local_adj(self.adj, sorted(vertices))
+        return Graph(len(local), tuple(local), sum(a.bit_count() for a in local) // 2)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under the permutation old-vertex -> perm[old-vertex]."""

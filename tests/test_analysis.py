@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from satgame.analysis import (
     tree_score_formula,
 )
 from satgame.engine import Player, Variant, play
-from satgame.families import PathFamily, StarFamily, TreeFamily, is_free
-from satgame.graph import Graph
+from satgame.families import PathFamily, StarFamily, TreeFamily, is_free, parse_family
+from satgame.graph import Graph, to_graph6
 from satgame.strategies import make_strategy
 
 
@@ -110,6 +111,46 @@ class TestEnumeration:
     def test_class_counts_match_known_sequence(self):
         # graphs up to isomorphism on 1..7 vertices
         assert [len(all_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices_rejected(self, n):
+        with pytest.raises(ValueError):
+            all_graphs(n)
+        with pytest.raises(ValueError):
+            free_graphs(n, PathFamily(5))
+        with pytest.raises(ValueError):
+            saturated_graphs(n, PathFamily(5))
+
+
+ORACLE_FAMILIES = [
+    "P3", "P4", "P5", "P6", "Trees:3", "Trees:4", "Trees:5",
+    "Star:2", "Star:3", "Star:4", "List:Cl", "List:Bw,Cl",
+]
+
+
+class TestFreeGraphs:
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_matches_freeness_oracle(self, spec):
+        family = parse_family(spec)
+        for n in range(1, 8):
+            got = [g.canonical_key() for g in free_graphs(n, family)]
+            want = [g.canonical_key() for g in all_graphs(n) if is_free(g, family)]
+            assert got == want, (spec, n)
+
+    def test_golden_representatives(self):
+        # graph6 of every free and saturated representative: the same graph
+        # of each class, with the same labelling, in the same order; the
+        # hash was taken from the filter-every-candidate enumerator
+        digest = hashlib.sha256()
+        for spec, n_max in (("P4", 8), ("P5", 8), ("P6", 8), ("Trees:4", 8),
+                            ("Star:3", 8), ("List:Cl", 7), ("List:Bw,Cl", 7)):
+            family = parse_family(spec)
+            for n in range(1, n_max + 1):
+                for graphs in (free_graphs(n, family), saturated_graphs(n, family)):
+                    digest.update("".join(to_graph6(g) + "\n" for g in graphs).encode() + b"|")
+        assert digest.hexdigest() == (
+            "361dab0512a6e9d924d363f37458dcc6c9588607d9efe55da930b4255550d192"
+        )
 
 
 class TestBounds:

@@ -59,6 +59,19 @@ class TestSolveCommand:
             main(["solve", "--family", "P4", "--n", "9..4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "play", "sweep", "enumerate"])
+    @pytest.mark.parametrize("n", ["0", "-3", "0..4"])
+    def test_no_vertices_is_usage_error(self, capsys, command, n):
+        argv = [command, "--family", "P5", "--n", n]
+        if command in ("play", "sweep"):
+            argv += ["--prolonger", "random", "--shortener", "random"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        assert "n >= 1" in err_text.splitlines()[-1]
+
     def test_k_overrides_family_parameter(self, capsys):
         code, out = run(capsys, "solve", "--family", "P5", "--k", "4", "--n", "4", "--first", "P")
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -125,6 +138,13 @@ class TestEnumerateCommand:
     def test_cap(self, capsys):
         code, _ = run(capsys, "enumerate", "--family", "P4", "--n", "12")
         assert code == 3
+
+    def test_range_enumerates_each_n_in_turn(self, capsys):
+        code, out = run(capsys, "enumerate", "--family", "P4", "--n", "4..6")
+        assert code == 0
+        singles = [run(capsys, "enumerate", "--family", "P4", "--n", str(n))[1]
+                   for n in (4, 5, 6)]
+        assert out == "".join(singles)
 
 
 class TestVerifyCommand:

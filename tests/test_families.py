@@ -55,6 +55,22 @@ class TestParse:
         with pytest.raises(ValueError):
             ExplicitFamily((Graph.empty(3),))  # disconnected, no edges
 
+    @given(st.one_of(
+        st.text(max_size=16),
+        st.builds(
+            str.__add__,
+            st.sampled_from(["P", "Pk:", "Trees:", "Star:", "List:"]),
+            st.text(alphabet="".join(map(chr, range(63, 127))) + ",0123456789-", max_size=12),
+        ),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        try:
+            family = parse_family(text)
+        except ValueError:
+            return
+        assert parse_family(family_name(family)) == family
+
 
 class TestIsFree:
     def test_triangle_is_short_path_free(self):

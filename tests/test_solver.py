@@ -1,6 +1,10 @@
+import os
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satgame.engine import GameState, Player, Variant, apply_action, initial_state, is_terminal
 from satgame.families import PathFamily, StarFamily, TreeFamily, is_free
@@ -299,3 +303,34 @@ class TestTruncatedCacheFile:
         path.write_bytes(data[:keep])
         with pytest.raises(ValueError):
             load_table(str(path), P4, Variant.STANDARD, 6)
+
+
+class TestFuzzedCacheFile:
+    """Whatever follows the magic, load_table returns a table or raises
+    ValueError."""
+
+    HEADER = b"SGC1" + struct.pack(">BBH", 0, 6, 2) + b"P4"
+
+    @staticmethod
+    def load(data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.bin")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                return load_table(path, P4, Variant.STANDARD, 6)
+            except ValueError:
+                return None
+
+    @given(st.binary(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_after_magic(self, data):
+        self.load(b"SGC1" + data)
+
+    @given(st.binary(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_entries_for_this_game(self, data):
+        table = self.load(self.HEADER + data)
+        for (game, key, mover), value in (table or {}).items():
+            assert game == ("P4", Variant.STANDARD) and key[:1] == b"\x06"
+            assert mover in BOTH and value >= 0
