@@ -39,7 +39,7 @@ from .engine import (
     is_terminal,
     play,
 )
-from .strategies import STRATEGY_NAMES, Strategy, make_strategy
+from .strategies import Strategy, make_strategy
 from .solver import (
     BudgetExceeded,
     CapExceeded,

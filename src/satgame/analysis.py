@@ -34,9 +34,6 @@ class SaturatedClass:
     def display(self) -> str:
         return "+".join(lab.display() for lab in self.labels)
 
-    def to_json_dict(self) -> dict:
-        return {"components": [lab.display() for lab in self.labels]}
-
 
 def component_labels(g: Graph) -> tuple[ComponentLabel, ...]:
     return tuple(label_component(g, ms) for ms in g.components().members)
@@ -212,22 +209,6 @@ class BoundReport:
         if self.observed is None:
             return None
         return self.lower <= self.observed <= self.upper
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "k": self.k,
-            "lower": str(self.lower),
-            "upper": str(self.upper),
-            "observed": self.observed,
-            "exact": self.exact,
-            "holds": self.holds,
-            "note": self.note,
-        }
-
-
-THEOREMS = ("2.1", "2.2", "2.3", "2.4", "2.5")
 
 
 def bound(

@@ -169,6 +169,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_play(args: argparse.Namespace) -> int:
     from .engine import IllegalStrategyActionError
 
+    if len(args.n) > 1:
+        raise ValueError("play takes a single n; use sweep for a range of n")
     args.family = _apply_k(args.family, args.k)
     strat_p = make_strategy(args.prolonger, default_seed=args.seed)
     strat_s = make_strategy(args.shortener, default_seed=args.seed)

@@ -1,29 +1,29 @@
 """Deterministic strategies for both players, plus baseline opponents.
 
-Each strategy is a rule list tried in order; within a rule, candidate edges
-are filtered for legality and the lexicographically least is played, so play
-is reproducible. Every strategy falls back to the least legal edge (or a
-pass, where allowed) so it always returns a legal action, even from states
-its rules were not designed around.
+The published P4 and P5 strategies are rule tables. A rule is a small
+function of a `_View` of the position (the graph, its components with their
+shape labels, its isolated vertices) that returns candidate edges, all of
+them absent. One driver, `_by_rules`, tries the rules in order and plays the
+lexicographically least legal candidate of the first rule that has one;
+when none has, it plays the least legal edge outside an optional `avoid`
+rule's candidates. A rule that several strategies use is defined once.
+The other strategies are plain functions of the state. Play is
+reproducible, and every strategy returns a legal action (or a pass, where
+allowed) even from states its rules were not designed around.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional
 
-from . import solver as _solver_mod
 from .engine import PASS, Action, GameState, Player, Variant
 from .families import Move, TreeFamily, creates_forbidden, legal_moves
 from .graph import Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge, vertex_mask
-from .shapes import (
-    CLIQUE2,
-    ComponentLabel,
-    label_component,
-    star_centres,
-    has_triangle,
-)
+from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
+from .solver import best_action
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,19 @@ class Strategy:
         return self.decide(state)
 
 
-def _least_legal(state: GameState, exclude: Iterable[Move] = ()) -> Action:
-    """Least legal edge outside `exclude`, or the least legal edge when all
-    are excluded."""
+def _moves(state: GameState) -> list[Move]:
     moves = legal_moves(state.graph, state.family)
     if not moves:
         raise RuntimeError("asked to move in a terminal state")
+    return moves
+
+
+def _least_legal(state: GameState, exclude: Iterable[Move] = ()) -> Action:
+    """Least legal edge outside `exclude`, or the least legal edge when all
+    are excluded."""
+    moves = _moves(state)
     skip = set(exclude)
     return Action(next((e for e in moves if e not in skip), moves[0]))
-
-
-def _pick(state: GameState, candidates: Iterable[Move]) -> Optional[Action]:
-    """Least legal edge among `candidates`, which must all be absent."""
-    legal = [e for e in candidates if not creates_forbidden(state.graph, state.family, e)]
-    return Action(min(legal)) if legal else None
-
-
-def _labelled_components(g: Graph) -> list[tuple[tuple[int, ...], ComponentLabel]]:
-    return [(ms, label_component(g, ms)) for ms in g.components().members]
 
 
 # --- path games: keep every component traceable from every vertex ------------
@@ -76,217 +71,142 @@ def _decide_traceable(state: GameState) -> Action:
     return _least_legal(state)
 
 
-# --- the 4-vertex path game ---------------------------------------------------
+# --- rule tables of the 4-path and 5-path games -----------------------------
 
 
-def _decide_shortener_p4(state: GameState) -> Action:
-    g = state.graph
-    comps = _labelled_components(g)
-    iso = [ms[0] for ms, lab in comps if lab.size == 1]
-    p3 = [ms for ms, lab in comps if lab == ComponentLabel("star", 2)]
-    # (i) grow a 3-vertex path into a 3-leaf star
-    if iso and p3:
-        centres = [c for ms in p3 for c in star_centres(g, ms)]
-        act = _pick(state, (norm_edge(c, w) for c in centres for w in iso))
-        if act:
-            return act
-    # (ii) isolated edge
-    if len(iso) >= 2:
-        act = _pick(state, [(iso[0], iso[1])])
-        if act:
-            return act
-    # (iii) attach an isolated vertex to a star centre
-    if iso:
-        centres = [c for ms, lab in comps if lab.kind == "star" or lab == CLIQUE2
-                   for c in star_centres(g, ms)]
-        act = _pick(state, (norm_edge(c, w) for c in centres for w in iso))
-        if act:
-            return act
-    # (iv) close a 3-vertex path into a triangle
-    leafpairs = []
-    for ms in p3:
-        leaves = [v for v in ms if (g.adj[v] & vertex_mask(ms)).bit_count() == 1]
-        leafpairs.append(norm_edge(*leaves))
-    act = _pick(state, leafpairs)
-    if act:
-        return act
-    return _least_legal(state)
+_P3 = ComponentLabel("star", 2)  # the 3-vertex path, a cherry
 
 
-def _decide_prolonger_p4(state: GameState) -> Action:
-    g = state.graph
-    comps = _labelled_components(g)
-    iso = [ms[0] for ms, lab in comps if lab.size == 1]
-    # (i) close a 3-vertex path component into a triangle
-    cands = []
-    for ms, lab in comps:
-        if lab == ComponentLabel("star", 2):
-            leaves = [v for v in ms if (g.adj[v] & vertex_mask(ms)).bit_count() == 1]
-            cands.append(norm_edge(*leaves))
-    act = _pick(state, cands)
-    if act:
-        return act
-    # (ii) join an isolated edge and an isolated vertex
-    if iso:
-        k2 = [ms for ms, lab in comps if lab == CLIQUE2]
-        act = _pick(state, (norm_edge(a, w) for ms in k2 for a in ms for w in iso))
-        if act:
-            return act
-    # (iii) attach an isolated vertex to the centre of a star with >= 2 leaves
-    if iso:
-        centres = [c for ms, lab in comps if lab.kind == "star"
-                   for c in star_centres(g, ms)]
-        act = _pick(state, (norm_edge(c, w) for c in centres for w in iso))
-        if act:
-            return act
-    # (iv) isolated edge
-    if len(iso) >= 2:
-        act = _pick(state, [(iso[0], iso[1])])
-        if act:
-            return act
-    return _least_legal(state)
+class _View:
+    """The position as the rules see it, built once per decision."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.comps = [(ms, label_component(g, ms)) for ms in g.components().members]
+        self.iso = [ms[0] for ms, lab in self.comps if lab.size == 1]
+
+    def shaped(self, label: ComponentLabel) -> list[tuple[int, ...]]:
+        return [ms for ms, lab in self.comps if lab == label]
+
+    def deg(self, v: int) -> int:
+        return self.g.adj[v].bit_count()
+
+    def leaves(self, ms: Iterable[int]) -> list[int]:
+        return [v for v in ms if self.deg(v) == 1]
 
 
-# --- the 5-vertex path game ---------------------------------------------------
+Rule = Callable[[_View], list[Move]]
 
 
-def _decide_shortener_p5(state: GameState) -> Action:
-    g = state.graph
-    comps = _labelled_components(g)
-    iso = [ms[0] for ms, lab in comps if lab.size == 1]
-    k2 = [ms for ms, lab in comps if lab == CLIQUE2]
-    # (i) with no isolated vertices, join two isolated edges into a 4-path
-    if not iso and len(k2) >= 2:
-        act = _pick(
-            state,
-            (norm_edge(a, b) for i, msa in enumerate(k2) for msb in k2[i + 1 :]
-             for a in msa for b in msb),
-        )
-        if act:
-            return act
-    if iso:
-        # (ii) grow a 4-vertex component into a 5-vertex one:
-        # 4-path -> attach at an inner vertex; 3-leaf star -> attach at a leaf;
-        # pendant triangle -> attach at its hub
-        cands = []
-        for ms, lab in comps:
-            mask = vertex_mask(ms)
-            if lab == ComponentLabel("dstar", 1, 1):  # 4-vertex path
-                inner = [v for v in ms if (g.adj[v] & mask).bit_count() == 2]
-                cands += [norm_edge(v, w) for v in inner for w in iso]
-            elif lab == ComponentLabel("star", 3):
-                leaves = [v for v in ms if (g.adj[v] & mask).bit_count() == 1]
-                cands += [norm_edge(v, w) for v in leaves for w in iso]
-            elif lab == ComponentLabel("tpend", 1):
-                hub = max(ms, key=lambda v: (g.adj[v] & mask).bit_count())
-                cands += [norm_edge(hub, w) for w in iso]
-        act = _pick(state, cands)
-        if act:
-            return act
-        # (iii) grow an isolated edge into a 3-vertex path
-        act = _pick(state, (norm_edge(a, w) for ms in k2 for a in ms for w in iso))
-        if act:
-            return act
-        # (iv) attach an isolated vertex to a component of >= 5 vertices
-        w = iso[0]
-        spots = [
-            v
-            for ms, lab in comps
-            if len(ms) >= 5
-            for v in ms
-            if not creates_forbidden(g, state.family, norm_edge(v, w))
-        ]
-        if spots:
-            return Action(norm_edge(min(spots), w))
-        # (v) isolated edge
-        if len(iso) >= 2:
-            act = _pick(state, [(iso[0], iso[1])])
-            if act:
-                return act
-    # (vi) join two 3-vertex paths centre-to-centre
-    p3 = [ms for ms, lab in comps if lab == ComponentLabel("star", 2)]
-    if len(p3) >= 2:
-        centres = [star_centres(g, ms)[0] for ms in p3]
-        act = _pick(
-            state,
-            (norm_edge(a, b) for i, a in enumerate(centres) for b in centres[i + 1 :]),
-        )
-        if act:
-            return act
-    # (vii) arbitrary
-    return _least_legal(state)
+def _by_rules(*rules: Rule, avoid: Optional[Rule] = None) -> Callable[[GameState], Action]:
+    """Least legal candidate of the first rule that has one; otherwise the
+    least legal edge outside `avoid`'s candidates."""
+
+    def decide(state: GameState) -> Action:
+        view = _View(state.graph)
+        for rule in rules:
+            legal = [e for e in rule(view) if not creates_forbidden(state.graph, state.family, e)]
+            if legal:
+                return Action(min(legal))
+        return _least_legal(state, avoid(view) if avoid else ())
+
+    return decide
 
 
-def _star_growing_moves(g: Graph, comps) -> set[Move]:
-    """Edges that would extend a star component into a larger star."""
-    iso = {ms[0] for ms, lab in comps if lab.size == 1}
-    out: set[Move] = set()
-    for ms, lab in comps:
-        for c in star_centres(g, ms):
-            out.update(norm_edge(c, w) for w in iso)
+def _isolated_edge(v: _View) -> list[Move]:
+    """Draw an edge between the two least isolated vertices."""
+    return [(v.iso[0], v.iso[1])] if len(v.iso) >= 2 else []
+
+
+def _edge_to_vertex(v: _View) -> list[Move]:
+    """Join an isolated edge to an isolated vertex."""
+    return [norm_edge(a, w) for ms in v.shaped(CLIQUE2) for a in ms for w in v.iso]
+
+
+def _join_edges(v: _View) -> list[Move]:
+    """Join two isolated edges into a 4-path."""
+    k2 = v.shaped(CLIQUE2)
+    return [norm_edge(a, b) for i, msa in enumerate(k2) for msb in k2[i + 1 :]
+            for a in msa for b in msb]
+
+
+def _close_cherry(v: _View) -> list[Move]:
+    """Close a 3-vertex path into a triangle."""
+    return [norm_edge(*v.leaves(ms)) for ms in v.shaped(_P3)]
+
+
+def _grow_star(v: _View) -> list[Move]:
+    """Attach an isolated vertex to a star's centre (either end of an edge)."""
+    return [norm_edge(c, w) for ms, lab in v.comps if lab.kind == "star" or lab == CLIQUE2
+            for c in star_centres(v.g, ms) for w in v.iso]
+
+
+def _cherry_to_star(v: _View) -> list[Move]:
+    """Grow a 3-vertex path into a 3-leaf star."""
+    return [norm_edge(c, w) for ms in v.shaped(_P3) for c in star_centres(v.g, ms) for w in v.iso]
+
+
+def _join_edges_when_no_spare(v: _View) -> list[Move]:
+    """With no isolated vertex left, join two isolated edges into a 4-path."""
+    return [] if v.iso else _join_edges(v)
+
+
+def _grow_four_to_five(v: _View) -> list[Move]:
+    """Grow a 4-vertex component into a 5-vertex one: a 4-path at an inner
+    vertex, a 3-leaf star at a leaf, a pendant triangle at its hub."""
+    out = []
+    for ms, lab in v.comps:
+        if lab == ComponentLabel("dstar", 1, 1):  # 4-vertex path
+            spots = [a for a in ms if v.deg(a) == 2]
+        elif lab == ComponentLabel("star", 3):
+            spots = v.leaves(ms)
+        elif lab == ComponentLabel("tpend", 1):
+            spots = [max(ms, key=v.deg)]
+        else:
+            continue
+        out += [norm_edge(a, w) for a in spots for w in v.iso]
     return out
 
 
-def _decide_prolonger_p5(state: GameState) -> Action:
-    g = state.graph
-    comps = _labelled_components(g)
-    iso = [ms[0] for ms, lab in comps if lab.size == 1]
-    k2 = [ms for ms, lab in comps if lab == CLIQUE2]
-    # (i) close the dangerous 4/5-vertex shapes into pendant triangles:
-    # in a D_{1,2} join the lone pendant to the far centre; in a 3-leaf star
-    # join two leaves
-    cands = []
-    for ms, lab in comps:
-        mask = vertex_mask(ms)
+def _attach_to_large(v: _View) -> list[Move]:
+    """Attach the least isolated vertex to a component of at least 5 vertices."""
+    if not v.iso:
+        return []
+    return [norm_edge(a, v.iso[0]) for ms, _ in v.comps if len(ms) >= 5 for a in ms]
+
+
+def _join_cherry_centres(v: _View) -> list[Move]:
+    """Join two 3-vertex paths centre to centre."""
+    centres = [star_centres(v.g, ms)[0] for ms in v.shaped(_P3)]
+    return [norm_edge(a, b) for i, a in enumerate(centres) for b in centres[i + 1 :]]
+
+
+def _close_dangerous(v: _View) -> list[Move]:
+    """Close the dangerous 4/5-vertex shapes into pendant triangles: in a
+    D_{1,2} join the pendant of the degree-2 centre to the far centre; in a
+    3-leaf star join two leaves."""
+    out = []
+    for ms, lab in v.comps:
         if lab == ComponentLabel("dstar", 1, 2):
-            centres = [v for v in ms if (g.adj[v] & mask).bit_count() >= 2]
-            # the pendant hanging off the degree-2 centre, joined to the far centre
-            lone = next(
-                v for v in ms
-                if (g.adj[v] & mask).bit_count() == 1
-                and (g.adj[(g.adj[v] & mask).bit_length() - 1] & mask).bit_count() == 2
-            )
-            far = next(c for c in centres if not g.has_edge(lone, c))
-            cands.append(norm_edge(lone, far))
+            lone = next(a for a in ms
+                        if v.deg(a) == 1 and v.deg(v.g.adj[a].bit_length() - 1) == 2)
+            far = next(c for c in ms if v.deg(c) >= 2 and not v.g.has_edge(lone, c))
+            out.append(norm_edge(lone, far))
         elif lab == ComponentLabel("star", 3):
-            leaves = sorted(v for v in ms if (g.adj[v] & mask).bit_count() == 1)
-            cands += [norm_edge(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1 :]]
-    act = _pick(state, cands)
-    if act:
-        return act
-    # (ii) complete a triangle inside any triangle-free component
-    cands = []
-    for ms, lab in comps:
+            leaves = v.leaves(ms)
+            out += [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1 :]]
+    return out
+
+
+def _complete_triangle(v: _View) -> list[Move]:
+    """Complete a triangle inside a triangle-free component."""
+    g, out = v.g, []
+    for ms, _ in v.comps:
         mask = vertex_mask(ms)
         if len(ms) >= 3 and not has_triangle(g, mask):
-            for u in ms:
-                for v in bits(~g.adj[u] & mask & ~((1 << (u + 1)) - 1)):
-                    if g.adj[u] & g.adj[v] & mask:
-                        cands.append((u, v))
-    act = _pick(state, cands)
-    if act:
-        return act
-    # (iii) join two isolated edges into a 4-path
-    if len(k2) >= 2:
-        act = _pick(
-            state,
-            (norm_edge(a, b) for i, msa in enumerate(k2) for msb in k2[i + 1 :]
-             for a in msa for b in msb),
-        )
-        if act:
-            return act
-    # (iv) join an isolated edge and an isolated vertex
-    if iso and k2:
-        act = _pick(state, (norm_edge(a, w) for ms in k2 for a in ms for w in iso))
-        if act:
-            return act
-    # (v) isolated edge
-    if len(iso) >= 2:
-        act = _pick(state, [(iso[0], iso[1])])
-        if act:
-            return act
-    # (vi) arbitrary, but never grow a star into a larger star
-    return _least_legal(state, exclude=_star_growing_moves(g, comps))
+            out += [(a, b) for a in ms for b in bits(~g.adj[a] & mask & ~((1 << (a + 1)) - 1))
+                    if g.adj[a] & g.adj[b]]
+    return out
 
 
 # --- the all-trees game -------------------------------------------------------
@@ -323,11 +243,7 @@ def _decide_prolonger_trees(state: GameState) -> Action:
 def _decide_star_lex(state: GameState) -> Action:
     """Least legal edge under the key (min endpoint degree, max endpoint
     degree, endpoints): builds up degrees from the bottom."""
-    g = state.graph
-    moves = legal_moves(g, state.family)
-    if not moves:
-        raise RuntimeError("asked to move in a terminal state")
-    deg = g.degrees()
+    deg = state.graph.degrees()
 
     def key(e: Move):
         du, dv = deg[e[0]], deg[e[1]]
@@ -335,7 +251,7 @@ def _decide_star_lex(state: GameState) -> Action:
             du, dv = dv, du
         return (du, dv, e[0], e[1])
 
-    return Action(min(moves, key=key))
+    return Action(min(_moves(state), key=key))
 
 
 # --- baselines ----------------------------------------------------------------
@@ -348,18 +264,12 @@ def _state_rng(seed: int, state: GameState) -> random.Random:
 
 
 def _decide_random(seed: int, state: GameState) -> Action:
-    moves = legal_moves(state.graph, state.family)
-    if not moves:
-        raise RuntimeError("asked to move in a terminal state")
-    return Action(_state_rng(seed, state).choice(moves))
+    return Action(_state_rng(seed, state).choice(_moves(state)))
 
 
 def _decide_greedy(state: GameState, want_max: bool) -> Action:
-    g = state.graph
-    moves = legal_moves(g, state.family)
-    if not moves:
-        raise RuntimeError("asked to move in a terminal state")
-    cv = g.components()
+    moves = _moves(state)
+    cv = state.graph.components()
     cur = max(len(ms) for ms in cv.members)
 
     def result_size(e: Move) -> int:
@@ -371,45 +281,38 @@ def _decide_greedy(state: GameState, want_max: bool) -> Action:
     return Action(min(moves, key=lambda e: (sign * result_size(e), e)))
 
 
-def _decide_optimal(state: GameState, cache: dict) -> Action:
-    return _solver_mod.best_action(state, table=cache)
-
-
 # --- registry -----------------------------------------------------------------
+
+
+_STRATEGIES: dict[str, tuple[Callable[[GameState], Action], Optional[Player]]] = {
+    "traceable": (_decide_traceable, Player.PROLONGER),
+    "s-p4": (_by_rules(_cherry_to_star, _isolated_edge, _grow_star, _close_cherry),
+             Player.SHORTENER),
+    "p-p4": (_by_rules(_close_cherry, _edge_to_vertex, _grow_star, _isolated_edge),
+             Player.PROLONGER),
+    "s-p5": (_by_rules(_join_edges_when_no_spare, _grow_four_to_five, _edge_to_vertex,
+                       _attach_to_large, _isolated_edge, _join_cherry_centres),
+             Player.SHORTENER),
+    # never grow a star into a larger star, even when falling back
+    "p-p5": (_by_rules(_close_dangerous, _complete_triangle, _join_edges, _edge_to_vertex,
+                       _isolated_edge, avoid=_grow_star),
+             Player.PROLONGER),
+    "p-trees": (_decide_prolonger_trees, Player.PROLONGER),
+    "p-star": (_decide_star_lex, Player.PROLONGER),
+    "greedy-min": (partial(_decide_greedy, want_max=False), None),
+    "greedy-max": (partial(_decide_greedy, want_max=True), None),
+}
 
 
 def make_strategy(name: str, default_seed: int = 0) -> Strategy:
     """Resolve a strategy name: traceable, s-p4, p-p4, s-p5, p-p5, p-trees,
     p-star, random[:seed], greedy-min, greedy-max, optimal."""
     base, _, arg = name.partition(":")
-    if base == "traceable":
-        return Strategy("traceable", _decide_traceable, Player.PROLONGER)
-    if base == "s-p4":
-        return Strategy("s-p4", _decide_shortener_p4, Player.SHORTENER)
-    if base == "p-p4":
-        return Strategy("p-p4", _decide_prolonger_p4, Player.PROLONGER)
-    if base == "s-p5":
-        return Strategy("s-p5", _decide_shortener_p5, Player.SHORTENER)
-    if base == "p-p5":
-        return Strategy("p-p5", _decide_prolonger_p5, Player.PROLONGER)
-    if base == "p-trees":
-        return Strategy("p-trees", _decide_prolonger_trees, Player.PROLONGER)
-    if base == "p-star":
-        return Strategy("p-star", _decide_star_lex, Player.PROLONGER)
     if base == "random":
         seed = int(arg) if arg else default_seed
-        return Strategy(f"random:{seed}", lambda s, _seed=seed: _decide_random(_seed, s))
-    if base == "greedy-min":
-        return Strategy("greedy-min", lambda s: _decide_greedy(s, want_max=False))
-    if base == "greedy-max":
-        return Strategy("greedy-max", lambda s: _decide_greedy(s, want_max=True))
+        return Strategy(f"random:{seed}", partial(_decide_random, seed))
     if base == "optimal":
-        cache: dict = {}
-        return Strategy("optimal", lambda s, _c=cache: _decide_optimal(s, _c))
-    raise ValueError(f"unknown strategy {name!r}")
-
-
-STRATEGY_NAMES = (
-    "traceable", "s-p4", "p-p4", "s-p5", "p-p5", "p-trees", "p-star",
-    "random:<seed>", "greedy-min", "greedy-max", "optimal",
-)
+        return Strategy("optimal", partial(best_action, table={}))
+    if base not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return Strategy(base, *_STRATEGIES[base])

@@ -273,6 +273,20 @@ def _fuzz_games(
             yield play(n, family, variant, first, opp, fixed_strategy)
 
 
+def _star_games(
+    rng: random.Random, games: int, n_max: int
+) -> Iterable[tuple[int, GameRecord]]:
+    """Games of the degree-lex prolonger in the (k+1)-star game, k in {2, 3},
+    from the least n its claims cover. Draws k, n, the first mover and the
+    opponent, in that order."""
+    for _ in range(games):
+        k = rng.choice((2, 3))
+        n = rng.randint(max(4, (3 * k + 1) * (k - 2)), n_max)
+        first = rng.choice(BOTH_PLAYERS)
+        yield k, play(n, StarFamily(k + 1), Variant.STANDARD, first,
+                      make_strategy("p-star"), _opponent(rng))
+
+
 def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Check]:
     """Zero-violation fuzz of the structural claims behind each strategy."""
     rng = random.Random(seed)
@@ -359,12 +373,7 @@ def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Che
     # degree at least k-2 once n is large enough
     violations = 0
     count = 0
-    for _ in range(per):
-        k = rng.choice((2, 3))
-        n = rng.randint(max(4, (3 * k + 1) * (k - 2)), n_max)
-        first = rng.choice(BOTH_PLAYERS)
-        rec = play(n, StarFamily(k + 1), Variant.STANDARD, first,
-                   make_strategy("p-star"), _opponent(rng))
+    for k, rec in _star_games(rng, per, n_max):
         count += 1
         if rec.terminal.min_degree() < k - 2:
             violations += 1
@@ -395,15 +404,10 @@ def suite_algebra(seed: int = 0, games: int = 400, n_max: int = 20) -> list[Chec
     lam_bad = 0
     budget_bad = 0
     count = 0
-    for _ in range(games):
-        k = rng.choice((2, 3))
-        n = rng.randint(max(4, (3 * k + 1) * (k - 2)), n_max)
-        first = rng.choice(BOTH_PLAYERS)
-        rec = play(n, StarFamily(k + 1), Variant.STANDARD, first,
-                   make_strategy("p-star"), _opponent(rng))
+    for k, rec in _star_games(rng, games, n_max):
         count += 1
         stats = trace_stats(rec, k)
-        fs = f_sequence(n, k)
+        fs = f_sequence(rec.n, k)
         for i, th in enumerate(stats.thresholds):
             if th is None:
                 continue

@@ -101,6 +101,20 @@ class TestPlayCommand:
 
         assert from_graph6(rec["terminal_graph6"]).min_degree() >= 1
 
+    def test_range_of_n_is_usage_error(self, capsys):
+        code = main(["play", "--family", "P4", "--n", "4..6",
+                     "--prolonger", "p-p4", "--shortener", "s-p4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1 and "sweep" in err_lines[0]
+
+    def test_one_n_range_plays(self, capsys):
+        code, out = run(capsys, "play", "--family", "P4", "--n", "5..5",
+                        "--prolonger", "p-p4", "--shortener", "s-p4")
+        assert code == 0 and json.loads(out.splitlines()[0])["n"] == 5
+
     def test_three_vertex_game(self, capsys):
         code, out = run(capsys, "play", "--family", "P4", "--n", "3",
                         "--prolonger", "random:1", "--shortener", "random:2")

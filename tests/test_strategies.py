@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from satgame.engine import (
     is_terminal,
     play,
 )
-from satgame.families import PathFamily, StarFamily, TreeFamily, legal_moves
+from satgame.families import PathFamily, StarFamily, TreeFamily, legal_moves, parse_family
 from satgame.graph import Graph
 from satgame.strategies import make_strategy
 
@@ -239,3 +240,36 @@ class TestLegalityFuzz:
                     rec = play(n, fam, variant, Player.SHORTENER, strat, opp)
                 # play() itself validates legality; double-check the terminal state
                 assert legal_moves(rec.terminal, fam) == []
+
+
+class TestGoldenRecords:
+    """Pins every move of the published strategies: game records against one
+    another and against the baselines, in both variants. The hash was taken
+    before the P4/P5 strategies became rule tables."""
+
+    PUBLISHED = ("traceable", "s-p4", "p-p4", "s-p5", "p-p5", "p-trees", "p-star")
+    BASELINES = ("random:1", "greedy-min", "greedy-max")
+    FAMILIES = ("P4", "P5", "P6", "Star:3", "Trees:4")
+    GOLDEN = "839514f54ed8f67ed47504c77a02ed31e2c673986efb2582bc17986e1e4ae99b"
+
+    def test_records_unchanged(self):
+        names = self.PUBLISHED + self.BASELINES
+        digest = hashlib.sha256()
+        count = 0
+        for fname in self.FAMILIES:
+            family = parse_family(fname)
+            for n in range(4, 9):
+                for variant in Variant:
+                    for p in names:
+                        for s in names:
+                            if p not in self.PUBLISHED and s not in self.PUBLISHED:
+                                continue
+                            try:
+                                line = play(n, family, variant, Player.PROLONGER,
+                                            make_strategy(p), make_strategy(s)).to_json()
+                            except Exception as exc:  # a failure is part of the record
+                                line = f"{type(exc).__name__}:{exc}"
+                            digest.update((line + "\n").encode())
+                            count += 1
+        assert count == 4550
+        assert digest.hexdigest() == self.GOLDEN
