@@ -57,7 +57,6 @@ from .analysis import (
     classify_p4_saturated,
     classify_p5_saturated,
     degree_sum_bound,
-    enumerate_saturated,
     f_closed,
     f_sequence,
     free_graphs,
@@ -65,6 +64,7 @@ from .analysis import (
     saturated_graphs,
     trace_stats,
     tree_score_formula,
+    window,
 )
 
 __version__ = "0.1.0"

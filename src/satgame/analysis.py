@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .engine import GameRecord, Player
-from .families import ForbiddenFamily, creates_forbidden
+from .engine import GameRecord, Player, Variant
+from .families import ForbiddenFamily, PathFamily, StarFamily, TreeFamily, creates_forbidden
 from .graph import Graph
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
 
@@ -186,10 +186,6 @@ def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     )
 
 
-def enumerate_saturated(n: int, family: ForbiddenFamily) -> list[bytes]:
-    return [g.canonical_key() for g in saturated_graphs(n, family)]
-
-
 # --- score bounds ---------------------------------------------------------------
 
 
@@ -265,6 +261,34 @@ def bound(
             Fraction(k * n - 2 * (k - 1), 2), Fraction(k * n, 2), observed,
         )
     raise ValueError(f"unknown theorem id {theorem!r}")
+
+
+def window(
+    family: ForbiddenFamily, variant: Variant, n: int, observed: Optional[int] = None
+) -> Optional[BoundReport]:
+    """Score window of the theorem that covers the game, or None where none
+    does: another family, or n outside the theorem's domain.
+
+    This is the one map from a game to a theorem: the pass variant of a path
+    game is 2.1, the 4- and 5-path games are 2.2 and 2.3, trees are 2.4 and
+    the star with k+1 leaves is 2.5 with that k.
+    """
+    theorem, k = None, None
+    if isinstance(family, PathFamily):
+        if variant is Variant.PROLONGER_MAY_PASS:
+            theorem, k = "2.1", family.k
+        else:
+            theorem = {4: "2.2", 5: "2.3"}.get(family.k)
+    elif isinstance(family, TreeFamily):
+        theorem, k = "2.4", family.k
+    elif isinstance(family, StarFamily):
+        theorem, k = "2.5", family.leaves - 1
+    if theorem is None:
+        return None
+    try:
+        return bound(theorem, n, k, observed)
+    except ValueError:
+        return None  # out of the theorem's domain
 
 
 def tree_score_formula(n: int, k: int) -> Union[int, tuple[Fraction, Fraction]]:

@@ -14,16 +14,9 @@ import json
 import sys
 from typing import Optional
 
-from .analysis import bound, component_labels, saturated_graphs
+from .analysis import component_labels, saturated_graphs, window
 from .engine import Player, Variant, play
-from .families import (
-    ForbiddenFamily,
-    PathFamily,
-    StarFamily,
-    TreeFamily,
-    family_name,
-    parse_family,
-)
+from .families import ForbiddenFamily, family_name, parse_family
 from .graph import to_graph6
 from .solver import DEFAULT_N_CAP, BudgetExceeded, CapExceeded, solve
 from .strategies import make_strategy
@@ -70,19 +63,6 @@ def _variant(text: str) -> Variant:
         raise argparse.ArgumentTypeError("variant must be standard or pass")
 
 
-def _apply_k(family: ForbiddenFamily, k: Optional[int]) -> ForbiddenFamily:
-    """--k overrides the size parameter of a parametric family."""
-    if k is None:
-        return family
-    if isinstance(family, PathFamily):
-        return PathFamily(k)
-    if isinstance(family, TreeFamily):
-        return TreeFamily(k)
-    if isinstance(family, StarFamily):
-        return StarFamily(k)
-    raise ValueError("--k does not apply to explicit graph lists")
-
-
 def _emit(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) -> None:
     buf = io.StringIO()
     if fmt == "csv":
@@ -101,27 +81,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) ->
         sys.stdout.write(text)
 
 
-def _matching_bound(family: ForbiddenFamily, variant: Variant, n: int, score: Optional[int]):
-    try:
-        if isinstance(family, PathFamily):
-            if variant is Variant.PROLONGER_MAY_PASS:
-                return bound("2.1", n, family.k, observed=score)
-            if family.k == 4:
-                return bound("2.2", n, observed=score)
-            if family.k == 5:
-                return bound("2.3", n, observed=score)
-            return None
-        if isinstance(family, TreeFamily):
-            return bound("2.4", n, family.k, observed=score)
-        if isinstance(family, StarFamily):
-            return bound("2.5", n, family.leaves - 1, observed=score)
-    except ValueError:
-        return None  # out of the theorem's domain: attach nothing
-    return None
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
-    args.family = _apply_k(args.family, args.k)
     firsts = [args.first] if args.first else [Player.PROLONGER, Player.SHORTENER]
     rows = []
     capped = False
@@ -146,7 +106,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     n_cap=args.n_cap, node_cap=args.node_cap, time_cap=args.time_cap,
                 )
                 row["score"] = res.score
-                rep = _matching_bound(args.family, args.variant, n, res.score)
+                rep = window(args.family, args.variant, n, res.score)
                 if rep is not None:
                     row["lower"], row["upper"] = str(rep.lower), str(rep.upper)
                     row["holds"] = str(rep.holds).lower()
@@ -171,7 +131,6 @@ def cmd_play(args: argparse.Namespace) -> int:
 
     if len(args.n) > 1:
         raise ValueError("play takes a single n; use sweep for a range of n")
-    args.family = _apply_k(args.family, args.k)
     strat_p = make_strategy(args.prolonger, default_seed=args.seed)
     strat_s = make_strategy(args.shortener, default_seed=args.seed)
     try:
@@ -193,7 +152,6 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    args.family = _apply_k(args.family, args.k)
     firsts = [args.first] if args.first else [Player.PROLONGER, Player.SHORTENER]
     cells = sorted(
         (n, first.value, pname, sname)
@@ -238,7 +196,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    args.family = _apply_k(args.family, args.k)
     try:
         graphs = [g for n in args.n for g in saturated_graphs(n, args.family)]
     except ValueError as exc:
@@ -264,34 +221,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_family=True):
-        if need_family:
-            p.add_argument("--family", type=_family, required=True,
-                           help="P4, P5, Pk:7, Trees:5, Star:4 or List:<graph6>,...")
-        p.add_argument("--n", type=_n_range, default=[6], help="n or inclusive range a..b")
-        p.add_argument("--k", type=int, default=None,
-                       help="override the family size parameter (e.g. --family P4 --k 6)")
-        p.add_argument("--variant", type=_variant, default=Variant.STANDARD)
-        p.add_argument("--first", type=_first, default=None, help="P or S")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    options = {
+        "--family": dict(type=_family, required=True,
+                         help="P4, P5, Pk:7, Trees:5, Star:4 or List:<graph6>,..."),
+        "--n": dict(type=_n_range, default=[6], help="n or inclusive range a..b"),
+        "--variant": dict(type=_variant, default=Variant.STANDARD),
+        "--first": dict(type=_first, default=None, help="P or S"),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(default=None),
+        "--format": dict(choices=("csv", "jsonl"), default="csv"),
+    }
+
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **options[name])
 
     p_solve = sub.add_parser("solve", help="exact scores with matching score windows")
-    common(p_solve)
+    add(p_solve, "--family", "--n", "--variant", "--first", "--out", "--format")
     p_solve.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP)
     p_solve.add_argument("--node-cap", type=int, default=None)
     p_solve.add_argument("--time-cap", type=float, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_play = sub.add_parser("play", help="one game between named strategies")
-    common(p_play)
+    add(p_play, "--family", "--n", "--variant", "--first", "--seed", "--out")
     p_play.add_argument("--prolonger", required=True)
     p_play.add_argument("--shortener", required=True)
     p_play.set_defaults(func=cmd_play)
 
     p_sweep = sub.add_parser("sweep", help="score table over n and strategy pairs")
-    common(p_sweep)
+    add(p_sweep, "--family", "--n", "--variant", "--first", "--seed", "--out", "--format")
     p_sweep.add_argument("--prolonger", required=True, help="comma-separated strategy names")
     p_sweep.add_argument("--shortener", required=True, help="comma-separated strategy names")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -300,12 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all", choices=["all", *SUITES])
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--games", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--out", default=None)
+    add(p_verify, "--seed", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="saturated graphs up to isomorphism")
-    common(p_enum)
+    add(p_enum, "--family", "--n", "--out")
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser
@@ -319,7 +277,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CapExceeded, BudgetExceeded) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAPPED
-    except ValueError as exc:  # bad strategy names, --k misuse, suite names
+    except ValueError as exc:  # bad strategy names, suite names, sizes
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
 

@@ -68,18 +68,11 @@ class ComponentView:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {ms[0]: i for i, ms in enumerate(self.members)})
 
-    @property
-    def sizes(self) -> dict[int, int]:
-        return {ms[0]: len(ms) for ms in self.members}
-
     def __len__(self) -> int:
         return len(self.members)
 
     def mask_of(self, vertex: int) -> int:
-        return self.masks[self.index_of(vertex)]
-
-    def index_of(self, vertex: int) -> int:
-        return self._index[self.labels[vertex]]
+        return self.masks[self._index[self.labels[vertex]]]
 
 
 @dataclass(frozen=True)

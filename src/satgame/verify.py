@@ -16,13 +16,12 @@ from typing import Callable, Iterable, Optional
 
 from .analysis import (
     all_graphs,
-    bound,
     classify_p4_saturated,
     classify_p5_saturated,
     f_closed,
     f_sequence,
     trace_stats,
-    tree_score_formula,
+    window,
 )
 from .engine import GameRecord, Player, Variant, play
 from .families import (
@@ -83,17 +82,14 @@ def naive_value(g: Graph, mover: Player, family: ForbiddenFamily, variant: Varia
 
 
 def solve_window_checks(
-    suite: str,
-    family: ForbiddenFamily,
-    theorem: str,
-    n_range: Iterable[int],
-    time_limit: float,
+    suite: str, family: ForbiddenFamily, n_range: Iterable[int], time_limit: float
 ) -> list[Check]:
+    """Exact scores of the standard game inside the window that covers it."""
     checks = []
     for n in n_range:
         for first in BOTH_PLAYERS:
             res = solve(n, family, first_mover=first)
-            rep = bound(theorem, n, observed=res.score)
+            rep = window(family, Variant.STANDARD, n, res.score)
             ok = bool(rep.holds) and res.elapsed <= time_limit
             checks.append(
                 Check(
@@ -153,51 +149,37 @@ def anchor_checks() -> list[Check]:
     return checks
 
 
-def response_checks_p4(n_max: int = 8) -> list[Check]:
-    family = PathFamily(4)
+def response_checks(k: int, n_max: int = 8) -> list[Check]:
+    """The published k-path strategies hold their side of the window against
+    every reply: Shortener's `s-p{k}` keeps the score at most its upper end,
+    Prolonger's `p-p{k}` at least the ceiling of its lower end."""
+    family = PathFamily(k)
     checks = []
     for n in range(3, n_max + 1):
-        hi = best_response(n, family, Variant.STANDARD, make_strategy("s-p4"), Player.SHORTENER).score
-        lo = best_response(n, family, Variant.STANDARD, make_strategy("p-p4"), Player.PROLONGER).score
-        top = Fraction(4 * n, 5) + 1
-        bot = math.ceil(Fraction(4 * n, 5) - Fraction(8, 5))
-        checks.append(
-            Check("p4", f"shortener-guarantee n={n}", hi <= top, f"best response {hi} <= {top}")
-        )
-        checks.append(
-            Check("p4", f"prolonger-guarantee n={n}", lo >= bot, f"best response {lo} >= {bot}")
-        )
-    return checks
-
-
-def response_checks_p5(n_max: int = 8) -> list[Check]:
-    family = PathFamily(5)
-    checks = []
-    for n in range(3, n_max + 1):
-        hi = best_response(n, family, Variant.STANDARD, make_strategy("s-p5"), Player.SHORTENER).score
-        lo = best_response(n, family, Variant.STANDARD, make_strategy("p-p5"), Player.PROLONGER).score
-        checks.append(
-            Check("p5", f"shortener-guarantee n={n}", hi <= n + 2, f"best response {hi} <= {n + 2}")
-        )
-        checks.append(
-            Check("p5", f"prolonger-guarantee n={n}", lo >= n - 1, f"best response {lo} >= {n - 1}")
-        )
+        rep = window(family, Variant.STANDARD, n)
+        top, bot = rep.upper, math.ceil(rep.lower)
+        hi, lo = (best_response(n, family, Variant.STANDARD, make_strategy(name), side).score
+                  for name, side in ((f"s-p{k}", Player.SHORTENER), (f"p-p{k}", Player.PROLONGER)))
+        checks.append(Check(f"p{k}", f"shortener-guarantee n={n}", hi <= top,
+                            f"best response {hi} <= {top}"))
+        checks.append(Check(f"p{k}", f"prolonger-guarantee n={n}", lo >= bot,
+                            f"best response {lo} >= {bot}"))
     return checks
 
 
 def suite_p4(n_max: int = 8, seed: int = 0) -> list[Check]:
     family = PathFamily(4)
-    checks = solve_window_checks("p4", family, "2.2", range(3, n_max + 1), time_limit=60.0)
+    checks = solve_window_checks("p4", family, range(3, n_max + 1), time_limit=60.0)
     checks += anchor_checks()
-    checks += response_checks_p4(n_max)
+    checks += response_checks(4, n_max)
     checks += classifier_checks("p4", family, classify_p4_saturated, min(n_max, 7))
     return checks
 
 
 def suite_p5(n_max: int = 8, seed: int = 0) -> list[Check]:
     family = PathFamily(5)
-    checks = solve_window_checks("p5", family, "2.3", range(4, n_max + 1), time_limit=300.0)
-    checks += response_checks_p5(n_max)
+    checks = solve_window_checks("p5", family, range(4, n_max + 1), time_limit=300.0)
+    checks += response_checks(5, n_max)
     checks += classifier_checks("p5", family, classify_p5_saturated, min(n_max, 8))
     return checks
 
@@ -206,9 +188,10 @@ def suite_trees(n_max: int = 9, seed: int = 0) -> list[Check]:
     checks = []
     for k in (3, 4, 5):
         for n in range(k, n_max + 1):
-            if n % (k - 1) == 1 % (k - 1):
-                continue  # the formula is only exact away from this residue
-            expected = tree_score_formula(n, k)
+            rep = window(TreeFamily(k), Variant.STANDARD, n)
+            if not rep.exact:
+                continue  # the formula is only exact away from n = 1 mod (k-1)
+            expected = rep.lower
             for first in BOTH_PLAYERS:
                 got = solve(n, TreeFamily(k), first_mover=first).score
                 checks.append(
@@ -229,7 +212,7 @@ def suite_pass(seed: int = 0) -> list[Check]:
             n, PathFamily(k), Variant.PROLONGER_MAY_PASS,
             make_strategy("traceable"), Player.PROLONGER,
         )
-        floor = Fraction(n * (k - 2), 4)
+        floor = window(PathFamily(k), Variant.PROLONGER_MAY_PASS, n).lower
         checks.append(
             Check(
                 "pass",
@@ -251,134 +234,140 @@ def _opponent(rng: random.Random) -> Strategy:
     return make_strategy(kind)
 
 
+GameSource = Callable[[random.Random, int, int], Iterable[GameRecord]]
+
+
 def _fuzz_games(
-    rng: random.Random,
-    games: int,
-    n_lo: int,
-    n_hi: int,
     family_of: Callable[[random.Random], ForbiddenFamily],
     fixed: str,
-    fixed_side: Player,
     variant: Variant = Variant.STANDARD,
-) -> Iterable[GameRecord]:
-    fixed_strategy = make_strategy(fixed)
-    for _ in range(games):
-        n = rng.randint(n_lo, n_hi)
-        family = family_of(rng)
-        first = rng.choice(BOTH_PLAYERS)
-        opp = _opponent(rng)
-        if fixed_side is Player.PROLONGER:
-            yield play(n, family, variant, first, fixed_strategy, opp)
-        else:
-            yield play(n, family, variant, first, opp, fixed_strategy)
+) -> GameSource:
+    """A source of `games` games of the strategy `fixed` against drawn
+    opponents, n in 4..n_max. Each game draws n, the family, the first mover
+    and the opponent, in that order."""
+
+    def games_of(rng: random.Random, games: int, n_max: int) -> Iterable[GameRecord]:
+        strategy = make_strategy(fixed)
+        for _ in range(games):
+            n = rng.randint(4, n_max)
+            family = family_of(rng)
+            first = rng.choice(BOTH_PLAYERS)
+            opp = _opponent(rng)
+            if strategy.side is Player.PROLONGER:
+                yield play(n, family, variant, first, strategy, opp)
+            else:
+                yield play(n, family, variant, first, opp, strategy)
+
+    return games_of
 
 
-def _star_games(
-    rng: random.Random, games: int, n_max: int
-) -> Iterable[tuple[int, GameRecord]]:
+def _star_games(rng: random.Random, games: int, n_max: int) -> Iterable[GameRecord]:
     """Games of the degree-lex prolonger in the (k+1)-star game, k in {2, 3},
-    from the least n its claims cover. Draws k, n, the first mover and the
-    opponent, in that order."""
+    n from the least one (at least 4) that the star theorem's window covers,
+    up to n_max. A k whose window starts above n_max is not drawn. Draws k, n,
+    the first mover and the opponent, in that order."""
+    starts = {}
+    for k in (2, 3):
+        covered = [n for n in range(4, n_max + 1) if window(StarFamily(k + 1), Variant.STANDARD, n)]
+        if covered:
+            starts[k] = covered[0]
     for _ in range(games):
-        k = rng.choice((2, 3))
-        n = rng.randint(max(4, (3 * k + 1) * (k - 2)), n_max)
+        k = rng.choice(tuple(starts))
+        n = rng.randint(starts[k], n_max)
         first = rng.choice(BOTH_PLAYERS)
-        yield k, play(n, StarFamily(k + 1), Variant.STANDARD, first,
-                      make_strategy("p-star"), _opponent(rng))
+        yield play(n, StarFamily(k + 1), Variant.STANDARD, first,
+                   make_strategy("p-star"), _opponent(rng))
+
+
+def _star_k(rec: GameRecord) -> int:
+    return rec.family.leaves - 1
+
+
+def _after_prolonger(rec: GameRecord) -> list[Graph]:
+    """The graph after each of Prolonger's actions."""
+    states = rec.replay()
+    return [states[i + 1].graph for i, (player, _) in enumerate(rec.actions)
+            if player is Player.PROLONGER]
+
+
+def _untraceable(rec: GameRecord) -> int:
+    """After each of the traceable player's actions, every component is
+    everywhere traceable (pass variant)."""
+    return sum(1 for g in _after_prolonger(rec)
+               if not all(everywhere_traceable(g, ms) for ms in g.components().members))
+
+
+def _two_cherries(rec: GameRecord) -> int:
+    """Against the 4-path shortener: at most one 3-vertex-path component after
+    each opposing move."""
+    p3 = ComponentLabel("star", 2)
+    return sum(1 for g in _after_prolonger(rec)
+               if sum(1 for ms in g.components().members if label_component(g, ms) == p3) > 1)
+
+
+def _fresh_vertex_excess(rec: GameRecord) -> int:
+    """With the 4-path prolonger: no move pair uses 4 fresh vertices and no
+    two consecutive pairs both use 3."""
+    pairs = trace_stats(rec, 4).usage_pairs(rec.actions)
+    return int(any(p >= 4 for p in pairs)
+               or any(a == 3 and b == 3 for a, b in zip(pairs, pairs[1:])))
+
+
+def _four_vertex_overflow(rec: GameRecord) -> int:
+    """Against the 5-path shortener: every position has at most one 4-vertex
+    component with at most one isolated edge, or none with at most two."""
+    bad = 0
+    for state in rec.replay():
+        g = state.graph
+        members = g.components().members
+        c4 = sum(1 for ms in members if len(ms) == 4)
+        k2 = sum(1 for ms in members if label_component(g, ms) == CLIQUE2)
+        bad += not ((c4 <= 1 and k2 <= 1) or (c4 == 0 and k2 <= 2))
+    return bad
+
+
+def _triangle_free_components(rec: GameRecord) -> int:
+    """With the 5-path prolonger: at the end every component larger than an
+    edge that is not a star contains a triangle."""
+    g = rec.terminal
+    return sum(1 for ms in g.components().members
+               if len(ms) > 2 and label_component(g, ms).kind != "star"
+               and not has_triangle(g, vertex_mask(ms)))
+
+
+def _low_min_degree(rec: GameRecord) -> int:
+    """With the degree-lex prolonger in the star game: terminal minimum
+    degree at least k-2 once n is large enough."""
+    return int(rec.terminal.min_degree() < _star_k(rec) - 2)
+
+
+# claim name, its game source, and its violations in one game; run in this
+# order from one seeded generator
+CLAIMS: tuple[tuple[str, GameSource, Callable[[GameRecord], int]], ...] = (
+    ("traceable-components",
+     _fuzz_games(lambda r: PathFamily(r.choice((4, 5, 6))), "traceable",
+                 Variant.PROLONGER_MAY_PASS),
+     _untraceable),
+    ("p4-single-cherry", _fuzz_games(lambda r: PathFamily(4), "s-p4"), _two_cherries),
+    ("p4-fresh-vertices", _fuzz_games(lambda r: PathFamily(4), "p-p4"), _fresh_vertex_excess),
+    ("p5-four-vertex-budget", _fuzz_games(lambda r: PathFamily(5), "s-p5"),
+     _four_vertex_overflow),
+    ("p5-standalone-triangle", _fuzz_games(lambda r: PathFamily(5), "p-p5"),
+     _triangle_free_components),
+    ("star-min-degree", _star_games, _low_min_degree),
+)
 
 
 def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Check]:
     """Zero-violation fuzz of the structural claims behind each strategy."""
+    if n_max < 4:
+        raise ValueError(f"suite_claims needs n_max >= 4, got n_max={n_max}")
     rng = random.Random(seed)
-    per = max(1, games // 6)
+    per = max(1, games // len(CLAIMS))
     checks = []
-
-    # after each of the traceable player's actions, every component is
-    # everywhere traceable (pass variant)
-    violations = 0
-    count = 0
-    for rec in _fuzz_games(
-        rng, per, 4, n_max, lambda r: PathFamily(r.choice((4, 5, 6))),
-        "traceable", Player.PROLONGER, Variant.PROLONGER_MAY_PASS,
-    ):
-        count += 1
-        states = rec.replay()
-        for idx, (player, _) in enumerate(rec.actions):
-            if player is Player.PROLONGER:
-                g = states[idx + 1].graph
-                if not all(everywhere_traceable(g, ms) for ms in g.components().members):
-                    violations += 1
-    checks.append(Check("claims", "traceable-components", violations == 0,
-                        f"{count} games, {violations} violations"))
-
-    # with the 4-path shortener fixed: at most one 3-vertex-path component
-    # after each opposing move
-    violations = 0
-    count = 0
-    p3 = ComponentLabel("star", 2)
-    for rec in _fuzz_games(rng, per, 4, n_max, lambda r: PathFamily(4), "s-p4", Player.SHORTENER):
-        count += 1
-        states = rec.replay()
-        for idx, (player, _) in enumerate(rec.actions):
-            if player is Player.PROLONGER:
-                g = states[idx + 1].graph
-                if sum(1 for ms in g.components().members if label_component(g, ms) == p3) > 1:
-                    violations += 1
-    checks.append(Check("claims", "p4-single-cherry", violations == 0,
-                        f"{count} games, {violations} violations"))
-
-    # with the 4-path prolonger fixed: no move pair uses 4 fresh vertices and
-    # no two consecutive pairs both use 3
-    violations = 0
-    count = 0
-    for rec in _fuzz_games(rng, per, 4, n_max, lambda r: PathFamily(4), "p-p4", Player.PROLONGER):
-        count += 1
-        pairs = trace_stats(rec, 4).usage_pairs(rec.actions)
-        if any(p >= 4 for p in pairs) or any(a == 3 and b == 3 for a, b in zip(pairs, pairs[1:])):
-            violations += 1
-    checks.append(Check("claims", "p4-fresh-vertices", violations == 0,
-                        f"{count} games, {violations} violations"))
-
-    # with the 5-path shortener fixed: every position has at most one 4-vertex
-    # component with at most one isolated edge, or none with at most two
-    violations = 0
-    count = 0
-    for rec in _fuzz_games(rng, per, 4, n_max, lambda r: PathFamily(5), "s-p5", Player.SHORTENER):
-        count += 1
-        for state in rec.replay():
-            g = state.graph
-            members = g.components().members
-            c4 = sum(1 for ms in members if len(ms) == 4)
-            k2 = sum(1 for ms in members if label_component(g, ms) == CLIQUE2)
-            if not ((c4 <= 1 and k2 <= 1) or (c4 == 0 and k2 <= 2)):
-                violations += 1
-    checks.append(Check("claims", "p5-four-vertex-budget", violations == 0,
-                        f"{count} games, {violations} violations"))
-
-    # with the 5-path prolonger fixed: at the end every component larger than
-    # an edge that is not a star contains a triangle
-    violations = 0
-    count = 0
-    for rec in _fuzz_games(rng, per, 4, n_max, lambda r: PathFamily(5), "p-p5", Player.PROLONGER):
-        count += 1
-        g = rec.terminal
-        for ms in g.components().members:
-            lab = label_component(g, ms)
-            if len(ms) > 2 and lab.kind != "star" and not has_triangle(g, vertex_mask(ms)):
-                violations += 1
-    checks.append(Check("claims", "p5-standalone-triangle", violations == 0,
-                        f"{count} games, {violations} violations"))
-
-    # with the degree-lex prolonger fixed in the star game: terminal minimum
-    # degree at least k-2 once n is large enough
-    violations = 0
-    count = 0
-    for k, rec in _star_games(rng, per, n_max):
-        count += 1
-        if rec.terminal.min_degree() < k - 2:
-            violations += 1
-    checks.append(Check("claims", "star-min-degree", violations == 0,
-                        f"{count} games, {violations} violations"))
+    for name, source, violations in CLAIMS:
+        bad = sum(violations(rec) for rec in source(rng, per, n_max))
+        checks.append(Check("claims", name, bad == 0, f"{per} games, {bad} violations"))
     return checks
 
 
@@ -404,8 +393,9 @@ def suite_algebra(seed: int = 0, games: int = 400, n_max: int = 20) -> list[Chec
     lam_bad = 0
     budget_bad = 0
     count = 0
-    for k, rec in _star_games(rng, games, n_max):
+    for rec in _star_games(rng, games, n_max):
         count += 1
+        k = _star_k(rec)
         stats = trace_stats(rec, k)
         fs = f_sequence(rec.n, k)
         for i, th in enumerate(stats.thresholds):

@@ -11,8 +11,7 @@ from satgame.verify import (
     Check,
     anchor_checks,
     classifier_checks,
-    response_checks_p4,
-    response_checks_p5,
+    response_checks,
     shared_table_checks,
     solve_window_checks,
     suite_algebra,
@@ -32,13 +31,13 @@ def report(criterion: str, checks: list[Check]) -> None:
 
 
 def test_criterion_1_p4_window_and_anchors():
-    checks = solve_window_checks("p4", PathFamily(4), "2.2", range(3, 9), time_limit=60.0)
+    checks = solve_window_checks("p4", PathFamily(4), range(3, 9), time_limit=60.0)
     checks += anchor_checks()
     report("criterion 1: 4-path solve windows with oracle anchors", checks)
 
 
 def test_criterion_2_p5_window():
-    checks = solve_window_checks("p5", PathFamily(5), "2.3", range(4, 9), time_limit=300.0)
+    checks = solve_window_checks("p5", PathFamily(5), range(4, 9), time_limit=300.0)
     report("criterion 2: 5-path solve windows", checks)
 
 
@@ -51,7 +50,7 @@ def test_criterion_4_pass_variant_floor():
 
 
 def test_criterion_5_one_sided_guarantees():
-    checks = response_checks_p4(8) + response_checks_p5(8)
+    checks = response_checks(4, 8) + response_checks(5, 8)
     report("criterion 5: one-sided strategy guarantees", checks)
 
 

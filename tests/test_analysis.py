@@ -11,7 +11,6 @@ from satgame.analysis import (
     classify_p5_saturated,
     component_labels,
     degree_sum_bound,
-    enumerate_saturated,
     f_closed,
     f_sequence,
     free_graphs,
@@ -19,6 +18,7 @@ from satgame.analysis import (
     saturated_graphs,
     trace_stats,
     tree_score_formula,
+    window,
 )
 from satgame.engine import Player, Variant, play
 from satgame.families import PathFamily, StarFamily, TreeFamily, is_free, parse_family
@@ -80,7 +80,7 @@ class TestClassifyP5:
 
 class TestEnumeration:
     def test_p4_on_four_vertices(self):
-        keys = set(enumerate_saturated(4, PathFamily(4)))
+        keys = {g.canonical_key() for g in saturated_graphs(4, PathFamily(4))}
         expected = {
             TWO_EDGES.canonical_key(),
             TRIANGLE_PLUS_VERTEX.canonical_key(),
@@ -94,7 +94,7 @@ class TestEnumeration:
     def test_tree_game_six_vertices(self):
         # components are cliques below the tree size with pairwise size sums
         # reaching it: on 6 vertices that allows 3+3 and 2+2+2
-        keys = set(enumerate_saturated(6, TreeFamily(4)))
+        keys = {g.canonical_key() for g in saturated_graphs(6, TreeFamily(4))}
         two_triangles = G(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         matching = G(6, [(0, 1), (2, 3), (4, 5)])
         assert keys == {two_triangles.canonical_key(), matching.canonical_key()}
@@ -187,6 +187,31 @@ class TestBounds:
         rep = bound("2.4", 7, 3)
         assert (rep.lower, rep.upper) == (Fraction(7, 2), Fraction(7, 2))
         assert not rep.exact and rep.note != ""
+
+
+class TestWindow:
+    @pytest.mark.parametrize("family, variant, n, theorem, k", [
+        ("P4", Variant.STANDARD, 10, "2.2", 4),
+        ("P5", Variant.STANDARD, 8, "2.3", 5),
+        ("P4", Variant.PROLONGER_MAY_PASS, 6, "2.1", 4),
+        ("Pk:6", Variant.PROLONGER_MAY_PASS, 10, "2.1", 6),
+        ("Trees:5", Variant.STANDARD, 9, "2.4", 5),
+        ("Star:4", Variant.STANDARD, 10, "2.5", 3),
+        ("Star:3", Variant.STANDARD, 4, "2.5", 2),
+    ])
+    def test_covering_theorem(self, family, variant, n, theorem, k):
+        rep = window(parse_family(family), variant, n, observed=7)
+        assert (rep.theorem, rep.k) == (theorem, k)
+        assert rep == bound(theorem, n, k, observed=7)
+
+    @pytest.mark.parametrize("family, variant, n", [
+        ("P6", Variant.STANDARD, 6),  # no theorem for longer paths
+        ("List:Bw", Variant.STANDARD, 5),  # nor for explicit families
+        ("Pk:6", Variant.PROLONGER_MAY_PASS, 5),  # 2.1 needs n >= k
+        ("Star:4", Variant.STANDARD, 9),  # 2.5 with k=3 starts at n=10
+    ])
+    def test_uncovered_game_has_no_window(self, family, variant, n):
+        assert window(parse_family(family), variant, n) is None
 
 
 class TestTreeFormula:

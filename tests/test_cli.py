@@ -72,10 +72,20 @@ class TestSolveCommand:
         assert "Traceback" not in err_text
         assert "n >= 1" in err_text.splitlines()[-1]
 
-    def test_k_overrides_family_parameter(self, capsys):
-        code, out = run(capsys, "solve", "--family", "P5", "--k", "4", "--n", "4", "--first", "P")
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert rows[0]["family"] == "P4" and rows[0]["score"] == "2"
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "P5", "--k", "4"],
+        ["solve", "--family", "P5", "--seed", "1"],
+        ["play", "--family", "P5", "--prolonger", "p-p5", "--shortener", "s-p5",
+         "--format", "jsonl"],
+        ["enumerate", "--family", "P5", "--variant", "pass"],
+        ["enumerate", "--family", "P5", "--first", "P"],
+        ["enumerate", "--family", "P5", "--seed", "1"],
+        ["enumerate", "--family", "P5", "--format", "jsonl"],
+    ])
+    def test_options_a_command_ignores_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         code = main(["play", "--family", "P4", "--n", "4",
@@ -175,6 +185,19 @@ class TestVerifyCommand:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+    def test_claims_below_the_large_star_domain(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "claims", "--games", "12", "--n-max", "9")
+        assert code == 0
+        assert out.splitlines()[-1] == "OK: 6 checks, 0 failures"
+
+    def test_claims_too_small_is_usage_error(self, capsys):
+        code = main(["verify", "--suite", "claims", "--games", "12", "--n-max", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1 and "n_max" in err_lines[0]
+        assert "randrange" not in captured.err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as err:

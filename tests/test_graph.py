@@ -142,12 +142,13 @@ class TestComponents:
     def test_two_components(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         cv = g.components()
-        assert cv.sizes == {0: 3, 3: 2}
+        assert cv.members == ((0, 1, 2), (3, 4))
         assert cv.labels == (0, 0, 0, 3, 3)
+        assert [cv.mask_of(v) for v in (2, 3)] == [0b00111, 0b11000]
 
     def test_complete(self):
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        assert g.components().sizes == {0: 4}
+        assert g.components().members == ((0, 1, 2, 3),)
 
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=80, deadline=None)

@@ -130,6 +130,12 @@ class TestProlongerP5:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
         assert self.strat(state(g, P5)) == Action.play(0, 2)
 
+    def test_fallback_never_grows_a_star(self):
+        # with triangles forbidden no rule applies to the cherry 1-0-2, and
+        # the least legal edge 0-3 would grow it into a 3-leaf star
+        g = Graph.from_edges(4, [(0, 1), (0, 2)])
+        assert self.strat(state(g, parse_family("List:Bw"))) == Action.play(1, 3)
+
 
 class TestProlongerTrees:
     strat = make_strategy("p-trees")

@@ -1,0 +1,45 @@
+import hashlib
+
+import pytest
+
+from satgame.verify import (
+    render_report,
+    suite_algebra,
+    suite_claims,
+    suite_determinism,
+    suite_p4,
+    suite_p5,
+    suite_pass,
+    suite_trees,
+)
+
+# sha256 of one report over small runs of every suite (83 lines). A change to
+# a window, a claim check or the order of the seeded draws changes it.
+REPORT_SHA256 = "bee589a196764f7dfb41c9fa7c1226d6fd09c649afbab12d2102e928ac651442"
+
+
+def test_report_digest_unchanged():
+    checks = (
+        suite_p4(n_max=7)
+        + suite_p5(n_max=7)
+        + suite_trees(n_max=8)
+        + suite_pass()
+        + suite_claims(games=120, n_max=12, seed=0)
+        + suite_algebra(seed=0, games=60)
+        + suite_determinism()
+    )
+    text = render_report(checks)
+    assert len(text.splitlines()) == 83
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_claims_below_the_large_star_domain_play_only_the_small_star():
+    checks = suite_claims(games=24, n_max=4, seed=1)
+    assert [c.name for c in checks][-1] == "star-min-degree"
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("n_max", [3, 0, -2])
+def test_claims_reject_games_too_small_to_fuzz(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        suite_claims(games=6, n_max=n_max)
