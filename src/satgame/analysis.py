@@ -19,7 +19,14 @@ from math import comb
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .engine import GameRecord, Player, Variant
-from .families import ForbiddenFamily, PathFamily, StarFamily, TreeFamily, creates_forbidden
+from .families import (
+    ForbiddenFamily,
+    PathFamily,
+    StarFamily,
+    TreeFamily,
+    creates_forbidden,
+    legal_moves,
+)
 from .graph import Graph
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
 
@@ -180,10 +187,7 @@ def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
 
 def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     """All family-saturated graphs on n vertices up to isomorphism."""
-    return tuple(
-        g for g in free_graphs(n, family)
-        if all(creates_forbidden(g, family, e) for e in g.absent_edges())
-    )
+    return tuple(g for g in free_graphs(n, family) if not legal_moves(g, family))
 
 
 # --- score bounds ---------------------------------------------------------------

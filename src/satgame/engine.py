@@ -21,6 +21,7 @@ from .families import (
     Move,
     creates_forbidden,
     family_name,
+    legal_moves,
     parse_family,
 )
 from .graph import Graph, from_graph6, norm_edge, to_graph6
@@ -99,8 +100,7 @@ class IllegalStrategyActionError(IllegalMoveError):
 
 def is_terminal(state: GameState) -> bool:
     """Saturated: every absent edge would create a forbidden subgraph."""
-    g = state.graph
-    return all(creates_forbidden(g, state.family, e) for e in g.absent_edges())
+    return not legal_moves(state.graph, state.family)
 
 
 def apply_action(state: GameState, action: Action) -> GameState:

@@ -6,23 +6,31 @@ vertices); a single star K_{1,s} (equivalently: max degree <= s-1); or an
 explicit list of connected graphs checked by subgraph containment.
 
 `creates_forbidden(g, family, e)` says whether adding the absent edge e = uv
-to the family-free g breaks freeness, and `legal_moves` lists the absent
-edges where it is false. Forbidden graphs are connected, so a new copy uses e
-and lies in the component(s) of u and v. For P_k, an e joining components A
-and B creates a P_k iff L_A(u) + L_B(v) >= k, where L_C(x) counts the
-vertices of the longest path in C ending at x; an e inside a component of
-fewer than k vertices is legal, and one inside a larger component runs an
-exact DFS on that component alone. The memos live on the graph, never
-process-wide: `Graph.memo["components"]`, and L_C(x) capped at k under
-`Graph.memo[("path_end", k, x)]`.
+to the family-free g breaks freeness. Forbidden graphs are connected, so a
+new copy uses e and lies in the component(s) of u and v. For P_k, an e
+joining components A and B creates a P_k iff L_A(u) + L_B(v) >= k, where
+L_C(x) counts the vertices of the longest path in C ending at x; whether an
+e inside a component is legal is read off that component's record. For an
+explicit family, each pattern is searched with one of its edges mapped onto
+e.
+
+`legal_moves` lists the absent edges where the predicate is false, built
+from per-vertex bitmasks once per graph and family: for paths from L and the
+records, for trees from component sizes, for stars from degrees.
+
+Memos live on each graph (`Graph.memo`: its components, the records of its
+components under each P_k, its legal moves under each family), plus one
+bounded process-wide cache of path records keyed by k and the component's
+adjacency relabelled to 0..s-1. A record is a function of that key alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
-from .graph import Graph, bits, from_graph6, to_graph6
+from .graph import Graph, _local_adj, bits, from_graph6, to_graph6, vertex_mask
 
 Move = tuple[int, int]
 
@@ -98,11 +106,11 @@ def parse_family(text: str) -> ForbiddenFamily:
     raise ValueError(f"unrecognised family spec {text!r}")
 
 
-# --- path search ------------------------------------------------------------
+# --- path records -------------------------------------------------------------
 
 
-def _longest_path_from(adj: tuple[int, ...], x: int, k: int) -> int:
-    """Vertices on the longest simple path from x, capped at k. Exact DFS."""
+def _longest_path_from(adj: tuple[int, ...], x: int, k: int, avoid: int = 0) -> int:
+    """Vertices on the longest simple path from x missing `avoid`, capped at k."""
     best = 1
 
     def extend(v: int, visited: int, length: int) -> bool:
@@ -120,7 +128,7 @@ def _longest_path_from(adj: tuple[int, ...], x: int, k: int) -> int:
                 return True
         return False
 
-    extend(x, 1 << x, 1)
+    extend(x, avoid | 1 << x, 1)
     return best
 
 
@@ -129,30 +137,68 @@ def _has_path_k(adj: tuple[int, ...], mask: int, k: int) -> bool:
     return mask.bit_count() >= k and any(_longest_path_from(adj, x, k) >= k for x in bits(mask))
 
 
-def _path_end(g: Graph, x: int, k: int) -> int:
-    """L_C(x) of x's component C, capped at k, memoised on g."""
-    key = ("path_end", k, x)
-    length = g.memo.get(key)
-    if length is None:
-        length = g.memo[key] = _longest_path_from(g.adj, x, k)
-    return length
+@lru_cache(maxsize=1 << 16)
+def _path_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """P_k legality of the connected graph with adjacency `adj` on 0..s-1.
 
-
-def contains_subgraph(g: Graph, h: Graph) -> bool:
-    """Does an injective map embed every edge of `h` into `g`?
-
-    Backtracking over a connected expansion order of h, pruning candidates by
-    degree. h must be connected and no larger than g.
+    Returns (ends, inner): ends[x] is L(x) capped at k, and bit y of inner[x]
+    is set iff the absent edge xy keeps the component free of P_k. A new P_k
+    through xy is a path ending at x followed by a disjoint one starting at
+    y, so each path from x is tried against every y not yet known to fail.
     """
+    s = len(adj)
+    ends = tuple(_longest_path_from(adj, x, min(k, s)) for x in range(s))
+    inner = [((1 << s) - 1) & ~adj[x] & ~(1 << x) for x in range(s)]
+    if s < k:
+        return ends, tuple(inner)
+    if max(ends) >= k:  # the component already holds a P_k
+        return ends, (0,) * s
 
-    if h.n > g.n:
-        raise ValueError("pattern larger than host")
-    if len(h.components()) != 1:
-        raise ValueError("pattern must be connected")
-    # order h's vertices so each (after the first) touches an earlier one
-    start = max(range(h.n), key=lambda v: h.degree(v))
-    order = [start]
-    placed = 1 << start
+    def extend(x: int, v: int, visited: int, length: int) -> None:
+        # the path from x ends at v; partners y > x, so xy and yx are decided once
+        if not inner[x] >> (x + 1):
+            return
+        need = k - length
+        for y in bits(inner[x] >> (x + 1) << (x + 1) & ~visited):
+            if ends[y] >= need and _longest_path_from(adj, y, need, visited) >= need:
+                inner[x] ^= 1 << y
+                inner[y] ^= 1 << x
+        for w in bits(adj[v] & ~visited):
+            extend(x, w, visited | 1 << w, length + 1)
+
+    for x in range(s):
+        extend(x, x, 1 << x, 1)
+    return ends, tuple(inner)
+
+
+def _record(g: Graph, k: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(mask, ends, inner) of x's component under P_k, memoised on g; the
+    record's vertex i is the i-th least member of mask."""
+    if not g.adj[x]:
+        return 1 << x, (1,), (0,)
+    cv = g.components()
+    key = ("path_record", k, cv.labels[x])
+    rec = g.memo.get(key)
+    if rec is None:
+        mask = cv.mask_of(x)
+        rec = g.memo[key] = (mask, *_path_record(k, tuple(_local_adj(g.adj, list(bits(mask))))))
+    return rec
+
+
+def _local_index(mask: int, x: int) -> int:
+    """Rank of the member x among the members of mask."""
+    return (mask & ((1 << x) - 1)).bit_count()
+
+
+# --- subgraph search ----------------------------------------------------------
+
+
+@lru_cache(maxsize=1 << 10)
+def _expansion_order(h: Graph, first: tuple[int, ...]) -> tuple[int, ...]:
+    """`first`, then h's other vertices, each touching an earlier one, the
+    one with most earlier neighbours first."""
+    order = list(first)
+    placed = vertex_mask(first)
     while len(order) < h.n:
         nxt = max(
             (v for v in range(h.n) if not placed >> v & 1 and h.adj[v] & placed),
@@ -160,10 +206,16 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
         )
         order.append(nxt)
         placed |= 1 << nxt
+    return tuple(order)
+
+
+def _embeds(g: Graph, h: Graph, order: tuple[int, ...], placed: list[int]) -> bool:
+    """Can the images `placed` of order[:len(placed)] extend to an injective
+    map embedding every edge of h into g? Backtracking, pruned by degree."""
     hdeg = h.degrees()
     gdeg = g.degrees()
     pos = {v: i for i, v in enumerate(order)}
-    image = [0] * h.n  # order index -> g vertex
+    image = placed + [0] * (h.n - len(placed))  # order index -> g vertex
 
     def assign(i: int, used: int) -> bool:
         if i == h.n:
@@ -183,7 +235,41 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
                 return True
         return False
 
-    return assign(0, 0)
+    return assign(len(placed), vertex_mask(placed))
+
+
+def contains_subgraph(g: Graph, h: Graph) -> bool:
+    """Does an injective map embed every edge of `h` into `g`?
+
+    h must be connected and no larger than g.
+    """
+    if h.n > g.n:
+        raise ValueError("pattern larger than host")
+    if len(h.components()) != 1:
+        raise ValueError("pattern must be connected")
+    start = max(range(h.n), key=lambda v: h.degree(v))
+    return _embeds(g, h, _expansion_order(h, (start,)), [])
+
+
+@lru_cache(maxsize=1 << 10)
+def _anchors(h: Graph) -> tuple[tuple[int, int], ...]:
+    """One ordered edge (a, b) of h from each orbit of h's automorphisms,
+    which are the embeddings of h into itself."""
+    reps: list[tuple[int, int]] = []
+    for edge in h.edges():
+        for a, b in (edge, edge[::-1]):
+            if not any(_embeds(h, h, _expansion_order(h, rep), [a, b]) for rep in reps):
+                reps.append((a, b))
+    return tuple(reps)
+
+
+def _contains_through(g: Graph, h: Graph, u: int, v: int) -> bool:
+    """Does h embed into g with some edge of h mapped onto the edge uv?"""
+    return any(
+        g.degree(u) >= h.degree(a) and g.degree(v) >= h.degree(b)
+        and _embeds(g, h, _expansion_order(h, (a, b)), [u, v])
+        for a, b in _anchors(h)
+    )
 
 
 # --- freeness and legality --------------------------------------------------
@@ -210,31 +296,95 @@ def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
     """
 
     u, v = edge
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
     if g.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} already present")
     if isinstance(family, StarFamily):
         return g.degree(u) >= family.leaves - 1 or g.degree(v) >= family.leaves - 1
-    cv = g.components()
-    joins = cv.labels[u] != cv.labels[v]
     if isinstance(family, PathFamily):
         k = family.k
-        if joins:
-            return _path_end(g, u, k) + _path_end(g, v, k) >= k
-        mask = cv.mask_of(u)
-        return mask.bit_count() >= k and _has_path_k(g.add_edge(u, v).adj, mask, k)
-    mu, mv = cv.mask_of(u), cv.mask_of(v)
+        mu, ends_u, inner_u = _record(g, k, u)
+        if mu >> v & 1:
+            return not inner_u[_local_index(mu, u)] >> _local_index(mu, v) & 1
+        mv, ends_v, _ = _record(g, k, v)
+        return ends_u[_local_index(mu, u)] + ends_v[_local_index(mv, v)] >= k
     if isinstance(family, TreeFamily):
-        return joins and mu.bit_count() + mv.bit_count() >= family.k
-    sub = g.add_edge(u, v).induced(list(bits(mu | mv)))
-    return any(h.n <= sub.n and contains_subgraph(sub, h) for h in family.members)
+        cv = g.components()
+        mu, mv = cv.mask_of(u), cv.mask_of(v)
+        return mu != mv and mu.bit_count() + mv.bit_count() >= family.k
+    g2 = g.add_edge(u, v)
+    return any(h.n <= g.n and _contains_through(g2, h, u, v) for h in family.members)
+
+
+def _by_room(values: list[int], k: int) -> list[int]:
+    """room -> mask of the vertices x with values[x] <= room, for room < k."""
+    upto = [0] * k
+    for x, val in enumerate(values):
+        if val < k:
+            upto[val] |= 1 << x
+    for room in range(1, k):
+        upto[room] |= upto[room - 1]
+    return upto
+
+
+def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
+    """Bit v of the result's entry u is set iff uv is a legal absent edge."""
+    n, adj = g.n, g.adj
+    if isinstance(family, StarFamily):
+        low = vertex_mask(x for x in range(n) if adj[x].bit_count() < family.leaves - 1)
+        return [low & ~adj[x] & ~(1 << x) if low >> x & 1 else 0 for x in range(n)]
+    comp = [0] * n  # x -> mask of x's component
+    for mask in g.components().masks:
+        for x in bits(mask):
+            comp[x] = mask
+    if isinstance(family, TreeFamily):
+        # every inner edge is legal; u joins v when the sizes sum below k
+        size = [comp[x].bit_count() for x in range(n)]
+        upto = _by_room(size, family.k)
+        return [comp[x] & ~adj[x] & ~(1 << x) | upto[max(family.k - 1 - size[x], 0)] & ~comp[x]
+                for x in range(n)]
+    k = family.k
+    ends = [1] * n
+    legal = [0] * n
+    for cmask in g.components().masks:
+        if cmask & (cmask - 1) == 0:
+            continue  # an isolated vertex: L = 1 and no inner edge
+        _, rec_ends, rec_inner = _record(g, k, (cmask & -cmask).bit_length() - 1)
+        verts = list(bits(cmask))
+        for x, end, inner in zip(verts, rec_ends, rec_inner):
+            ends[x] = end
+            for j in bits(inner):
+                legal[x] |= 1 << verts[j]
+    # u joins v of another component when L(u) + L(v) <= k - 1
+    upto = _by_room(ends, k)
+    for x in range(n):
+        legal[x] |= upto[max(k - 1 - ends[x], 0)] & ~comp[x]
+    return legal
 
 
 def legal_moves(g: Graph, family: ForbiddenFamily) -> list[Move]:
     """Absent edges whose addition keeps freeness, lexicographically ordered.
 
     Empty exactly when the family-free graph `g` is family-saturated.
+    Computed once per graph and family, from per-vertex bitmasks.
     """
-    return [e for e in g.absent_edges() if not creates_forbidden(g, family, e)]
+    key = ("legal_moves", family)
+    moves = g.memo.get(key)
+    if moves is None:
+        if isinstance(family, ExplicitFamily):
+            moves = tuple(e for e in g.absent_edges() if not creates_forbidden(g, family, e))
+        else:
+            found = []
+            for u, row in enumerate(_legal_masks(g, family)):
+                row >>= u + 1
+                while row:
+                    low = row & -row
+                    found.append((u, u + low.bit_length()))
+                    row ^= low
+            moves = tuple(found)
+        g.memo[key] = moves
+    return list(moves)
 
 
 def max_saturated_edges(family: ForbiddenFamily, n: int) -> int:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satgame.analysis import all_graphs
+from satgame.engine import GameState, Player, is_terminal
 from satgame.families import (
     ExplicitFamily,
     PathFamily,
@@ -132,6 +133,11 @@ class TestCreatesForbidden:
         with pytest.raises(ValueError):
             creates_forbidden(K3, PathFamily(4), (0, 1))
 
+    @pytest.mark.parametrize("spec", ["P4", "Star:3", "Trees:4", "List:Cl"])
+    def test_rejects_self_loop(self, spec):
+        with pytest.raises(ValueError, match="self-loop"):
+            creates_forbidden(Graph.empty(5), parse_family(spec), (2, 2))
+
     def test_matches_freeness_oracle_everywhere(self):
         families = [PathFamily(4), PathFamily(5), TreeFamily(4), StarFamily(3)]
         for n in range(1, 8):
@@ -216,3 +222,52 @@ class TestLegalityProperties:
         assert g.memo and g.memo is not fresh.memo
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
         assert {fresh: 1}[g] == 1
+
+
+def oracle_moves(g, family):
+    """Legal moves by whole-graph freeness, sharing no code with `legal_moves`."""
+    return [e for e in g.absent_edges() if is_free(g.add_edge(*e), family)]
+
+
+class TestLegalMovesAgainstOracle:
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_enumerator_matches_freeness_oracle(self, family, data):
+        g = data.draw(free_graphs(family))
+        assert legal_moves(g, family) == oracle_moves(g, family)
+
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_is_terminal_matches_freeness_oracle(self, family, data):
+        g = data.draw(free_graphs(family))
+        assert is_terminal(GameState(g, Player.PROLONGER, family)) == (not oracle_moves(g, family))
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [(PathFamily(4), PathFamily(5)), (StarFamily(3), StarFamily(4)),
+         (TreeFamily(3), TreeFamily(5))],
+        ids=lambda f: family_name(f),
+    )
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_graph_asked_for_two_families(self, first, second, data):
+        # free for `first` is free for the laxer `second`
+        g = data.draw(free_graphs(first))
+        for family in (first, second, first):
+            assert legal_moves(g, family) == oracle_moves(g, family)
+        h = Graph(g.n, g.adj, g.m)
+        for family in (second, first):
+            assert legal_moves(h, family) == oracle_moves(h, family)
+
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_mutating_the_result_leaves_later_calls_alone(self, family, data):
+        g = data.draw(free_graphs(family))
+        expected = oracle_moves(g, family)
+        moves = legal_moves(g, family)
+        moves.clear()
+        moves.append((0, 0))
+        assert legal_moves(g, family) == expected
