@@ -5,23 +5,24 @@ graph P_k; all trees on k vertices (equivalently: no component may reach k
 vertices); a single star K_{1,s} (equivalently: max degree <= s-1); or an
 explicit list of connected graphs checked by subgraph containment.
 
-`creates_forbidden(g, family, e)` says whether adding the absent edge e = uv
-to the family-free g breaks freeness. Forbidden graphs are connected, so a
-new copy uses e and lies in the component(s) of u and v. For P_k, an e
-joining components A and B creates a P_k iff L_A(u) + L_B(v) >= k, where
-L_C(x) counts the vertices of the longest path in C ending at x; whether an
-e inside a component is legal is read off that component's record. For an
-explicit family, each pattern is searched with one of its edges mapped onto
-e.
+Legality is one table per graph and family: bit v of entry u is set iff
+adding the absent edge uv keeps the family-free graph free. Forbidden graphs
+are connected, so a new copy uses uv and lies in the component(s) of u and
+v. For stars the table is read off degrees, for trees off component sizes.
+For P_k, an edge joining components A and B creates a P_k iff
+L_A(u) + L_B(v) >= k, where L_C(x) counts the vertices of the longest path
+in C ending at x; which edges inside a component are legal is read off that
+component's record. For an explicit family, each pattern is searched with
+one of its edges mapped onto the new edge, and the table is that search on
+every absent edge.
 
-`legal_moves` lists the absent edges where the predicate is false, built
-from per-vertex bitmasks once per graph and family: for paths from L and the
-records, for trees from component sizes, for stars from degrees.
+`creates_forbidden(g, family, e)` reads the table; for an explicit family it
+searches through e alone. `legal_moves` lists the table's edges.
 
-Memos live on each graph (`Graph.memo`: its components, the records of its
-components under each P_k, its legal moves under each family), plus one
-bounded process-wide cache of path records keyed by k and the component's
-adjacency relabelled to 0..s-1. A record is a function of that key alone.
+Memos live on each graph (`Graph.memo`: its components, and its table and
+legal moves under each family), plus one bounded process-wide cache of path
+records keyed by k and the component's adjacency relabelled to 0..s-1. A
+record is a function of that key alone.
 """
 
 from __future__ import annotations
@@ -132,11 +133,6 @@ def _longest_path_from(adj: tuple[int, ...], x: int, k: int, avoid: int = 0) -> 
     return best
 
 
-def _has_path_k(adj: tuple[int, ...], mask: int, k: int) -> bool:
-    """True iff the component `mask` holds a simple path on k vertices."""
-    return mask.bit_count() >= k and any(_longest_path_from(adj, x, k) >= k for x in bits(mask))
-
-
 @lru_cache(maxsize=1 << 16)
 def _path_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """P_k legality of the connected graph with adjacency `adj` on 0..s-1.
@@ -169,25 +165,6 @@ def _path_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     for x in range(s):
         extend(x, x, 1 << x, 1)
     return ends, tuple(inner)
-
-
-def _record(g: Graph, k: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(mask, ends, inner) of x's component under P_k, memoised on g; the
-    record's vertex i is the i-th least member of mask."""
-    if not g.adj[x]:
-        return 1 << x, (1,), (0,)
-    cv = g.components()
-    key = ("path_record", k, cv.labels[x])
-    rec = g.memo.get(key)
-    if rec is None:
-        mask = cv.mask_of(x)
-        rec = g.memo[key] = (mask, *_path_record(k, tuple(_local_adj(g.adj, list(bits(mask))))))
-    return rec
-
-
-def _local_index(mask: int, x: int) -> int:
-    """Rank of the member x among the members of mask."""
-    return (mask & ((1 << x) - 1)).bit_count()
 
 
 # --- subgraph search ----------------------------------------------------------
@@ -277,44 +254,14 @@ def _contains_through(g: Graph, h: Graph, u: int, v: int) -> bool:
 
 def is_free(g: Graph, family: ForbiddenFamily) -> bool:
     if isinstance(family, PathFamily):
-        for mask in g.components().masks:
-            if mask.bit_count() >= family.k and _has_path_k(g.adj, mask, family.k):
-                return False
-        return True
+        # a P_k has k - 1 edges and starts at a non-isolated vertex
+        k, adj = family.k, g.adj
+        return g.m < k - 1 or all(_longest_path_from(adj, x, k) < k for x in range(g.n) if adj[x])
     if isinstance(family, TreeFamily):
         return all(mask.bit_count() < family.k for mask in g.components().masks)
     if isinstance(family, StarFamily):
         return g.max_degree() <= family.leaves - 1
     return not any(h.n <= g.n and contains_subgraph(g, h) for h in family.members)
-
-
-def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
-    """Would adding `edge` to the family-free graph `g` break freeness?
-
-    Only the component(s) touched by the edge can host a new forbidden
-    subgraph, so the search is restricted to them (see the module docstring).
-    """
-
-    u, v = edge
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if g.has_edge(u, v):
-        raise ValueError(f"edge {u}-{v} already present")
-    if isinstance(family, StarFamily):
-        return g.degree(u) >= family.leaves - 1 or g.degree(v) >= family.leaves - 1
-    if isinstance(family, PathFamily):
-        k = family.k
-        mu, ends_u, inner_u = _record(g, k, u)
-        if mu >> v & 1:
-            return not inner_u[_local_index(mu, u)] >> _local_index(mu, v) & 1
-        mv, ends_v, _ = _record(g, k, v)
-        return ends_u[_local_index(mu, u)] + ends_v[_local_index(mv, v)] >= k
-    if isinstance(family, TreeFamily):
-        cv = g.components()
-        mu, mv = cv.mask_of(u), cv.mask_of(v)
-        return mu != mv and mu.bit_count() + mv.bit_count() >= family.k
-    g2 = g.add_edge(u, v)
-    return any(h.n <= g.n and _contains_through(g2, h, u, v) for h in family.members)
 
 
 def _by_room(values: list[int], k: int) -> list[int]:
@@ -328,16 +275,27 @@ def _by_room(values: list[int], k: int) -> list[int]:
     return upto
 
 
+def _explicit_creates(g: Graph, family: ExplicitFamily, u: int, v: int) -> bool:
+    """Does some member embed into g + uv with one of its edges on uv?"""
+    g2 = g.add_edge(u, v)
+    return any(h.n <= g.n and _contains_through(g2, h, u, v) for h in family.members)
+
+
 def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
     """Bit v of the result's entry u is set iff uv is a legal absent edge."""
     n, adj = g.n, g.adj
+    if isinstance(family, ExplicitFamily):
+        legal = [0] * n
+        for u, v in g.absent_edges():
+            if not _explicit_creates(g, family, u, v):
+                legal[u] |= 1 << v
+                legal[v] |= 1 << u
+        return legal
     if isinstance(family, StarFamily):
         low = vertex_mask(x for x in range(n) if adj[x].bit_count() < family.leaves - 1)
         return [low & ~adj[x] & ~(1 << x) if low >> x & 1 else 0 for x in range(n)]
-    comp = [0] * n  # x -> mask of x's component
-    for mask in g.components().masks:
-        for x in bits(mask):
-            comp[x] = mask
+    cv = g.components()
+    comp = cv.mask_of
     if isinstance(family, TreeFamily):
         # every inner edge is legal; u joins v when the sizes sum below k
         size = [comp[x].bit_count() for x in range(n)]
@@ -347,11 +305,10 @@ def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
     k = family.k
     ends = [1] * n
     legal = [0] * n
-    for cmask in g.components().masks:
-        if cmask & (cmask - 1) == 0:
+    for verts in cv.members:
+        if len(verts) == 1:
             continue  # an isolated vertex: L = 1 and no inner edge
-        _, rec_ends, rec_inner = _record(g, k, (cmask & -cmask).bit_length() - 1)
-        verts = list(bits(cmask))
+        rec_ends, rec_inner = _path_record(k, tuple(_local_adj(adj, verts)))
         for x, end, inner in zip(verts, rec_ends, rec_inner):
             ends[x] = end
             for j in bits(inner):
@@ -363,27 +320,49 @@ def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
     return legal
 
 
+def _legal_table(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
+    """`_legal_masks`, computed once per graph and family."""
+    key = ("legal_table", family)
+    table = g.memo.get(key)
+    if table is None:
+        table = g.memo[key] = tuple(_legal_masks(g, family))
+    return table
+
+
+def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
+    """Would adding `edge` to the family-free graph `g` break freeness?
+
+    Reads g's legality table for the family (see the module docstring). An
+    explicit family is searched through the edge alone, so a single query
+    does not pay for every absent edge.
+    """
+    u, v = edge
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if g.has_edge(u, v):
+        raise ValueError(f"edge {u}-{v} already present")
+    if isinstance(family, ExplicitFamily):
+        return _explicit_creates(g, family, u, v)
+    return not _legal_table(g, family)[u] >> v & 1
+
+
 def legal_moves(g: Graph, family: ForbiddenFamily) -> list[Move]:
     """Absent edges whose addition keeps freeness, lexicographically ordered.
 
     Empty exactly when the family-free graph `g` is family-saturated.
-    Computed once per graph and family, from per-vertex bitmasks.
+    Listed once per graph and family, from its legality table.
     """
     key = ("legal_moves", family)
     moves = g.memo.get(key)
     if moves is None:
-        if isinstance(family, ExplicitFamily):
-            moves = tuple(e for e in g.absent_edges() if not creates_forbidden(g, family, e))
-        else:
-            found = []
-            for u, row in enumerate(_legal_masks(g, family)):
-                row >>= u + 1
-                while row:
-                    low = row & -row
-                    found.append((u, u + low.bit_length()))
-                    row ^= low
-            moves = tuple(found)
-        g.memo[key] = moves
+        found = []
+        for u, row in enumerate(_legal_table(g, family)):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                found.append((u, u + low.bit_length()))
+                row ^= low
+        moves = g.memo[key] = tuple(found)
     return list(moves)
 
 

@@ -7,7 +7,7 @@ keeps game-tree branching free of aliasing bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -56,23 +56,17 @@ def _component_masks(adj: Sequence[int]) -> list[int]:
 class ComponentView:
     """Connected components of a Graph.
 
-    Component ids are the smallest member vertex; `labels[v]` is the id of
-    v's component, `members`/`masks` are aligned and sorted by id.
+    `members`/`masks` are aligned and sorted by least member; `mask_of[v]`
+    is the mask of v's component, so u and v share a component iff
+    mask_of[u] == mask_of[v].
     """
 
-    labels: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {ms[0]: i for i, ms in enumerate(self.members)})
+    mask_of: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def mask_of(self, vertex: int) -> int:
-        return self.masks[self._index[self.labels[vertex]]]
 
 
 @dataclass(frozen=True)
@@ -158,11 +152,11 @@ class Graph:
         if cv is None:
             masks = _component_masks(self.adj)
             members = tuple(tuple(bits(comp)) for comp in masks)
-            labels = [-1] * self.n
-            for ms in members:
+            mask_of = [0] * self.n
+            for ms, comp in zip(members, masks):
                 for v in ms:
-                    labels[v] = ms[0]
-            cv = memo["components"] = ComponentView(tuple(labels), members, tuple(masks))
+                    mask_of[v] = comp
+            cv = memo["components"] = ComponentView(members, tuple(masks), tuple(mask_of))
         return cv
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
@@ -207,7 +201,7 @@ def _is_connected_within(g: Graph, mask: int) -> bool:
     return seen == mask
 
 
-def _local_adj(adj: Sequence[int], verts: list[int]) -> list[int]:
+def _local_adj(adj: Sequence[int], verts: Sequence[int]) -> list[int]:
     """Adjacency induced on `verts`, relabelled so that verts[i] is vertex i."""
     local_bit = {v: 1 << i for i, v in enumerate(verts)}
     local = []

@@ -30,18 +30,6 @@ class ComponentLabel:
             return f"D{self.a},{self.b}"
         return "other"
 
-    @property
-    def size(self) -> int:
-        if self.kind == "clique":
-            return self.a
-        if self.kind == "star":
-            return self.a + 1
-        if self.kind == "tpend":
-            return self.a + 3
-        if self.kind == "dstar":
-            return self.a + self.b + 2
-        return -1
-
 
 CLIQUE1 = ComponentLabel("clique", 1)
 CLIQUE2 = ComponentLabel("clique", 2)

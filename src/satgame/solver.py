@@ -53,9 +53,9 @@ DEFAULT_N_CAP = 10
 def _order_moves(g: Graph, moves: list[Move], mover: Player) -> list[Move]:
     # Prolonger prefers joining components, Shortener closing them; this only
     # affects how early the admissible cutoffs fire.
-    labels = g.components().labels
+    comp = g.components().mask_of
     joins_first = mover is Player.PROLONGER
-    return sorted(moves, key=lambda e: ((labels[e[0]] == labels[e[1]]) == joins_first, e))
+    return sorted(moves, key=lambda e: ((comp[e[0]] == comp[e[1]]) == joins_first, e))
 
 
 def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
@@ -236,14 +236,11 @@ def best_action(
     state: GameState,
     *,
     table: Optional[PositionTable] = None,
-    n_cap: int = DEFAULT_N_CAP,
-    node_cap: Optional[int] = None,
-    time_cap: Optional[float] = None,
 ) -> Action:
     """Optimal action for the side to move (used by the 'optimal' strategy)."""
     search = _Search(state.graph.n, state.family, state.variant, state.first_mover,
                      {} if table is None else table,
-                     n_cap=n_cap, node_cap=node_cap, time_cap=time_cap)
+                     n_cap=DEFAULT_N_CAP, node_cap=None, time_cap=None)
     action = search.best(state.graph, state.to_move)
     if action is None:
         raise RuntimeError("asked to move in a terminal state")
@@ -259,13 +256,11 @@ def best_response(
     first_mover: Player = Player.PROLONGER,
     *,
     n_cap: int = DEFAULT_N_CAP,
-    node_cap: Optional[int] = None,
-    time_cap: Optional[float] = None,
 ) -> SolveResult:
     """Exact optimum for the free side while `fixed_side` plays its script."""
     started = time.monotonic()
-    search = _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=node_cap,
-                     time_cap=time_cap, fixed=fixed, fixed_side=fixed_side)
+    search = _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=None,
+                     time_cap=None, fixed=fixed, fixed_side=fixed_side)
     score = search.value(Graph.empty(n), first_mover)
     pv = search.principal_variation()
     return SolveResult(score, pv, search.nodes, time.monotonic() - started)

@@ -83,7 +83,7 @@ class _View:
     def __init__(self, g: Graph):
         self.g = g
         self.comps = [(ms, label_component(g, ms)) for ms in g.components().members]
-        self.iso = [ms[0] for ms, lab in self.comps if lab.size == 1]
+        self.iso = [ms[0] for ms, _ in self.comps if len(ms) == 1]
 
     def shaped(self, label: ComponentLabel) -> list[tuple[int, ...]]:
         return [ms for ms, lab in self.comps if lab == label]
@@ -273,9 +273,10 @@ def _decide_greedy(state: GameState, want_max: bool) -> Action:
     cur = max(len(ms) for ms in cv.members)
 
     def result_size(e: Move) -> int:
-        if cv.labels[e[0]] == cv.labels[e[1]]:
+        mu, mv = cv.mask_of[e[0]], cv.mask_of[e[1]]
+        if mu == mv:
             return cur
-        return max(cur, cv.mask_of(e[0]).bit_count() + cv.mask_of(e[1]).bit_count())
+        return max(cur, mu.bit_count() + mv.bit_count())
 
     sign = -1 if want_max else 1
     return Action(min(moves, key=lambda e: (sign * result_size(e), e)))

@@ -65,17 +65,17 @@ def render_report(checks: Iterable[Check]) -> str:
 
 
 def naive_value(g: Graph, mover: Player, family: ForbiddenFamily, variant: Variant) -> int:
-    moves = legal_moves(g, family)
-    if not moves:
+    """Remaining score by plain minimax; legality by whole-graph `is_free`,
+    so no legality table of the solver is read."""
+    children = [h for h in (g.add_edge(*e) for e in g.absent_edges()) if is_free(h, family)]
+    if not children:
         return 0
     if mover is Player.PROLONGER:
-        best = max(
-            1 + naive_value(g.add_edge(*e), mover.other, family, variant) for e in moves
-        )
+        best = max(1 + naive_value(h, mover.other, family, variant) for h in children)
         if variant is Variant.PROLONGER_MAY_PASS:
             best = max(best, naive_value(g, mover.other, family, variant))
         return best
-    return min(1 + naive_value(g.add_edge(*e), mover.other, family, variant) for e in moves)
+    return min(1 + naive_value(h, mover.other, family, variant) for h in children)
 
 
 # --- suite: the 4-vertex path game ---------------------------------------------

@@ -254,12 +254,17 @@ class TestLegalMovesAgainstOracle:
     @settings(max_examples=30, deadline=None)
     def test_one_graph_asked_for_two_families(self, first, second, data):
         # free for `first` is free for the laxer `second`
+        def check(g, family):
+            assert legal_moves(g, family) == oracle_moves(g, family)
+            for e in g.absent_edges():
+                assert creates_forbidden(g, family, e) == (not is_free(g.add_edge(*e), family))
+
         g = data.draw(free_graphs(first))
         for family in (first, second, first):
-            assert legal_moves(g, family) == oracle_moves(g, family)
+            check(g, family)
         h = Graph(g.n, g.adj, g.m)
         for family in (second, first):
-            assert legal_moves(h, family) == oracle_moves(h, family)
+            check(h, family)
 
     @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
     @given(data=st.data())
