@@ -1,15 +1,24 @@
-"""Exact game values by memoised minimax over canonical positions.
+"""Exact game values by null-window alpha-beta over canonical positions.
 
 Positions are graded by edge count so the game DAG is acyclic (a pass keeps
-the graph but hands the move to the side that must add an edge). Values are
-the exact remaining score; pruning only uses admissible bounds (a maximising
-node stops at the family's saturation maximum, a minimising node at one more
-edge), so every table entry is exact. Entries are keyed by the game as well as
-the position, so one table may serve many games.
+the graph but hands the move to the side that must add an edge). A value is
+the remaining score. The table holds a (lower, upper) bound on it per
+position, and an entry is exact when the two are equal. A position not yet
+in the table is bounded by 0 and the family's saturation maximum minus its
+edges; one with a legal move scores at least 1.
+
+`value` finds the exact score by MTD(f) (Plaat, Schaeffer, Pijls & de Bruin,
+"Best-first fixed-depth minimax algorithms", Artif. Intell. 1996): a series
+of null-window, fail-soft alpha-beta searches, each of which tightens the
+bounds in the table. The first guess is the upper end of the theorem window
+that covers the game. The guess steers only the search, never a value.
+Entries are keyed by the game as well as the position, so one table may
+serve many games.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -17,6 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .analysis import window
 from .engine import PASS, Action, GameState, Player, Variant
 from .families import ForbiddenFamily, Move, family_name, legal_moves, max_saturated_edges
 from .graph import Graph
@@ -45,14 +55,15 @@ class SolveResult:
 # (family name, variant): a table shared between games keeps them apart
 Game = tuple[str, Variant]
 # position key is the canonical key (or the labelled adjacency when one side
-# is scripted); both encode n
-PositionTable = dict[tuple[Game, object, Player], int]
+# is scripted); both encode n. The value is a (lower, upper) bound on the
+# remaining score, exact when the two are equal.
+PositionTable = dict[tuple[Game, object, Player], tuple[int, int]]
 DEFAULT_N_CAP = 10
 
 
 def _order_moves(g: Graph, moves: list[Move], mover: Player) -> list[Move]:
     # Prolonger prefers joining components, Shortener closing them; this only
-    # affects how early the admissible cutoffs fire.
+    # affects how early the cutoffs fire.
     comp = g.components().mask_of
     joins_first = mover is Player.PROLONGER
     return sorted(moves, key=lambda e: ((comp[e[0]] == comp[e[1]]) == joins_first, e))
@@ -85,11 +96,11 @@ def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
 
 
 class _Search:
-    """Memoised minimax of one game on n vertices.
+    """Null-window alpha-beta of one game on n vertices over a table of bounds.
 
     With `fixed` given, `fixed_side` plays `fixed(state)` and the other
     side's exact optimum is searched; the script sees labelled
-    positions, so the memo is keyed by the adjacency instead of the
+    positions, so the table is keyed by the adjacency instead of the
     canonical form.
     """
 
@@ -112,6 +123,9 @@ class _Search:
         self.n, self.family, self.variant, self.first_mover = n, family, variant, first_mover
         self.game: Game = (family_name(family), variant)
         self.max_edges = max_saturated_edges(family, n)
+        rep = window(family, variant, n)
+        # the final score that MTD(f) tries first; any guess gives the same values
+        self.guess = math.floor(rep.upper) if rep else self.max_edges
         self.table = table
         self.node_cap = node_cap
         self.deadline = time.monotonic() + time_cap if time_cap else None
@@ -131,74 +145,121 @@ class _Search:
         moves = _order_moves(g, moves, mover)
         return moves if self.fixed else _twin_distinct(g, moves)
 
-    def value(self, g: Graph, mover: Player) -> int:
-        """Exact remaining score of `g` with `mover` to move."""
+    def bounded(self, g: Graph, mover: Player, alpha: int, beta: int) -> int:
+        """Fail-soft alpha-beta: the remaining score of `g` with `mover` to
+        move if it lies strictly between alpha and beta, else a bound on it
+        that is at most alpha (an upper bound) or at least beta (a lower one).
+        """
         key = (self.game, g.adj if self.fixed else g.canonical_key(), mover)
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            raise BudgetExceeded("nodes", f"node cap {self.node_cap} exceeded")
+        entry = self.table.get(key)
+        lo, hi = entry or (0, self.max_edges - g.m)
+        if lo >= beta or lo == hi:
+            return lo
+        if hi <= alpha:
+            return hi
+        if entry is None:
+            self.nodes += 1
+            if self.node_cap is not None and self.nodes > self.node_cap:
+                raise BudgetExceeded("nodes", f"node cap {self.node_cap} exceeded")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time", "time cap exceeded")
         moves = legal_moves(g, self.family)
         if not moves:
-            value = 0
-        elif mover is self.fixed_side:
+            self.table[key] = (0, 0)
+            return 0
+        lo = max(lo, 1)  # some side must still add an edge
+        if lo >= beta:
+            self.table[key] = (lo, hi)
+            return lo
+        alpha, beta = max(alpha, lo), min(beta, hi)
+        other = mover.other
+        if mover is self.fixed_side:
             action = self.fixed(self._state(g, mover))
             if action.is_pass:
                 if not self._may_pass(mover):
                     raise RuntimeError(f"scripted side passed illegally on {g.edges()}")
-                value = self.value(g, mover.other)
+                v = self.bounded(g, other, alpha, beta)
             elif action.edge not in moves:
                 raise RuntimeError(f"scripted side played illegal edge {action.edge} on {g.edges()}")
             else:
-                value = 1 + self.value(g.add_edge(*action.edge), mover.other)
+                v = 1 + self.bounded(g.add_edge(*action.edge), other, alpha - 1, beta - 1)
         elif mover is Player.PROLONGER:
-            bound = self.max_edges - g.m
-            value = -1
+            v, a = -1, alpha
             for e in self._expand(g, moves, mover):
-                value = max(value, 1 + self.value(g.add_edge(*e), mover.other))
-                if value >= bound:
+                v = max(v, 1 + self.bounded(g.add_edge(*e), other, a - 1, beta - 1))
+                if v >= beta:
                     break
-            if value < bound and self._may_pass(mover):
-                value = max(value, self.value(g, mover.other))
+                a = max(a, v)
+            else:
+                if self._may_pass(mover):
+                    v = max(v, self.bounded(g, other, a, beta))
         else:
-            value = None
+            v, b = self.max_edges + 1, beta
             for e in self._expand(g, moves, mover):
-                child = 1 + self.value(g.add_edge(*e), mover.other)
-                if value is None or child < value:
-                    value = child
-                if value <= 1:  # no cheaper finish exists: every move costs an edge
+                v = min(v, 1 + self.bounded(g.add_edge(*e), other, alpha - 1, b - 1))
+                if v <= alpha:
                     break
-        self.table[key] = value
-        return value
+                b = min(b, v)
+        if v <= alpha:
+            v = hi = min(hi, v)
+        elif v >= beta:
+            lo = v
+        else:
+            lo = hi = v
+        self.table[key] = (lo, hi)
+        return v
 
-    def best(self, g: Graph, mover: Player) -> Optional[Action]:
-        """The scripted action, or the lex-least optimal edge with a pass only
-        when no edge reaches the value; None in a terminal position."""
+    def _at_least(self, g: Graph, mover: Player, target: int) -> bool:
+        """One null-window test: is the remaining score at least `target`?"""
+        return self.bounded(g, mover, target - 1, target) >= target
+
+    def value(self, g: Graph, mover: Player) -> int:
+        """Exact remaining score of `g` with `mover` to move, by MTD(f): each
+        null-window test moves one end of the bracket to the returned bound."""
+        lo, hi = 0, self.max_edges - g.m
+        guess = min(max(self.guess - g.m, lo), hi)
+        while lo < hi:
+            beta = max(guess, lo + 1)
+            guess = self.bounded(g, mover, beta - 1, beta)
+            if guess < beta:
+                hi = guess
+            else:
+                lo = guess
+        return lo
+
+    def best(self, g: Graph, mover: Player, target: Optional[int] = None) -> Optional[Action]:
+        """The scripted action, or the lex-least edge that keeps the remaining
+        score at `target` (by default the value of `g`), with a pass only when
+        no edge does; None in a terminal position."""
         moves = legal_moves(g, self.family)
         if not moves:
             return None
         if mover is self.fixed_side:
             return self.fixed(self._state(g, mover))
-        target = self.value(g, mover)
+        if target is None:
+            target = self.value(g, mover)
+        # Prolonger's children score at most target - 1 and Shortener's at least
         for e in moves:
-            if 1 + self.value(g.add_edge(*e), mover.other) == target:
+            child = g.add_edge(*e)
+            if mover is Player.PROLONGER:
+                if self._at_least(child, mover.other, target - 1):
+                    return Action(e)
+            elif not self._at_least(child, mover.other, target):
                 return Action(e)
-        if self._may_pass(mover) and self.value(g, mover.other) == target:
+        if self._may_pass(mover) and self._at_least(g, mover.other, target):
             return PASS
         raise AssertionError("no action reproduces the solved value")
 
-    def principal_variation(self) -> list[Action]:
-        """The line of `best` actions from the empty graph to a terminal one."""
+    def principal_variation(self, score: int) -> list[Action]:
+        """The line of `best` actions from the empty graph, whose value is
+        `score`, to a terminal one."""
         pv: list[Action] = []
         g, mover = Graph.empty(self.n), self.first_mover
-        while (action := self.best(g, mover)) is not None:
+        while (action := self.best(g, mover, score)) is not None:
             pv.append(action)
             if not action.is_pass:
                 g = g.add_edge(*action.edge)
+                score -= 1
             mover = mover.other
         return pv
 
@@ -226,7 +287,7 @@ def solve(
     if cache_path:
         table.update(load_table(cache_path, family, variant, n))
     score = search.value(Graph.empty(n), first_mover)
-    pv = search.principal_variation()
+    pv = search.principal_variation(score)
     if cache_path:
         save_table(cache_path, family, variant, n, table)
     return SolveResult(score, pv, search.nodes, time.monotonic() - started)
@@ -262,7 +323,7 @@ def best_response(
     search = _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=None,
                      time_cap=None, fixed=fixed, fixed_side=fixed_side)
     score = search.value(Graph.empty(n), first_mover)
-    pv = search.principal_variation()
+    pv = search.principal_variation(score)
     return SolveResult(score, pv, search.nodes, time.monotonic() - started)
 
 
@@ -277,12 +338,12 @@ _MOVER = {byte: mover for mover, byte in _MOVER_BYTE.items()}
 def save_table(
     path: str, family: ForbiddenFamily, variant: Variant, n: int, table: PositionTable
 ) -> None:
-    """Write the entries of one game on n vertices; a failed write leaves any
-    earlier file at `path` as it was."""
+    """Write the exact entries of one game on n vertices; a failed write
+    leaves any earlier file at `path` as it was."""
     game = (family_name(family), variant)
     entries = sorted(
-        ((key, mover, value) for (g, key, mover), value in table.items()
-         if g == game and key[0] == n),
+        ((key, mover, lo) for (g, key, mover), (lo, hi) in table.items()
+         if g == game and key[0] == n and lo == hi),
         key=lambda e: (e[0], e[1].value),
     )
     name = game[0].encode()
@@ -306,10 +367,10 @@ def save_table(
 def load_table(
     path: str, family: ForbiddenFamily, variant: Variant, n: int
 ) -> PositionTable:
-    """Load a cache written by save_table, keyed as the solver keys it; a
-    missing file is an empty table, and a file for different game parameters
-    is ignored. A file that save_table cannot have written for this game
-    raises ValueError."""
+    """Load a cache written by save_table as exact entries, keyed as the
+    solver keys them; a missing file is an empty table, and a file for
+    different game parameters is ignored. A file that save_table cannot have
+    written for this game raises ValueError."""
     if not os.path.exists(path):
         return {}
     with open(path, "rb") as fh:
@@ -342,5 +403,5 @@ def load_table(
         (value,) = struct.unpack(">i", take(4))
         if value < 0:
             raise ValueError(f"{path} holds a negative value")
-        table[(game, key, mover)] = value
+        table[(game, key, mover)] = (value, value)
     return table

@@ -1,17 +1,27 @@
 import os
 import struct
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satgame.analysis import window
 from satgame.engine import GameState, Player, Variant, apply_action, initial_state, is_terminal
-from satgame.families import PathFamily, StarFamily, TreeFamily, is_free
+from satgame.families import (
+    PathFamily,
+    StarFamily,
+    TreeFamily,
+    is_free,
+    max_saturated_edges,
+    parse_family,
+)
 from satgame.graph import Graph
 from satgame.solver import (
     BudgetExceeded,
     CapExceeded,
+    _Search,
     best_response,
     load_table,
     save_table,
@@ -37,6 +47,40 @@ def labelled_value(g, mover, family, script, side) -> int:
     values = [1 + labelled_value(g.add_edge(*e), mover.other, family, script, side)
               for e in moves]
     return max(values) if mover is Player.PROLONGER else min(values)
+
+
+def oracle_value(g, mover, family, variant, memo) -> int:
+    """`naive_value` memoised by labelled adjacency: plain minimax, legality
+    by the freeness oracle, no bounds, no canonical keys."""
+    key = (g.adj, mover)
+    if key not in memo:
+        children = [h for h in (g.add_edge(*e) for e in g.absent_edges()) if is_free(h, family)]
+        if not children:
+            memo[key] = 0
+        elif mover is Player.PROLONGER:
+            value = max(1 + oracle_value(h, mover.other, family, variant, memo) for h in children)
+            if variant is Variant.PROLONGER_MAY_PASS:
+                value = max(value, oracle_value(g, mover.other, family, variant, memo))
+            memo[key] = value
+        else:
+            memo[key] = min(1 + oracle_value(h, mover.other, family, variant, memo)
+                            for h in children)
+    return memo[key]
+
+
+ORACLE_FAMILIES = ["P4", "P5", "Star:3", "Trees:3", "List:Cl"]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """oracle_value by family name, with one memo per game for the module."""
+    memos: dict = {}
+
+    def value(g, mover, famname, variant) -> int:
+        memo = memos.setdefault((famname, variant), {})
+        return oracle_value(g, mover, parse_family(famname), variant, memo)
+
+    return value
 
 
 class TestSolveAnchors:
@@ -78,6 +122,70 @@ class TestOracleEquivalence:
                     == naive_value(Graph.empty(n), first, P4, Variant.PROLONGER_MAY_PASS)
                 )
 
+    @pytest.mark.parametrize("famname", ORACLE_FAMILIES)
+    def test_memoised_oracle_is_naive_value(self, famname, oracle):
+        fam = parse_family(famname)
+        for n in range(2, 5):
+            for variant in Variant:
+                for first in BOTH:
+                    assert (oracle(Graph.empty(n), first, famname, variant)
+                            == naive_value(Graph.empty(n), first, fam, variant))
+
+
+class TestBoundedSearch:
+    """MTD(f) over the bound table against the memoised plain minimax."""
+
+    @pytest.mark.parametrize("famname", ORACLE_FAMILIES)
+    def test_value_does_not_depend_on_the_guess(self, famname, oracle):
+        fam = parse_family(famname)
+        for n in range(2, 7):
+            for variant in Variant:
+                for first in BOTH:
+                    exact = oracle(Graph.empty(n), first, famname, variant)
+                    for guess in (0, exact, max_saturated_edges(fam, n)):
+                        search = _Search(n, fam, variant, first, {},
+                                         n_cap=n, node_cap=None, time_cap=None)
+                        search.guess = guess
+                        assert search.value(Graph.empty(n), first) == exact, (n, variant, guess)
+
+    @pytest.mark.parametrize("famname", ORACLE_FAMILIES)
+    def test_principal_variation_is_the_lex_least_optimal_line(self, famname, oracle):
+        fam = parse_family(famname)
+        for n in range(2, 7):
+            for variant in Variant:
+                for first in BOTH:
+                    res = solve(n, fam, variant, first)
+                    g, mover = Graph.empty(n), first
+                    target = oracle(g, mover, famname, variant)
+                    assert res.score == target
+                    for action in res.principal_variation:
+                        legal = [e for e in g.absent_edges() if is_free(g.add_edge(*e), fam)]
+                        reaching = [e for e in legal
+                                    if oracle(g.add_edge(*e), mover.other, famname, variant)
+                                    == target - 1]
+                        if action.is_pass:
+                            assert not reaching
+                            assert variant is Variant.PROLONGER_MAY_PASS
+                            assert mover is Player.PROLONGER
+                            assert oracle(g, mover.other, famname, variant) == target
+                        else:
+                            assert action.edge == min(reaching)
+                            g, target = g.add_edge(*action.edge), target - 1
+                        mover = mover.other
+                    assert target == 0 and g.m == res.score
+                    assert not [e for e in g.absent_edges() if is_free(g.add_edge(*e), fam)]
+
+    def test_trees5_n9_below_the_printed_window(self):
+        # Theorem 2.4 prints [23/2, 27/2] here, so the search starts from 13;
+        # Shortener first still finds 10, below the window.
+        fam = TreeFamily(5)
+        rep = window(fam, Variant.STANDARD, 9)
+        assert (rep.lower, rep.upper) == (Fraction(23, 2), Fraction(27, 2))
+        assert _Search(9, fam, Variant.STANDARD, Player.PROLONGER, {},
+                       n_cap=9, node_cap=None, time_cap=None).guess == 13
+        assert solve(9, fam, first_mover=Player.PROLONGER).score == 12
+        assert solve(9, fam, first_mover=Player.SHORTENER).score == 10
+
 
 class TestSandwich:
     def test_fixed_strategies_bracket_the_value(self):
@@ -114,14 +222,14 @@ class TestConsistency:
 class TestMovePruning:
     """Twin pruning skips only children that would have been table hits."""
 
-    @pytest.mark.parametrize("n, family, positions", [(10, P5, 261), (9, StarFamily(3), 70)])
+    @pytest.mark.parametrize("n, family, positions", [(10, P5, 215), (9, StarFamily(3), 35)])
     def test_search_size_is_pinned(self, n, family, positions):
         table = {}
         res = solve(n, family, table=table)
         assert res.positions_expanded == positions
         assert len(table) == positions
 
-    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 1064)])
+    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 410)])
     def test_scripted_search_matches_labelled_minimax(self, family, name, positions):
         # a script sees labels, so every labelled position is expanded
         script = make_strategy(name)
@@ -218,7 +326,7 @@ class TestCacheFile:
         solve(6, P4, table=table, cache_path=path)
         loaded = load_table(path, P4, Variant.STANDARD, 6)
         assert loaded == {k: v for k, v in table.items()
-                          if k[0] == ("P4", Variant.STANDARD) and k[1][0] == 6}
+                          if k[0] == ("P4", Variant.STANDARD) and k[1][0] == 6 and v[0] == v[1]}
         assert solve(6, P5, table=loaded).score == solve(6, P5).score
 
     def test_failed_save_keeps_earlier_file(self, tmp_path):
@@ -227,11 +335,22 @@ class TestCacheFile:
         before = path.read_bytes()
         table = load_table(str(path), P4, Variant.STANDARD, 6)
         last = max(table, key=lambda k: (k[1], k[2].value))  # written last
-        table[last] = 1 << 40  # does not pack as ">i"
+        table[last] = (1 << 40, 1 << 40)  # does not pack as ">i"
         with pytest.raises(struct.error):
             save_table(str(path), P4, Variant.STANDARD, 6, table)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
+
+    def test_bound_only_entries_are_not_saved(self, tmp_path):
+        path = str(tmp_path / "cache.bin")
+        table = {}
+        first = solve(8, P5, table=table, cache_path=path)
+        exact = {k: v for k, v in table.items() if v[0] == v[1]}
+        assert len(exact) < len(table)  # the solve left bound-only entries
+        assert load_table(path, P5, Variant.STANDARD, 8) == exact
+        again = solve(8, P5, cache_path=path)
+        assert again.score == first.score
+        assert again.principal_variation == first.principal_variation
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -266,7 +385,7 @@ class TestPoisonedCacheFile:
         path = tmp_path / "cache.bin"
         self.write_entry(path, b"\x06\x01", b"\x01", 3)
         assert load_table(str(path), P4, Variant.STANDARD, 6) == {
-            (("P4", Variant.STANDARD), b"\x06\x01", Player.SHORTENER): 3}
+            (("P4", Variant.STANDARD), b"\x06\x01", Player.SHORTENER): (3, 3)}
 
     def test_invalid_mover_byte(self, tmp_path):
         path = tmp_path / "cache.bin"
@@ -331,6 +450,6 @@ class TestFuzzedCacheFile:
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_entries_for_this_game(self, data):
         table = self.load(self.HEADER + data)
-        for (game, key, mover), value in (table or {}).items():
+        for (game, key, mover), (lo, hi) in (table or {}).items():
             assert game == ("P4", Variant.STANDARD) and key[:1] == b"\x06"
-            assert mover in BOTH and value >= 0
+            assert mover in BOTH and lo == hi >= 0
