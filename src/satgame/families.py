@@ -188,9 +188,8 @@ def _expansion_order(h: Graph, first: tuple[int, ...]) -> tuple[int, ...]:
 
 def _embeds(g: Graph, h: Graph, order: tuple[int, ...], placed: list[int]) -> bool:
     """Can the images `placed` of order[:len(placed)] extend to an injective
-    map embedding every edge of h into g? Backtracking, pruned by degree."""
-    hdeg = h.degrees()
-    gdeg = g.degrees()
+    map embedding every edge of h into g? Backtracking over the vertices
+    adjacent to the images of each vertex's placed neighbours."""
     pos = {v: i for i, v in enumerate(order)}
     image = placed + [0] * (h.n - len(placed))  # order index -> g vertex
 
@@ -205,8 +204,6 @@ def _embeds(g: Graph, h: Graph, order: tuple[int, ...], placed: list[int]) -> bo
             if j < i:
                 cand &= g.adj[image[j]]
         for gv in bits(cand):
-            if gdeg[gv] < hdeg[hv]:
-                continue
             image[i] = gv
             if assign(i + 1, used | (1 << gv)):
                 return True

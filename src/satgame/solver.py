@@ -5,7 +5,10 @@ the graph but hands the move to the side that must add an edge). A value is
 the remaining score. The table holds a (lower, upper) bound on it per
 position, and an entry is exact when the two are equal. A position not yet
 in the table is bounded by 0 and the family's saturation maximum minus its
-edges; one with a legal move scores at least 1.
+edges; one with a legal move scores at least 1. Children are searched in
+lex order of their edges, skipping all but the first of each set of
+twin-equivalent edges, and `best` tests them in the same order, so the
+principal variation is the lex-least optimal line.
 
 `value` finds the exact score by MTD(f) (Plaat, Schaeffer, Pijls & de Bruin,
 "Best-first fixed-depth minimax algorithms", Artif. Intell. 1996): a series
@@ -59,14 +62,6 @@ Game = tuple[str, Variant]
 # remaining score, exact when the two are equal.
 PositionTable = dict[tuple[Game, object, Player], tuple[int, int]]
 DEFAULT_N_CAP = 10
-
-
-def _order_moves(g: Graph, moves: list[Move], mover: Player) -> list[Move]:
-    # Prolonger prefers joining components, Shortener closing them; this only
-    # affects how early the cutoffs fire.
-    comp = g.components().mask_of
-    joins_first = mover is Player.PROLONGER
-    return sorted(moves, key=lambda e: ((comp[e[0]] == comp[e[1]]) == joins_first, e))
 
 
 def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
@@ -138,13 +133,6 @@ class _Search:
     def _state(self, g: Graph, mover: Player) -> GameState:
         return GameState(g, mover, self.family, self.variant, self.first_mover)
 
-    def _expand(self, g: Graph, moves: list[Move], mover: Player) -> list[Move]:
-        # Twin-equivalent children are isomorphic, so every one after the
-        # first would be a table hit. A script sees labelled positions, so
-        # with one the children are not interchangeable.
-        moves = _order_moves(g, moves, mover)
-        return moves if self.fixed else _twin_distinct(g, moves)
-
     def bounded(self, g: Graph, mover: Player, alpha: int, beta: int) -> int:
         """Fail-soft alpha-beta: the remaining score of `g` with `mover` to
         move if it lies strictly between alpha and beta, else a bound on it
@@ -173,6 +161,10 @@ class _Search:
             return lo
         alpha, beta = max(alpha, lo), min(beta, hi)
         other = mover.other
+        # Twin-equivalent children are isomorphic, so every one after the
+        # first would be a table hit. A script sees labelled positions, so
+        # with one the children are not interchangeable.
+        children = moves if self.fixed else _twin_distinct(g, moves)
         if mover is self.fixed_side:
             action = self.fixed(self._state(g, mover))
             if action.is_pass:
@@ -185,7 +177,7 @@ class _Search:
                 v = 1 + self.bounded(g.add_edge(*action.edge), other, alpha - 1, beta - 1)
         elif mover is Player.PROLONGER:
             v, a = -1, alpha
-            for e in self._expand(g, moves, mover):
+            for e in children:
                 v = max(v, 1 + self.bounded(g.add_edge(*e), other, a - 1, beta - 1))
                 if v >= beta:
                     break
@@ -195,7 +187,7 @@ class _Search:
                     v = max(v, self.bounded(g, other, a, beta))
         else:
             v, b = self.max_edges + 1, beta
-            for e in self._expand(g, moves, mover):
+            for e in children:
                 v = min(v, 1 + self.bounded(g.add_edge(*e), other, alpha - 1, b - 1))
                 if v <= alpha:
                     break

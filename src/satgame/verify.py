@@ -8,6 +8,7 @@ suite parameters and seed, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -167,7 +168,7 @@ def response_checks(k: int, n_max: int = 8) -> list[Check]:
     return checks
 
 
-def suite_p4(n_max: int = 8, seed: int = 0) -> list[Check]:
+def suite_p4(n_max: int = 8) -> list[Check]:
     family = PathFamily(4)
     checks = solve_window_checks("p4", family, range(3, n_max + 1), time_limit=60.0)
     checks += anchor_checks()
@@ -176,7 +177,7 @@ def suite_p4(n_max: int = 8, seed: int = 0) -> list[Check]:
     return checks
 
 
-def suite_p5(n_max: int = 8, seed: int = 0) -> list[Check]:
+def suite_p5(n_max: int = 8) -> list[Check]:
     family = PathFamily(5)
     checks = solve_window_checks("p5", family, range(4, n_max + 1), time_limit=300.0)
     checks += response_checks(5, n_max)
@@ -184,7 +185,7 @@ def suite_p5(n_max: int = 8, seed: int = 0) -> list[Check]:
     return checks
 
 
-def suite_trees(n_max: int = 9, seed: int = 0) -> list[Check]:
+def suite_trees(n_max: int = 9) -> list[Check]:
     checks = []
     for k in (3, 4, 5):
         for n in range(k, n_max + 1):
@@ -205,7 +206,7 @@ def suite_trees(n_max: int = 9, seed: int = 0) -> list[Check]:
     return checks
 
 
-def suite_pass(seed: int = 0) -> list[Check]:
+def suite_pass() -> list[Check]:
     checks = []
     for n, k in [(5, 4), (6, 4), (7, 4), (6, 5), (7, 5)]:
         res = best_response(
@@ -358,10 +359,17 @@ CLAIMS: tuple[tuple[str, GameSource, Callable[[GameRecord], int]], ...] = (
 )
 
 
+def _check_fuzz_sizes(suite: str, games: int, n_max: int) -> None:
+    """Reject sizes under which a fuzz suite would check nothing."""
+    if n_max < 4:
+        raise ValueError(f"{suite} needs n_max >= 4, got n_max={n_max}")
+    if games < 1:
+        raise ValueError(f"{suite} needs games >= 1, got games={games}")
+
+
 def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Check]:
     """Zero-violation fuzz of the structural claims behind each strategy."""
-    if n_max < 4:
-        raise ValueError(f"suite_claims needs n_max >= 4, got n_max={n_max}")
+    _check_fuzz_sizes("suite_claims", games, n_max)
     rng = random.Random(seed)
     per = max(1, games // len(CLAIMS))
     checks = []
@@ -375,6 +383,7 @@ def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Che
 
 
 def suite_algebra(seed: int = 0, games: int = 400, n_max: int = 20) -> list[Check]:
+    _check_fuzz_sizes("suite_algebra", games, n_max)
     bad = 0
     total = 0
     for k in range(2, 51):
@@ -460,14 +469,14 @@ def run_suites(
     games: Optional[int] = None,
     seed: int = 0,
 ) -> list[Check]:
+    """Run the named suites in turn, passing each option that is given to
+    every suite that takes a parameter of that name."""
+    given = {"n_max": n_max, "games": games, "seed": seed}
     checks: list[Check] = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        kwargs: dict = {"seed": seed}
-        if n_max is not None and name in ("p4", "p5", "trees", "claims"):
-            kwargs["n_max"] = n_max
-        if games is not None and name in ("claims", "algebra"):
-            kwargs["games"] = games
-        checks += SUITES[name](**kwargs)
+        suite = SUITES[name]
+        takes = inspect.signature(suite).parameters
+        checks += suite(**{k: v for k, v in given.items() if v is not None and k in takes})
     return checks

@@ -199,6 +199,20 @@ class TestVerifyCommand:
         assert len(err_lines) == 1 and "n_max" in err_lines[0]
         assert "randrange" not in captured.err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["--suite", "algebra", "--n-max", "3"], "n_max"),
+        (["--suite", "algebra", "--games", "-3"], "games"),
+        (["--suite", "algebra", "--games", "0"], "games"),
+        (["--suite", "claims", "--games", "0", "--n-max", "9"], "games"),
+    ])
+    def test_fuzz_sizes_that_check_nothing_are_usage_errors(self, capsys, argv, option):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1 and option in err_lines[0]
+        assert "Traceback" not in captured.err
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nope"])

@@ -115,6 +115,46 @@ class TestContainsSubgraph:
             contains_subgraph(C4, Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+# connected patterns beyond paths: K3, C4, K_{1,3}, the paw, K4 - e and K4
+PATTERNS = {
+    "K3": K3,
+    "C4": C4,
+    "K1,3": STAR3,
+    "paw": Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "K4-e": Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "K4": Graph.from_edges(4, list(itertools.combinations(range(4), 2))),
+}
+
+
+def brute_contains(g, h):
+    """Does some injective map of h's vertices into g's send every edge of h
+    to an edge of g? Tries every map."""
+    return any(all(g.has_edge(f[a], f[b]) for a, b in h.edges())
+               for f in itertools.permutations(range(g.n), h.n))
+
+
+class TestSubgraphSearchAgainstBruteForce:
+    @pytest.mark.parametrize("name", PATTERNS)
+    def test_contains_subgraph(self, name):
+        h = PATTERNS[name]
+        for n in range(h.n, 7):
+            for g in all_graphs(n):
+                assert contains_subgraph(g, h) == brute_contains(g, h), (name, g.edges())
+
+    @pytest.mark.parametrize("name", PATTERNS)
+    def test_legality_on_free_graphs(self, name):
+        h = PATTERNS[name]
+        family = ExplicitFamily((h,))
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                if brute_contains(g, h):
+                    continue
+                creates = {e: brute_contains(g.add_edge(*e), h) for e in g.absent_edges()}
+                assert legal_moves(g, family) == [e for e, bad in creates.items() if not bad]
+                for e, bad in creates.items():
+                    assert creates_forbidden(g, family, e) == bad, (name, g.edges(), e)
+
+
 class TestCreatesForbidden:
     def test_bridges_two_edges_into_path(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tempfile
@@ -222,14 +223,14 @@ class TestConsistency:
 class TestMovePruning:
     """Twin pruning skips only children that would have been table hits."""
 
-    @pytest.mark.parametrize("n, family, positions", [(10, P5, 215), (9, StarFamily(3), 35)])
+    @pytest.mark.parametrize("n, family, positions", [(10, P5, 211), (9, StarFamily(3), 32)])
     def test_search_size_is_pinned(self, n, family, positions):
         table = {}
         res = solve(n, family, table=table)
         assert res.positions_expanded == positions
         assert len(table) == positions
 
-    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 410)])
+    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 403)])
     def test_scripted_search_matches_labelled_minimax(self, family, name, positions):
         # a script sees labels, so every labelled position is expanded
         script = make_strategy(name)
@@ -238,6 +239,34 @@ class TestMovePruning:
             res = best_response(n, family, Variant.STANDARD, script, script.side)
             assert res.score == expected
         assert res.positions_expanded == positions
+
+
+def pv_digest(res) -> str:
+    return hashlib.sha256(" ".join(map(str, res.principal_variation)).encode()).hexdigest()
+
+
+class TestPinnedPrincipalVariations:
+    """The principal variations at the benchmark sizes, which a change to the
+    search order or its cutoffs must leave alone."""
+
+    @pytest.mark.parametrize("spec, n, first, digest", [
+        ("P5", 12, "P", "19185f02595ebc2a8616da5f9340181d19d46e8065f22ed2af88f51471c2fccf"),
+        ("P5", 12, "S", "e44fb42a5100299b0cf3a3633ab9e7e8662457e5f2061c56d4728b4c00219e1c"),
+        ("Star:4", 10, "P", "fd92b08eaf7a1dec19519c2d1c8a238cd543ee42a37f12594684a09e5ac01654"),
+        ("Star:4", 10, "S", "195968f0dddaf29f4af1402784da25a3e24bba599542ed9f4da6abf90c1bd722"),
+        ("Trees:5", 16, "P", "2fe36a3891ca7076a2ee883ff77e434b2d5cf737075756c920088f6324ef8af6"),
+        ("Trees:5", 16, "S", "2fe36a3891ca7076a2ee883ff77e434b2d5cf737075756c920088f6324ef8af6"),
+        ("List:Cl", 8, "P", "48bfe94b1ebcb9fb842cd70c48a68f6f6cedb2fd8a2f1a093ed0ea796ecb0c22"),
+        ("List:Cl", 8, "S", "48bfe94b1ebcb9fb842cd70c48a68f6f6cedb2fd8a2f1a093ed0ea796ecb0c22"),
+    ])
+    def test_solve(self, spec, n, first, digest):
+        res = solve(n, parse_family(spec), first_mover=Player(first), n_cap=n)
+        assert pv_digest(res) == digest
+
+    def test_best_response(self):
+        script = make_strategy("p-p5")
+        res = best_response(8, P5, Variant.STANDARD, script, script.side)
+        assert pv_digest(res) == "d9ace0083f75cfa1240a8f3ab1b0a06ef389f3be3e422891b19e9034d5b623d6"
 
 
 class TestSharedTable:

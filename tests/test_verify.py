@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from satgame import verify
 from satgame.verify import (
     render_report,
     suite_algebra,
@@ -43,3 +44,24 @@ def test_claims_below_the_large_star_domain_play_only_the_small_star():
 def test_claims_reject_games_too_small_to_fuzz(n_max):
     with pytest.raises(ValueError, match="n_max"):
         suite_claims(games=6, n_max=n_max)
+
+
+def test_each_option_goes_to_every_suite_that_takes_it(monkeypatch):
+    seen = []
+
+    def takes_all(n_max=0, games=0, seed=0):
+        seen.append((n_max, games, seed))
+        return []
+
+    def takes_n_max(n_max=0):
+        seen.append((n_max,))
+        return []
+
+    def takes_none():
+        seen.append(())
+        return []
+
+    monkeypatch.setattr(verify, "SUITES", {"a": takes_all, "b": takes_n_max, "c": takes_none})
+    verify.run_suites(["a", "b", "c"], n_max=5, games=7, seed=3)
+    verify.run_suites(["a"])
+    assert seen == [(5, 7, 3), (5,), (), (0, 0, 0)]
