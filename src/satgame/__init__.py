@@ -22,6 +22,7 @@ from .families import (
     creates_forbidden,
     family_name,
     is_free,
+    is_saturated,
     legal_moves,
     parse_family,
 )

@@ -25,7 +25,7 @@ from .families import (
     StarFamily,
     TreeFamily,
     creates_forbidden,
-    legal_moves,
+    is_saturated,
 )
 from .graph import Graph
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
@@ -187,7 +187,7 @@ def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
 
 def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     """All family-saturated graphs on n vertices up to isomorphism."""
-    return tuple(g for g in free_graphs(n, family) if not legal_moves(g, family))
+    return tuple(g for g in free_graphs(n, family) if is_saturated(g, family))
 
 
 # --- score bounds ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from .families import (
     Move,
     creates_forbidden,
     family_name,
-    legal_moves,
+    is_saturated,
     parse_family,
 )
 from .graph import Graph, from_graph6, norm_edge, to_graph6
@@ -100,7 +100,7 @@ class IllegalStrategyActionError(IllegalMoveError):
 
 def is_terminal(state: GameState) -> bool:
     """Saturated: every absent edge would create a forbidden subgraph."""
-    return not legal_moves(state.graph, state.family)
+    return is_saturated(state.graph, state.family)
 
 
 def apply_action(state: GameState, action: Action) -> GameState:

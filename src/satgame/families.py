@@ -17,12 +17,16 @@ one of its edges mapped onto the new edge, and the table is that search on
 every absent edge.
 
 `creates_forbidden(g, family, e)` reads the table; for an explicit family it
-searches through e alone. `legal_moves` lists the table's edges.
+searches through e alone. `legal_moves` lists the table's edges, and
+`is_saturated` asks whether there is one, stopping at the first legal edge
+of an explicit family.
 
-Memos live on each graph (`Graph.memo`: its components, and its table and
-legal moves under each family), plus one bounded process-wide cache of path
-records keyed by k and the component's adjacency relabelled to 0..s-1. A
-record is a function of that key alone.
+The table is kept on its graph (`Graph.memo`) per family. The P_k rows of a
+component are kept on its record (`graph.Component`), which a child
+position shares with its parent unless the move touched that component, so
+a move costs at most one new set of rows. Behind the records, one bounded
+process-wide cache holds the rows in local bits, keyed by k and the
+component's relabelled adjacency, of which they are a function.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .graph import Graph, _local_adj, bits, from_graph6, to_graph6, vertex_mask
+from .graph import Component, Graph, bits, from_graph6, to_graph6, vertex_mask
 
 Move = tuple[int, int]
 
@@ -165,6 +169,27 @@ def _path_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     for x in range(s):
         extend(x, x, 1 << x, 1)
     return ends, tuple(inner)
+
+
+def _path_rows(rec: Component, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_path_record` of the component with its inner rows in global bits,
+    built once per record."""
+    if rec.paths is None:
+        rec.paths = {}
+    rows = rec.paths.get(k)
+    if rows is None:
+        ends, inner = _path_record(k, rec.local)
+        bit = [1 << x for x in rec.members]  # local bit j -> global bit
+        glob = []
+        for row in inner:
+            mask = 0
+            while row:
+                low = row & -row
+                mask |= bit[low.bit_length() - 1]
+                row ^= low
+            glob.append(mask)
+        rows = rec.paths[k] = (ends, tuple(glob))
+    return rows
 
 
 # --- subgraph search ----------------------------------------------------------
@@ -302,14 +327,13 @@ def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
     k = family.k
     ends = [1] * n
     legal = [0] * n
-    for verts in cv.members:
-        if len(verts) == 1:
+    for rec in cv.records:
+        if len(rec.members) == 1:
             continue  # an isolated vertex: L = 1 and no inner edge
-        rec_ends, rec_inner = _path_record(k, tuple(_local_adj(adj, verts)))
-        for x, end, inner in zip(verts, rec_ends, rec_inner):
+        rec_ends, rows = _path_rows(rec, k)
+        for x, end, row in zip(rec.members, rec_ends, rows):
             ends[x] = end
-            for j in bits(inner):
-                legal[x] |= 1 << verts[j]
+            legal[x] = row
     # u joins v of another component when L(u) + L(v) <= k - 1
     upto = _by_room(ends, k)
     for x in range(n):
@@ -344,23 +368,30 @@ def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
 
 
 def legal_moves(g: Graph, family: ForbiddenFamily) -> list[Move]:
-    """Absent edges whose addition keeps freeness, lexicographically ordered.
+    """Absent edges whose addition keeps freeness, lexicographically ordered,
+    listed from the legality table.
 
     Empty exactly when the family-free graph `g` is family-saturated.
-    Listed once per graph and family, from its legality table.
     """
-    key = ("legal_moves", family)
-    moves = g.memo.get(key)
-    if moves is None:
-        found = []
-        for u, row in enumerate(_legal_table(g, family)):
-            row >>= u + 1
-            while row:
-                low = row & -row
-                found.append((u, u + low.bit_length()))
-                row ^= low
-        moves = g.memo[key] = tuple(found)
-    return list(moves)
+    moves = []
+    for u, row in enumerate(_legal_table(g, family)):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            moves.append((u, u + low.bit_length()))
+            row ^= low
+    return moves
+
+
+def is_saturated(g: Graph, family: ForbiddenFamily) -> bool:
+    """Does every absent edge break the freeness of the family-free graph `g`?
+
+    An explicit family stops at the first legal edge; the others read the
+    legality table.
+    """
+    if isinstance(family, ExplicitFamily):
+        return all(_explicit_creates(g, family, u, v) for u, v in g.absent_edges())
+    return not any(_legal_table(g, family))
 
 
 def max_saturated_edges(family: ForbiddenFamily, n: int) -> int:

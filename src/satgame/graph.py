@@ -34,47 +34,126 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     return mask
 
 
-def _component_masks(adj: Sequence[int]) -> list[int]:
-    """Vertex bitsets of the connected components, by least member."""
-    masks = []
-    unseen = (1 << len(adj)) - 1
-    while unseen:
-        comp = unseen & -unseen
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        masks.append(comp)
-        unseen &= ~comp
-    return masks
+class Component:
+    """One connected component. A child made by `Graph.add_edge` shares its
+    parent's record for every component that the new edge leaves alone.
+
+    `members` lists its vertices in increasing order and `local[i]` is the
+    neighbourhood of members[i] with members[j] as bit j. The rest is
+    derived from (mask, local) on first use: `encoding`, the canonical form,
+    and `paths[k]`, the P_k legality rows that `families` keeps in global
+    bits (None until some k is asked for). A record is never changed once
+    built, only filled in.
+    """
+
+    __slots__ = ("mask", "members", "local", "paths", "_encoding")
+
+    def __init__(self, mask: int, members: tuple[int, ...], local: tuple[int, ...]):
+        self.mask = mask
+        self.members = members
+        self.local = local
+        self.paths: Optional[dict[int, tuple]] = None
+        self._encoding: Optional[bytes] = None
+
+    @property
+    def encoding(self) -> bytes:
+        if self._encoding is None:
+            self._encoding = _canon_component(self.local)
+        return self._encoding
 
 
-@dataclass(frozen=True)
+# an isolated vertex is the same record in every graph
+_SINGLETONS = tuple(Component(1 << v, (v,), (0,)) for v in range(MAX_VERTICES))
+
+
 class ComponentView:
     """Connected components of a Graph.
 
-    `members`/`masks` are aligned and sorted by least member; `mask_of[v]`
-    is the mask of v's component, so u and v share a component iff
-    mask_of[u] == mask_of[v].
+    `records`, `members` and `masks` are aligned and sorted by least member;
+    `mask_of[v]` is the mask of v's component, so u and v share a component
+    iff mask_of[u] == mask_of[v].
     """
 
-    members: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
-    mask_of: tuple[int, ...]
+    def __init__(self, records: tuple[Component, ...], members: tuple[tuple[int, ...], ...],
+                 masks: tuple[int, ...], mask_of: tuple[int, ...]):
+        self.records = records
+        self.members = members
+        self.masks = masks
+        self.mask_of = mask_of
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.records)
+
+    @staticmethod
+    def of(adj: Sequence[int]) -> "ComponentView":
+        """The components of the graph with adjacency `adj`, found from scratch."""
+        records = []
+        mask_of = [0] * len(adj)
+        unseen = (1 << len(adj)) - 1
+        while unseen:
+            comp = unseen & -unseen
+            v = comp.bit_length() - 1
+            if not adj[v]:
+                records.append(_SINGLETONS[v])
+                mask_of[v] = comp
+                unseen ^= comp
+                continue
+            frontier = comp
+            while frontier:
+                grow = 0
+                for w in bits(frontier):
+                    grow |= adj[w]
+                frontier = grow & ~comp
+                comp |= frontier
+            members = tuple(bits(comp))
+            for w in members:
+                mask_of[w] = comp
+            records.append(Component(comp, members, tuple(_local_adj(adj, members))))
+            unseen &= ~comp
+        return ComponentView(tuple(records), tuple(r.members for r in records),
+                             tuple(r.mask for r in records), tuple(mask_of))
+
+    def plus_edge(self, adj: Sequence[int], u: int, v: int) -> "ComponentView":
+        """The components once uv is added, where `adj` already holds uv.
+
+        Every record but the one that gains uv is reused: a joining edge
+        builds the merged record, an inner edge the grown one.
+        """
+        records, members, masks, mask_of = self.records, self.members, self.masks, self.mask_of
+        a, b = mask_of[u], mask_of[v]
+        i = masks.index(a)
+        if a == b:
+            rec = records[i]
+            local = list(rec.local)
+            x, y = rec.members.index(u), rec.members.index(v)
+            local[x] |= 1 << y
+            local[y] |= 1 << x
+            grown = Component(a, rec.members, tuple(local))
+            return ComponentView(records[:i] + (grown,) + records[i + 1:], members, masks, mask_of)
+        j = masks.index(b)
+        if j < i:
+            i, j = j, i
+        comp = a | b
+        joined = tuple(sorted(members[i] + members[j]))
+        merged = Component(comp, joined, tuple(_local_adj(adj, joined)))
+        new_mask_of = list(mask_of)
+        for w in joined:
+            new_mask_of[w] = comp
+        return ComponentView(
+            records[:i] + (merged,) + records[i + 1:j] + records[j + 1:],
+            members[:i] + (joined,) + members[i + 1:j] + members[j + 1:],
+            masks[:i] + (comp,) + masks[i + 1:j] + masks[j + 1:],
+            tuple(new_mask_of),
+        )
 
 
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; `adj[v]` is the neighbour bitset of v.
 
-    `memo` caches values derived from this graph alone; it is not a field,
-    so equality, hashing and repr see only (n, adj, m).
+    `memo` caches values derived from this graph alone, and a link to the
+    parent's components until this graph's own are derived from it; it is
+    not a field, so equality, hashing and repr see only (n, adj, m).
     """
 
     n: int
@@ -117,7 +196,11 @@ class Graph:
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj), self.m + 1)
+        child = Graph(self.n, tuple(adj), self.m + 1)
+        memo = self.__dict__.get("memo")
+        if memo is not None and "components" in memo:  # the child's are derived from these
+            child.__dict__["memo"] = {"parent": (memo["components"], u, v)}
+        return child
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -146,17 +229,19 @@ class Graph:
         return tuple(v for v in range(self.n) if not self.adj[v])
 
     def components(self) -> ComponentView:
-        """Connected components, computed once per graph."""
+        """Connected components, computed once per graph: from the parent's
+        when `add_edge` made this graph from a parent whose components were
+        known, else from scratch. The link to the parent's view is dropped."""
         memo = self.memo
         cv = memo.get("components")
         if cv is None:
-            masks = _component_masks(self.adj)
-            members = tuple(tuple(bits(comp)) for comp in masks)
-            mask_of = [0] * self.n
-            for ms, comp in zip(members, masks):
-                for v in ms:
-                    mask_of[v] = comp
-            cv = memo["components"] = ComponentView(members, tuple(masks), tuple(mask_of))
+            link = memo.pop("parent", None)
+            if link is None:
+                cv = ComponentView.of(self.adj)
+            else:
+                parent, u, v = link
+                cv = parent.plus_edge(self.adj, u, v)
+            memo["components"] = cv
         return cv
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
@@ -182,7 +267,16 @@ class Graph:
 
     def canonical_key(self) -> bytes:
         """Isomorphism-invariant key: equal keys iff the graphs are isomorphic."""
-        return _canonical_key(self.n, self.adj)
+        memo = self.memo
+        key = memo.get("key")
+        if key is None:
+            out = bytearray([self.n])
+            records = self.components().records
+            for size, enc in sorted((len(r.members), r.encoding) for r in records):
+                out.append(size)
+                out += enc
+            key = memo["key"] = bytes(out)
+        return key
 
 
 # --- traceability -----------------------------------------------------------
@@ -282,9 +376,12 @@ def hamiltonian_path(g: Graph, members: Sequence[int]) -> Optional[tuple[int, ..
 # independent inside) never branch: any order of such a cell gives the same
 # encoding, so cliques, independent sets and star leaves cost nothing.
 #
-# Encodings are memoised per component, keyed by the component's adjacency
-# relabelled to 0..s-1 in vertex order. A move touches at most two
-# components, so the other components of a child position are memo hits.
+# Each component's encoding is kept on its record (`Component`), and the
+# search behind it is memoised by the relabelled adjacency that the record
+# carries. A move touches at most two components, so a child position
+# derived from its parent's records (`ComponentView.plus_edge`) shares every
+# other record, encoding included, and only the merged or grown one needs a
+# search. The key is then kept on the graph.
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
@@ -365,19 +462,6 @@ def _canon_component(adj: tuple[int, ...]) -> bytes:
     assert best is not None
     nbytes = (s * (s - 1) // 2 + 7) // 8
     return best.to_bytes(nbytes, "big")
-
-
-def _canonical_key(n: int, adj: tuple[int, ...]) -> bytes:
-    encs: list[tuple[int, bytes]] = []
-    for comp in _component_masks(adj):
-        verts = list(bits(comp))
-        encs.append((len(verts), _canon_component(tuple(_local_adj(adj, verts)))))
-    encs.sort()
-    out = bytearray([n])
-    for size, enc in encs:
-        out.append(size)
-        out += enc
-    return bytes(out)
 
 
 # --- graph6 and edge-text I/O -----------------------------------------------

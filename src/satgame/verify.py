@@ -32,7 +32,7 @@ from .families import (
     TreeFamily,
     family_name,
     is_free,
-    legal_moves,
+    is_saturated,
 )
 from .graph import Graph, everywhere_traceable, vertex_mask
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
@@ -114,7 +114,7 @@ def classifier_checks(
     for n in range(1, n_max + 1):
         for g in all_graphs(n):
             total += 1
-            saturated = is_free(g, family) and not legal_moves(g, family)
+            saturated = is_free(g, family) and is_saturated(g, family)
             if (classifier(g) is not None) != saturated:
                 mismatches += 1
     return [

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from satgame.analysis import all_graphs
 from satgame.engine import GameState, Player, is_terminal
+from satgame import families
 from satgame.families import (
     ExplicitFamily,
     PathFamily,
@@ -15,6 +16,7 @@ from satgame.families import (
     creates_forbidden,
     family_name,
     is_free,
+    is_saturated,
     legal_moves,
     parse_family,
 )
@@ -316,3 +318,95 @@ class TestLegalMovesAgainstOracle:
         moves.clear()
         moves.append((0, 0))
         assert legal_moves(g, family) == expected
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_freeness_oracle(self, family, data):
+        g = data.draw(free_graphs(family))
+        assert is_saturated(g, family) == (not oracle_moves(g, family))
+
+    def test_explicit_family_stops_at_the_first_legal_edge(self, monkeypatch):
+        calls = []
+        real = families._explicit_creates
+
+        def counted(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(families, "_explicit_creates", counted)
+        assert not is_saturated(Graph.empty(6), parse_family("List:Cl"))
+        assert calls == [(0, 1)]
+
+
+# the families of the legality properties, plus the 4-cycle alone
+DERIVATION_FAMILIES = PROPERTY_FAMILIES + [parse_family("List:Cl")]
+
+
+def assert_same_as_parentless(child, family, other):
+    """`child`, whose facts may be derived from its parent's records, agrees
+    with the same graph built without a parent."""
+    fresh = Graph(child.n, child.adj, child.m)
+    cv, fv = child.components(), fresh.components()
+    assert (cv.members, cv.masks, cv.mask_of) == (fv.members, fv.masks, fv.mask_of)
+    assert child.canonical_key() == fresh.canonical_key()
+    for fam in (family, other):
+        assert families._legal_table(child, fam) == families._legal_table(fresh, fam)
+    assert legal_moves(child, family) == legal_moves(fresh, family)
+
+
+class TestDerivedChildren:
+    """`add_edge` hands a child its parent's component records when the
+    parent's components are known; the child must not be told apart from a
+    graph built from scratch."""
+
+    @pytest.mark.parametrize("family", DERIVATION_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_games_match_parentless_graphs(self, family, data):
+        other = data.draw(st.sampled_from(DERIVATION_FAMILIES), label="other")
+        g = Graph.empty(data.draw(st.integers(2, 10), label="n"))
+        while True:
+            # legality read off a copy, so that g's own components are
+            # known only when `warm` says so; a warm g derived its own
+            # from its parent's
+            moves = legal_moves(Graph(g.n, g.adj, g.m), family)
+            if not moves:
+                break
+            warm = data.draw(st.booleans(), label="warm")
+            if warm:
+                g.components()
+            else:
+                g = Graph(g.n, g.adj, g.m)
+            child = g.add_edge(*data.draw(st.sampled_from(moves), label="move"))
+            assert ("parent" in child.memo) == warm
+            assert_same_as_parentless(child, family, other)
+            g = child
+
+    @pytest.mark.parametrize("family", DERIVATION_FAMILIES, ids=family_name)
+    @pytest.mark.parametrize("warm", [True, False], ids=["parent-known", "parent-unknown"])
+    @pytest.mark.parametrize("edge", [(2, 3), (5, 6), (0, 2), (3, 5)],
+                             ids=["merging", "merging-isolated", "inner", "inner-far"])
+    def test_each_kind_of_edge(self, family, warm, edge):
+        # components {0,1,2}, {3,4,5}, {6} and {7}
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        if warm:
+            g.components()
+        child = g.add_edge(*edge)
+        assert ("parent" in child.memo) == warm
+        assert_same_as_parentless(child, family, PathFamily(4))
+        # the child's components are known now, derived or built from scratch
+        grandchild = child.add_edge(6, 7)
+        assert "parent" in grandchild.memo
+        assert_same_as_parentless(grandchild, family, TreeFamily(5))
+
+    def test_untouched_records_are_shared(self):
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        parent = g.components().records
+        for edge, touched in (((2, 3), {0, 1}), ((0, 2), {0}), ((6, 7), {2, 3})):
+            child = g.add_edge(*edge).components().records
+            kept = [rec for i, rec in enumerate(parent) if i not in touched]
+            assert all(any(rec is new for new in child) for rec in kept)
+            assert not any(parent[i] is new for i in touched for new in child)

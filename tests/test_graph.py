@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -185,8 +187,9 @@ class TestCanonicalKey:
     def test_keys_do_not_depend_on_call_order(self):
         rng = random.Random(777)
         corpus = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]
-        corpus += [g.add_edge(*rng.choice(g.absent_edges()))
-                   for g in corpus[:150] if g.absent_edges()]
+        moves = [(i, rng.choice(g.absent_edges())) for i, g in enumerate(corpus[:150])
+                 if g.absent_edges()]
+        corpus += [corpus[i].add_edge(*e) for i, e in moves]
         runs = []
         for seed in (1, 2):
             order = list(range(len(corpus)))
@@ -195,6 +198,41 @@ class TestCanonicalKey:
             keys = {i: corpus[i].canonical_key() for i in order}
             runs.append([keys[i] for i in range(len(corpus))])
         assert runs[0] == runs[1]
+        # children derived from their parents' component records, keyed
+        # before or after their parents, key as the graphs built from scratch
+        for children_first in (True, False):
+            graph._canon_component.cache_clear()
+            parents = [Graph(corpus[i].n, corpus[i].adj, corpus[i].m) for i, _ in moves]
+            for p in parents:
+                p.components()
+            children = [p.add_edge(*e) for p, (_, e) in zip(parents, moves)]
+            if children_first:
+                child_keys = [c.canonical_key() for c in children]
+                parent_keys = [p.canonical_key() for p in parents]
+            else:
+                parent_keys = [p.canonical_key() for p in parents]
+                child_keys = [c.canonical_key() for c in children]
+            assert parent_keys == [runs[0][i] for i, _ in moves]
+            assert child_keys == runs[0][300:]
+
+    def test_derived_child_keeps_no_ancestor_alive(self):
+        parent = Graph.from_edges(6, [(0, 1), (2, 3)])
+        view = parent.components()
+        child = parent.add_edge(1, 2)
+        parent_ref, view_ref = weakref.ref(parent), weakref.ref(view)
+        del parent, view
+        gc.collect()
+        assert parent_ref() is None
+        assert view_ref() is not None  # the child's link, until it derives
+        assert child.components().members == ((0, 1, 2, 3), (4,), (5,))
+        gc.collect()
+        assert view_ref() is None
+        grandchild = child.add_edge(4, 5)
+        grandchild.canonical_key()
+        child_ref = weakref.ref(child)
+        del child
+        gc.collect()
+        assert child_ref() is None
 
     def test_golden_key_bytes_up_to_six_vertices(self):
         # pins the byte format that solver cache files rely on
