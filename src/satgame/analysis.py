@@ -2,10 +2,11 @@
 and per-game trace statistics.
 
 Free graphs are enumerated by vertex augmentation: each free graph on n-1
-vertices gains a vertex w whose free neighbourhoods a depth-first search grows
-one legal edge at a time with `creates_forbidden`, so only free graphs are
-built and canonicalised. `families.is_free` is not used here; it stays the
-independent oracle that the tests and `verify` check this enumeration with.
+vertices gains a vertex w whose free neighbourhoods, one per twin class, a
+depth-first search grows one legal edge at a time with `creates_forbidden`, so
+only free graphs are built and canonicalised. `families.is_free` is not used
+here; it stays the independent oracle that the tests and `verify` check this
+enumeration with.
 
 All bound arithmetic is exact rational; verdicts never go through floats.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .engine import GameRecord, Player, Variant
 from .families import (
@@ -27,7 +28,7 @@ from .families import (
     creates_forbidden,
     is_saturated,
 )
-from .graph import Graph
+from .graph import Graph, least_twins, vertex_mask
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
 
 
@@ -112,62 +113,70 @@ def _check_n(name: str, n: int, cap: int) -> None:
         raise ValueError(f"{name} capped at n <= {cap}")
 
 
-def _with_vertex(g: Graph, subset: int) -> Graph:
-    """g plus a new vertex g.n whose neighbourhood is the bitset `subset`."""
-    adj = [a | ((subset >> v & 1) << g.n) for v, a in enumerate(g.adj)]
-    adj.append(subset)
-    return Graph(g.n + 1, tuple(adj), g.m + subset.bit_count())
-
-
-def _augment(
-    smaller: tuple[Graph, ...], extensions: Callable[[Graph], Iterable[Graph]]
-) -> tuple[Graph, ...]:
-    """One vertex more on each graph of `smaller`, up to isomorphism.
-
-    `extensions(g)` yields the graphs g + w in increasing order of w's
-    neighbourhood as an integer; the first graph met in each class is its
-    representative, and the classes come out sorted by canonical key.
-    """
-    seen: dict[bytes, Graph] = {}
-    for g in smaller:
-        for h in extensions(g):
-            seen.setdefault(h.canonical_key(), h)
-    return tuple(g for _, g in sorted(seen.items()))
-
-
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """Every graph on n vertices up to isomorphism (vertex augmentation with
-    canonical deduplication), sorted by canonical key."""
-    _check_n("all_graphs", n, ALL_GRAPHS_CAP)
-    if n == 1:
-        return (Graph.empty(1),)
-    return _augment(
-        all_graphs(n - 1), lambda g: (_with_vertex(g, s) for s in range(1 << g.n))
-    )
-
-
-def _free_extensions(g: Graph, family: ForbiddenFamily) -> list[Graph]:
-    """Every free g + w, where g is free and w = g.n is a new vertex, in
-    increasing order of w's neighbourhood as an integer.
+def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
+    """g + w, where w = g.n is a new vertex, for one neighbourhood of w per
+    twin class of g, in increasing order of the neighbourhood as an integer.
+    With `family` given, g is free and only free g + w are made.
 
     g + w with w isolated is free, as every forbidden graph is connected and
     has an edge. A depth-first search then adds edges v-w in increasing order
     of v while `creates_forbidden` allows them. Freeness survives deleting
     edges, so each free neighbourhood is reached once, through its members in
     increasing order, and each other one is cut at its first illegal edge.
+
+    v joins the neighbourhood only when the members of its twin class
+    (`least_twins`) below v are in it already, so that within each class the
+    neighbourhood is a prefix. Swapping twins of g maps g + w onto an
+    isomorphic graph, and a neighbourhood that is no prefix has a smaller
+    one of the same class, so the graph `_augment` keeps of each class is
+    still made.
+
+    g + w takes g's components and a singleton, and each child derives its
+    own from its parent's, so only the components that meet w are rebuilt.
     """
     w = g.n
+    least = least_twins(g)
+    below = [vertex_mask(u for u in range(v) if least[u] == t) for v, t in enumerate(least)]
     found: dict[int, Graph] = {}
 
     def grow(h: Graph, subset: int, start: int) -> None:
         found[subset] = h
+        h.components()  # for the children to derive theirs from
         for v in range(start, w):
-            if not creates_forbidden(h, family, (v, w)):
+            if below[v] & ~subset == 0 and (
+                family is None or not creates_forbidden(h, family, (v, w))
+            ):
                 grow(h.add_edge(v, w), subset | 1 << v, v + 1)
 
-    grow(_with_vertex(g, 0), 0, 0)
+    grow(g.add_vertex(), 0, 0)
     return [found[s] for s in sorted(found)]
+
+
+def _augment(
+    smaller: tuple[Graph, ...], family: Optional[ForbiddenFamily]
+) -> tuple[Graph, ...]:
+    """One vertex more on each graph of `smaller`, up to isomorphism: the
+    free graphs for `family`, or all graphs when it is None.
+
+    The first graph that `_extensions` makes in each class is its
+    representative, and the classes come out sorted by canonical key.
+    """
+    seen: dict[bytes, Graph] = {}
+    for g in smaller:
+        for h in _extensions(g, family):
+            seen.setdefault(h.canonical_key(), h)
+    return tuple(g for _, g in sorted(seen.items()))
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> tuple[Graph, ...]:
+    """Every graph on n vertices up to isomorphism (vertex augmentation by
+    one neighbourhood per twin class, with canonical deduplication), sorted
+    by canonical key."""
+    _check_n("all_graphs", n, ALL_GRAPHS_CAP)
+    if n == 1:
+        return (Graph.empty(1),)
+    return _augment(all_graphs(n - 1), None)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +191,7 @@ def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     _check_n("free_graphs", n, SATURATED_CAP)
     if n == 1:
         return (Graph.empty(1),)
-    return _augment(free_graphs(n - 1, family), lambda g: _free_extensions(g, family))
+    return _augment(free_graphs(n - 1, family), family)
 
 
 def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:

@@ -280,6 +280,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:  # bad strategy names, suite names, sizes
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
+    except OSError as exc:  # an output that cannot be written, such as a bad --out path
+        target = exc.filename or args.out or "standard output"
+        sys.stderr.write(f"cannot write {target}: {exc.strerror}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -146,6 +146,13 @@ class ComponentView:
             tuple(new_mask_of),
         )
 
+    def plus_vertex(self) -> "ComponentView":
+        """The components once an isolated vertex w = len(mask_of) is added:
+        these records and w's singleton, which sorts last."""
+        w = len(self.mask_of)
+        return ComponentView(self.records + (_SINGLETONS[w],), self.members + ((w,),),
+                             self.masks + (1 << w,), self.mask_of + (1 << w,))
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -200,6 +207,15 @@ class Graph:
         memo = self.__dict__.get("memo")
         if memo is not None and "components" in memo:  # the child's are derived from these
             child.__dict__["memo"] = {"parent": (memo["components"], u, v)}
+        return child
+
+    def add_vertex(self) -> "Graph":
+        """This graph plus an isolated vertex n, whose components are this
+        graph's records and n's singleton."""
+        if self.n == MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
+        child = Graph(self.n + 1, self.adj + (0,), self.m)
+        child.memo["components"] = self.components().plus_vertex()
         return child
 
     def degree(self, v: int) -> int:
@@ -277,6 +293,25 @@ class Graph:
                 out += enc
             key = memo["key"] = bytes(out)
         return key
+
+
+def least_twins(g: Graph) -> tuple[int, ...]:
+    """The least twin of each vertex.
+
+    Twins are vertices with the same open, or the same closed,
+    neighbourhood; an automorphism of g may permute each twin class freely.
+    A vertex with an open twin has no other closed twin, so the classes
+    never overlap.
+    """
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    least = []
+    for v, nbrs in enumerate(g.adj):
+        twin = first_open.setdefault(nbrs, v)
+        if twin == v:
+            twin = first_closed.setdefault(nbrs | 1 << v, v)
+        least.append(twin)
+    return tuple(least)
 
 
 # --- traceability -----------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 from .analysis import window
 from .engine import PASS, Action, GameState, Player, Variant
 from .families import ForbiddenFamily, Move, family_name, legal_moves, max_saturated_edges
-from .graph import Graph
+from .graph import Graph, least_twins
 
 
 class CapExceeded(RuntimeError):
@@ -67,19 +67,11 @@ DEFAULT_N_CAP = 10
 def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
     """The first of each set of twin-equivalent moves, in the given order.
 
-    Twins (vertices with the same open, or the same closed, neighbourhood)
-    may be permuted freely within their class by an automorphism, so two
-    edges whose endpoints map to the same pair of least twins give
-    isomorphic children.
+    Twins may be permuted freely within their class by an automorphism
+    (`graph.least_twins`), so two edges whose endpoints map to the same
+    pair of least twins give isomorphic children.
     """
-    first_open: dict[int, int] = {}
-    first_closed: dict[int, int] = {}
-    least = []
-    for v, nbrs in enumerate(g.adj):
-        twin = first_open.setdefault(nbrs, v)
-        if twin == v:
-            twin = first_closed.setdefault(nbrs | 1 << v, v)
-        least.append(twin)
+    least = least_twins(g)
     seen = set()
     kept = []
     for u, v in moves:

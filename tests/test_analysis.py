@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from satgame.analysis import (
+    _extensions,
     all_graphs,
     bound,
     classify_p4_saturated,
@@ -122,6 +123,12 @@ class TestEnumeration:
             saturated_graphs(n, PathFamily(5))
 
 
+def with_vertex(g, subset):
+    """g plus a vertex g.n whose neighbourhood is the bitset `subset`."""
+    adj = tuple(a | (subset >> v & 1) << g.n for v, a in enumerate(g.adj)) + (subset,)
+    return Graph(g.n + 1, adj, g.m + subset.bit_count())
+
+
 ORACLE_FAMILIES = [
     "P3", "P4", "P5", "P6", "Trees:3", "Trees:4", "Trees:5",
     "Star:2", "Star:3", "Star:4", "List:Cl", "List:Bw,Cl",
@@ -136,6 +143,31 @@ class TestFreeGraphs:
             got = [g.canonical_key() for g in free_graphs(n, family)]
             want = [g.canonical_key() for g in all_graphs(n) if is_free(g, family)]
             assert got == want, (spec, n)
+
+    @pytest.mark.parametrize("spec", [*ORACLE_FAMILIES, None])
+    def test_extensions_match_every_free_neighbourhood(self, spec):
+        # one neighbourhood per twin class against all 2^n neighbourhoods
+        # filtered by whole-graph is_free (every one when spec is None): the
+        # same classes, and the same first graph met in each
+        family = parse_family(spec) if spec else None
+        for n in range(1, 7):
+            for g in free_graphs(n, family) if family else all_graphs(n):
+                want: dict = {}
+                for h in (with_vertex(g, s) for s in range(1 << n)):
+                    if family is None or is_free(h, family):
+                        want.setdefault(h.canonical_key(), h)
+                got: dict = {}
+                for h in _extensions(g, family):
+                    got.setdefault(h.canonical_key(), h)
+                assert got == want, (spec, to_graph6(g))
+
+    @pytest.mark.parametrize("spec, n, candidates", [("List:Cl", 8, 3264), ("P5", 9, 1415)])
+    def test_pinned_candidate_counts(self, spec, n, candidates):
+        # the graphs canonicalised on the way to n vertices: a lost prune
+        # fails here, not only in a timing
+        family = parse_family(spec)
+        made = sum(len(_extensions(g, family)) for m in range(1, n) for g in free_graphs(m, family))
+        assert made == candidates
 
     def test_golden_representatives(self):
         # graph6 of every free and saturated representative: the same graph

@@ -232,3 +232,18 @@ class TestOutputFiles:
                         "--variant", "pass", "--first", "P")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["lower"] == "3" and rows[0]["holds"] == "true"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "P4", "--n", "4"],
+        ["play", "--family", "P4", "--n", "4", "--prolonger", "p-p4", "--shortener", "s-p4"],
+        ["sweep", "--family", "P4", "--n", "4", "--prolonger", "p-p4", "--shortener", "s-p4"],
+        ["verify", "--suite", "algebra", "--games", "5"],
+        ["enumerate", "--family", "P5", "--n", "4"],
+    ])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "out.txt"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and str(out) in err
+        assert not out.exists()

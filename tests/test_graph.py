@@ -16,6 +16,7 @@ from satgame.graph import (
     from_edge_text,
     from_graph6,
     hamiltonian_path,
+    least_twins,
     to_edge_text,
     to_graph6,
 )
@@ -151,6 +152,21 @@ class TestComponents:
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         assert g.components().members == ((0, 1, 2, 3),)
 
+    @given(graphs(max_n=8))
+    @settings(max_examples=80, deadline=None)
+    def test_add_vertex_derives_the_components_found_from_scratch(self, g):
+        child = g.add_vertex()
+        fresh = Graph(g.n + 1, g.adj + (0,), g.m)
+        assert child == fresh
+        got, want = child.components(), fresh.components()
+        assert (got.members, got.masks, got.mask_of) == (want.members, want.masks, want.mask_of)
+        assert [r.local for r in got.records] == [r.local for r in want.records]
+        assert child.canonical_key() == fresh.canonical_key()
+
+    def test_add_vertex_bound(self):
+        with pytest.raises(ValueError):
+            Graph.empty(64).add_vertex()
+
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=80, deadline=None)
     def test_add_edge_merges_at_most_two(self, g, data):
@@ -161,6 +177,21 @@ class TestComponents:
         before = len(g.components())
         after = len(g.add_edge(u, v).components())
         assert after in (before, before - 1)
+
+
+class TestTwins:
+    @given(graphs(max_n=8), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_swapping_two_twins_is_an_automorphism(self, g, data):
+        least = least_twins(g)
+        for v in range(g.n):  # the least vertex with v's open or closed neighbourhood
+            assert least[v] == min(u for u in range(g.n) if g.adj[u] == g.adj[v]
+                                   or g.adj[u] | 1 << u == g.adj[v] | 1 << v)
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.sampled_from([x for x in range(g.n) if least[x] == least[u]]))
+        perm = list(range(g.n))
+        perm[u], perm[v] = v, u
+        assert g.relabel(perm) == g
 
 
 class TestCanonicalKey:
