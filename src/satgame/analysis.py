@@ -44,7 +44,7 @@ class SaturatedClass:
 
 
 def component_labels(g: Graph) -> tuple[ComponentLabel, ...]:
-    return tuple(label_component(g, ms) for ms in g.components().members)
+    return tuple(label_component(rec) for rec in g.components().records)
 
 
 def classify_p4_saturated(g: Graph) -> Optional[SaturatedClass]:

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .analysis import component_labels, saturated_graphs, window
 from .engine import Player, Variant, play
@@ -49,6 +49,21 @@ def _n_range(text: str) -> list[int]:
         )
 
 
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse type for a cap: a `kind` number above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if not value > 0:
+                raise ValueError
+            return value
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad cap {text!r}; want {kind.__name__} > 0")
+
+    return parse
+
+
 def _first(text: str) -> Player:
     try:
         return Player(text)
@@ -63,6 +78,15 @@ def _variant(text: str) -> Variant:
         raise argparse.ArgumentTypeError("variant must be standard or pass")
 
 
+def _write(text: str, out: Optional[str]) -> None:
+    """Write `text` to the file `out`, or to standard output without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) -> None:
     buf = io.StringIO()
     if fmt == "csv":
@@ -73,12 +97,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) ->
         for row in rows:
             buf.write(json.dumps({c: row.get(c) for c in columns}, sort_keys=True))
             buf.write("\n")
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -141,12 +160,7 @@ def cmd_play(args: argparse.Namespace) -> int:
         sys.stderr.write(f"state: {to_graph6(exc.state.graph)} "
                          f"({exc.state.to_move.value} to move), action: {exc.action}\n")
         return EXIT_FAIL
-    line = record.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(line + "\n")
-    else:
-        sys.stdout.write(line + "\n")
+    _write(record.to_json() + "\n", args.out)
     sys.stdout.write(f"score {record.score}\n")
     return EXIT_OK
 
@@ -189,8 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = run_suites(names, n_max=args.n_max, games=args.games, seed=args.seed)
     text = render_report(checks)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(text, args.out)
     sys.stdout.write(text)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_FAIL
 
@@ -205,12 +218,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         f"{to_graph6(g)}\t{'+'.join(lab.display() for lab in component_labels(g))}"
         for g in graphs
     ]
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK
 
 
@@ -238,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exact scores with matching score windows")
     add(p_solve, "--family", "--n", "--variant", "--first", "--out", "--format")
-    p_solve.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP)
-    p_solve.add_argument("--node-cap", type=int, default=None)
-    p_solve.add_argument("--time-cap", type=float, default=None)
+    p_solve.add_argument("--n-cap", type=_positive(int), default=DEFAULT_N_CAP)
+    p_solve.add_argument("--node-cap", type=_positive(int), default=None)
+    p_solve.add_argument("--time-cap", type=_positive(float), default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_play = sub.add_parser("play", help="one game between named strategies")

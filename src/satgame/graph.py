@@ -41,17 +41,19 @@ class Component:
     `members` lists its vertices in increasing order and `local[i]` is the
     neighbourhood of members[i] with members[j] as bit j. The rest is
     derived from (mask, local) on first use: `encoding`, the canonical form,
-    and `paths[k]`, the P_k legality rows that `families` keeps in global
-    bits (None until some k is asked for). A record is never changed once
-    built, only filled in.
+    `shape`, the label that `shapes.label_component` keeps here, and
+    `paths[k]`, the P_k legality rows that `families` keeps in global bits
+    (`shape` and `paths` are None until asked for). A record is never
+    changed once built, only filled in.
     """
 
-    __slots__ = ("mask", "members", "local", "paths", "_encoding")
+    __slots__ = ("mask", "members", "local", "shape", "paths", "_encoding")
 
     def __init__(self, mask: int, members: tuple[int, ...], local: tuple[int, ...]):
         self.mask = mask
         self.members = members
         self.local = local
+        self.shape = None
         self.paths: Optional[dict[int, tuple]] = None
         self._encoding: Optional[bytes] = None
 
@@ -69,15 +71,14 @@ _SINGLETONS = tuple(Component(1 << v, (v,), (0,)) for v in range(MAX_VERTICES))
 class ComponentView:
     """Connected components of a Graph.
 
-    `records`, `members` and `masks` are aligned and sorted by least member;
+    `records` and `masks` are aligned and sorted by least member;
     `mask_of[v]` is the mask of v's component, so u and v share a component
     iff mask_of[u] == mask_of[v].
     """
 
-    def __init__(self, records: tuple[Component, ...], members: tuple[tuple[int, ...], ...],
-                 masks: tuple[int, ...], mask_of: tuple[int, ...]):
+    def __init__(self, records: tuple[Component, ...], masks: tuple[int, ...],
+                 mask_of: tuple[int, ...]):
         self.records = records
-        self.members = members
         self.masks = masks
         self.mask_of = mask_of
 
@@ -110,8 +111,7 @@ class ComponentView:
                 mask_of[w] = comp
             records.append(Component(comp, members, tuple(_local_adj(adj, members))))
             unseen &= ~comp
-        return ComponentView(tuple(records), tuple(r.members for r in records),
-                             tuple(r.mask for r in records), tuple(mask_of))
+        return ComponentView(tuple(records), tuple(r.mask for r in records), tuple(mask_of))
 
     def plus_edge(self, adj: Sequence[int], u: int, v: int) -> "ComponentView":
         """The components once uv is added, where `adj` already holds uv.
@@ -119,7 +119,7 @@ class ComponentView:
         Every record but the one that gains uv is reused: a joining edge
         builds the merged record, an inner edge the grown one.
         """
-        records, members, masks, mask_of = self.records, self.members, self.masks, self.mask_of
+        records, masks, mask_of = self.records, self.masks, self.mask_of
         a, b = mask_of[u], mask_of[v]
         i = masks.index(a)
         if a == b:
@@ -129,19 +129,18 @@ class ComponentView:
             local[x] |= 1 << y
             local[y] |= 1 << x
             grown = Component(a, rec.members, tuple(local))
-            return ComponentView(records[:i] + (grown,) + records[i + 1:], members, masks, mask_of)
+            return ComponentView(records[:i] + (grown,) + records[i + 1:], masks, mask_of)
         j = masks.index(b)
         if j < i:
             i, j = j, i
         comp = a | b
-        joined = tuple(sorted(members[i] + members[j]))
+        joined = tuple(sorted(records[i].members + records[j].members))
         merged = Component(comp, joined, tuple(_local_adj(adj, joined)))
         new_mask_of = list(mask_of)
         for w in joined:
             new_mask_of[w] = comp
         return ComponentView(
             records[:i] + (merged,) + records[i + 1:j] + records[j + 1:],
-            members[:i] + (joined,) + members[i + 1:j] + members[j + 1:],
             masks[:i] + (comp,) + masks[i + 1:j] + masks[j + 1:],
             tuple(new_mask_of),
         )
@@ -150,8 +149,8 @@ class ComponentView:
         """The components once an isolated vertex w = len(mask_of) is added:
         these records and w's singleton, which sorts last."""
         w = len(self.mask_of)
-        return ComponentView(self.records + (_SINGLETONS[w],), self.members + ((w,),),
-                             self.masks + (1 << w,), self.mask_of + (1 << w,))
+        return ComponentView(self.records + (_SINGLETONS[w],), self.masks + (1 << w,),
+                             self.mask_of + (1 << w,))
 
 
 @dataclass(frozen=True)
@@ -275,12 +274,6 @@ class Graph:
                 adj[perm[v]] |= 1 << perm[w]
         return Graph(self.n, tuple(adj), self.m)
 
-    def is_clique_mask(self, mask: int) -> bool:
-        for v in bits(mask):
-            if self.adj[v] & mask != mask ^ (1 << v):
-                return False
-        return True
-
     def canonical_key(self) -> bytes:
         """Isomorphism-invariant key: equal keys iff the graphs are isomorphic."""
         memo = self.memo
@@ -314,22 +307,6 @@ def least_twins(g: Graph) -> tuple[int, ...]:
     return tuple(least)
 
 
-# --- traceability -----------------------------------------------------------
-
-
-def _is_connected_within(g: Graph, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= g.adj[v] & mask
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 def _local_adj(adj: Sequence[int], verts: Sequence[int]) -> list[int]:
     """Adjacency induced on `verts`, relabelled so that verts[i] is vertex i."""
     local_bit = {v: 1 << i for i, v in enumerate(verts)}
@@ -342,18 +319,18 @@ def _local_adj(adj: Sequence[int], verts: Sequence[int]) -> list[int]:
     return local
 
 
-def _path_ends(g: Graph, verts: list[int]) -> tuple[list[int], list[int]]:
-    """Endpoint DP over the subsets of `verts` (sorted), in local indices.
+# --- traceability -----------------------------------------------------------
 
-    Returns the local adjacency and `ends`, where bit i of `ends[sub]` is set
-    iff some path through exactly the vertices of `sub` ends at vertex i. A
-    path reversed is a path, so the same bit says one starts there.
+
+def _path_ends(local: Sequence[int]) -> list[int]:
+    """Endpoint DP over the vertex subsets of a component with adjacency
+    `local` on 0..s-1: bit i of `ends[sub]` is set iff some path through
+    exactly the vertices of `sub` ends at vertex i. A path reversed is a
+    path, so the same bit says one starts there.
     """
-    s = len(verts)
-    local = _local_adj(g.adj, verts)
-    full = (1 << s) - 1
+    full = (1 << len(local)) - 1
     ends = [0] * (full + 1)
-    for i in range(s):
+    for i in range(len(local)):
         ends[1 << i] = 1 << i
     for sub in range(1, full + 1):
         endset = ends[sub]
@@ -362,31 +339,27 @@ def _path_ends(g: Graph, verts: list[int]) -> tuple[list[int], list[int]]:
         for e in bits(endset):
             for nb in bits(local[e] & ~sub):
                 ends[sub | (1 << nb)] |= 1 << nb
-    return local, ends
+    return ends
 
 
-def everywhere_traceable(g: Graph, members: Sequence[int]) -> bool:
+def everywhere_traceable(rec: Component) -> bool:
     """True iff every vertex of the component starts a Hamiltonian path of it."""
-
-    if not _is_connected_within(g, vertex_mask(members)):
-        raise ValueError("vertex set is not a connected component")
-    if len(members) <= 2:
+    if len(rec.members) <= 2:
         return True
-    _, ends = _path_ends(g, sorted(members))
+    ends = _path_ends(rec.local)
     full = len(ends) - 1
     return ends[full] == full
 
 
-def hamiltonian_path(g: Graph, members: Sequence[int]) -> Optional[tuple[int, ...]]:
+def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
     """Lexicographically least Hamiltonian path of the component, or None.
 
     Walks greedily from the least possible start to the least next vertex
     that still starts a Hamiltonian path of the unvisited vertices, so the
     walk never needs to back up.
     """
-
-    verts = sorted(members)
-    local, ends = _path_ends(g, verts)
+    local = rec.local
+    ends = _path_ends(local)
     rest = len(ends) - 1  # unvisited vertices
     step = rest  # candidates for the next vertex
     path = []
@@ -395,7 +368,7 @@ def hamiltonian_path(g: Graph, members: Sequence[int]) -> Optional[tuple[int, ..
         if not choice:
             return None
         i = (choice & -choice).bit_length() - 1
-        path.append(verts[i])
+        path.append(rec.members[i])
         rest ^= 1 << i
         step = local[i]
     return tuple(path)

@@ -3,14 +3,18 @@
 Shapes: cliques K_j (K_1, K_2, K_3 = triangle, ...), stars K_{1,m}, triangles
 with j pendant edges at one vertex (T_j), and double stars D_{k,l} (a central
 edge with k pendants on one end and l on the other).
+
+Every question is asked of a component's record (`graph.Component`), which
+is connected by construction. A connected graph's shape among these is fixed
+by its degrees, and its label is kept on the record, so a child position
+labels only the component that its move grew or merged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .graph import Graph, bits, vertex_mask
+from .graph import Component, bits
 
 
 @dataclass(frozen=True)
@@ -36,60 +40,45 @@ CLIQUE2 = ComponentLabel("clique", 2)
 TRIANGLE = ComponentLabel("clique", 3)
 
 
-def has_triangle(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        av = g.adj[v] & mask
-        for w in bits(av):
-            if w > v and g.adj[w] & av:
-                return True
-    return False
+def has_triangle(rec: Component) -> bool:
+    local = rec.local
+    return any(local[v] & local[w] for v, nbrs in enumerate(local) for w in bits(nbrs >> v << v))
 
 
-def label_component(g: Graph, members: Sequence[int]) -> ComponentLabel:
-    ms = sorted(members)
-    s = len(ms)
-    mask = vertex_mask(ms)
-    degs = {v: (g.adj[v] & mask).bit_count() for v in ms}
-    inner_edges = sum(degs.values()) // 2
-    if inner_edges == s * (s - 1) // 2:
+def label_component(rec: Component) -> ComponentLabel:
+    """The component's shape, computed on first use and kept on its record."""
+    if rec.shape is None:
+        rec.shape = _shape([nbrs.bit_count() for nbrs in rec.local])
+    return rec.shape
+
+
+def _shape(degs: list[int]) -> ComponentLabel:
+    """The shape of a connected graph with these degrees."""
+    s = len(degs)
+    if sum(degs) == s * (s - 1):
         return ComponentLabel("clique", s)
-    # star K_{1,m}: one centre of degree s-1, the rest leaves
-    if inner_edges == s - 1:
-        centres = [v for v in ms if degs[v] == s - 1]
-        if centres and all(degs[v] == 1 for v in ms if v != centres[0]):
-            return ComponentLabel("star", s - 1)
-    # T_j: triangle plus j >= 1 pendants at a single triangle vertex
-    pend = [v for v in ms if degs[v] == 1]
-    core = [v for v in ms if degs[v] >= 2]
-    if len(core) == 3 and len(pend) == s - 3 and inner_edges == s:
-        hub = [v for v in core if degs[v] == s - 1]
-        if len(hub) == 1 and g.is_clique_mask(vertex_mask(core)):
-            if all(g.adj[p] & mask == 1 << hub[0] for p in pend):
-                return ComponentLabel("tpend", s - 3)
-    # D_{k,l}: adjacent centres x,y; every other vertex a pendant on one of them
-    if len(core) == 2 and inner_edges == s - 1:
-        x, y = core
-        if g.has_edge(x, y) and all(
-            g.adj[p] & mask in (1 << x, 1 << y) for p in pend
-        ):
-            k, l = degs[x] - 1, degs[y] - 1
-            if k > l:
-                k, l = l, k
-            return ComponentLabel("dstar", k, l)
+    # Each leaf hangs on a non-leaf, and the graph is connected: one non-leaf
+    # is a star's centre, two are adjacent centres, and of three, one that
+    # is adjacent to every vertex (the hub) leaves the other two adjacent.
+    core = sorted(d for d in degs if d >= 2)
+    if len(core) == 1:
+        return ComponentLabel("star", s - 1)
+    if len(core) == 2:
+        return ComponentLabel("dstar", core[0] - 1, core[1] - 1)
+    if len(core) == 3 and core[2] == s - 1:
+        return ComponentLabel("tpend", s - 3)
     return ComponentLabel("other")
 
 
-def star_centres(g: Graph, members: Sequence[int]) -> tuple[int, ...]:
+def star_centres(rec: Component) -> tuple[int, ...]:
     """Attachment points that grow the star component into a larger star.
 
     K_2 admits either endpoint; K_{1,m} (m >= 2) only its centre; anything
     else returns no centres.
     """
-    label = label_component(g, members)
+    label = label_component(rec)
     if label == CLIQUE2:
-        return tuple(sorted(members))
+        return rec.members
     if label.kind == "star":
-        mask = vertex_mask(members)
-        return tuple(v for v in members if (g.adj[v] & mask).bit_count() == len(members) - 1)
+        return tuple(v for v, nbrs in zip(rec.members, rec.local) if nbrs.bit_count() == label.a)
     return ()
-

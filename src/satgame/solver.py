@@ -115,7 +115,7 @@ class _Search:
         self.guess = math.floor(rep.upper) if rep else self.max_edges
         self.table = table
         self.node_cap = node_cap
-        self.deadline = time.monotonic() + time_cap if time_cap else None
+        self.deadline = None if time_cap is None else time.monotonic() + time_cap
         self.nodes = 0
         self.fixed, self.fixed_side = fixed, fixed_side
 
@@ -141,7 +141,7 @@ class _Search:
             self.nodes += 1
             if self.node_cap is not None and self.nodes > self.node_cap:
                 raise BudgetExceeded("nodes", f"node cap {self.node_cap} exceeded")
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded("time", "time cap exceeded")
         moves = legal_moves(g, self.family)
         if not moves:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .engine import PASS, Action, GameState, Player, Variant
 from .families import Move, TreeFamily, creates_forbidden, legal_moves
-from .graph import Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge, vertex_mask
+from .graph import Component, Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
 from .solver import best_action
 
@@ -59,9 +60,9 @@ def _decide_traceable(state: GameState) -> Action:
     cycle; otherwise pass (or play the least legal edge when passing is not
     available)."""
     g = state.graph
-    for ms in g.components().members:
-        if len(ms) > 2 and not everywhere_traceable(g, ms):
-            path = hamiltonian_path(g, ms)
+    for rec in g.components().records:
+        if len(rec.members) > 2 and not everywhere_traceable(rec):
+            path = hamiltonian_path(rec)
             if path is not None:
                 e = norm_edge(path[0], path[-1])
                 if not creates_forbidden(g, state.family, e):
@@ -82,11 +83,11 @@ class _View:
 
     def __init__(self, g: Graph):
         self.g = g
-        self.comps = [(ms, label_component(g, ms)) for ms in g.components().members]
-        self.iso = [ms[0] for ms, _ in self.comps if len(ms) == 1]
+        self.comps = [(rec, label_component(rec)) for rec in g.components().records]
+        self.iso = [rec.members[0] for rec, _ in self.comps if len(rec.members) == 1]
 
-    def shaped(self, label: ComponentLabel) -> list[tuple[int, ...]]:
-        return [ms for ms, lab in self.comps if lab == label]
+    def shaped(self, label: ComponentLabel) -> list[Component]:
+        return [rec for rec, lab in self.comps if lab == label]
 
     def deg(self, v: int) -> int:
         return self.g.adj[v].bit_count()
@@ -120,30 +121,30 @@ def _isolated_edge(v: _View) -> list[Move]:
 
 def _edge_to_vertex(v: _View) -> list[Move]:
     """Join an isolated edge to an isolated vertex."""
-    return [norm_edge(a, w) for ms in v.shaped(CLIQUE2) for a in ms for w in v.iso]
+    return [norm_edge(a, w) for rec in v.shaped(CLIQUE2) for a in rec.members for w in v.iso]
 
 
 def _join_edges(v: _View) -> list[Move]:
     """Join two isolated edges into a 4-path."""
     k2 = v.shaped(CLIQUE2)
-    return [norm_edge(a, b) for i, msa in enumerate(k2) for msb in k2[i + 1 :]
-            for a in msa for b in msb]
+    return [norm_edge(a, b) for i, ra in enumerate(k2) for rb in k2[i + 1 :]
+            for a in ra.members for b in rb.members]
 
 
 def _close_cherry(v: _View) -> list[Move]:
     """Close a 3-vertex path into a triangle."""
-    return [norm_edge(*v.leaves(ms)) for ms in v.shaped(_P3)]
+    return [norm_edge(*v.leaves(rec.members)) for rec in v.shaped(_P3)]
 
 
 def _grow_star(v: _View) -> list[Move]:
     """Attach an isolated vertex to a star's centre (either end of an edge)."""
-    return [norm_edge(c, w) for ms, lab in v.comps if lab.kind == "star" or lab == CLIQUE2
-            for c in star_centres(v.g, ms) for w in v.iso]
+    return [norm_edge(c, w) for rec, lab in v.comps if lab.kind == "star" or lab == CLIQUE2
+            for c in star_centres(rec) for w in v.iso]
 
 
 def _cherry_to_star(v: _View) -> list[Move]:
     """Grow a 3-vertex path into a 3-leaf star."""
-    return [norm_edge(c, w) for ms in v.shaped(_P3) for c in star_centres(v.g, ms) for w in v.iso]
+    return [norm_edge(c, w) for rec in v.shaped(_P3) for c in star_centres(rec) for w in v.iso]
 
 
 def _join_edges_when_no_spare(v: _View) -> list[Move]:
@@ -155,7 +156,8 @@ def _grow_four_to_five(v: _View) -> list[Move]:
     """Grow a 4-vertex component into a 5-vertex one: a 4-path at an inner
     vertex, a 3-leaf star at a leaf, a pendant triangle at its hub."""
     out = []
-    for ms, lab in v.comps:
+    for rec, lab in v.comps:
+        ms = rec.members
         if lab == ComponentLabel("dstar", 1, 1):  # 4-vertex path
             spots = [a for a in ms if v.deg(a) == 2]
         elif lab == ComponentLabel("star", 3):
@@ -172,12 +174,13 @@ def _attach_to_large(v: _View) -> list[Move]:
     """Attach the least isolated vertex to a component of at least 5 vertices."""
     if not v.iso:
         return []
-    return [norm_edge(a, v.iso[0]) for ms, _ in v.comps if len(ms) >= 5 for a in ms]
+    return [norm_edge(a, v.iso[0]) for rec, _ in v.comps if len(rec.members) >= 5
+            for a in rec.members]
 
 
 def _join_cherry_centres(v: _View) -> list[Move]:
     """Join two 3-vertex paths centre to centre."""
-    centres = [star_centres(v.g, ms)[0] for ms in v.shaped(_P3)]
+    centres = [star_centres(rec)[0] for rec in v.shaped(_P3)]
     return [norm_edge(a, b) for i, a in enumerate(centres) for b in centres[i + 1 :]]
 
 
@@ -186,7 +189,8 @@ def _close_dangerous(v: _View) -> list[Move]:
     D_{1,2} join the pendant of the degree-2 centre to the far centre; in a
     3-leaf star join two leaves."""
     out = []
-    for ms, lab in v.comps:
+    for rec, lab in v.comps:
+        ms = rec.members
         if lab == ComponentLabel("dstar", 1, 2):
             lone = next(a for a in ms
                         if v.deg(a) == 1 and v.deg(v.g.adj[a].bit_length() - 1) == 2)
@@ -201,10 +205,10 @@ def _close_dangerous(v: _View) -> list[Move]:
 def _complete_triangle(v: _View) -> list[Move]:
     """Complete a triangle inside a triangle-free component."""
     g, out = v.g, []
-    for ms, _ in v.comps:
-        mask = vertex_mask(ms)
-        if len(ms) >= 3 and not has_triangle(g, mask):
-            out += [(a, b) for a in ms for b in bits(~g.adj[a] & mask & ~((1 << (a + 1)) - 1))
+    for rec, _ in v.comps:
+        if len(rec.members) >= 3 and not has_triangle(rec):
+            out += [(a, b) for a in rec.members
+                    for b in bits(~g.adj[a] & rec.mask & ~((1 << (a + 1)) - 1))
                     if g.adj[a] & g.adj[b]]
     return out
 
@@ -219,19 +223,14 @@ def _decide_prolonger_trees(state: GameState) -> Action:
     if not isinstance(state.family, TreeFamily):
         raise ValueError("tree-game strategy requires a tree family")
     budget = state.family.k - 1
-    cv = g.components()
-    best: Optional[tuple[int, int, int]] = None  # (-total, id_a, id_b)
-    for i in range(len(cv.members)):
-        for j in range(i + 1, len(cv.members)):
-            total = len(cv.members[i]) + len(cv.members[j])
-            if total <= budget:
-                key = (-total, cv.members[i][0], cv.members[j][0])
-                if best is None or key < best:
-                    best = key
-                    pair = (i, j)
-    if best is not None:
-        i, j = pair
-        e = min(norm_edge(u, v) for u in cv.members[i] for v in cv.members[j])
+    # records sort by least member, so max() keeps the pair of the greatest
+    # total whose least members come first; its least edge joins those two
+    pairs = [(len(a.members) + len(b.members), a.members[0], b.members[0])
+             for a, b in combinations(g.components().records, 2)]
+    fitting = [p for p in pairs if p[0] <= budget]
+    if fitting:
+        _, u, v = max(fitting, key=lambda p: p[0])
+        e = (u, v)
         if not creates_forbidden(g, state.family, e):
             return Action(e)
     return _least_legal(state)
@@ -270,7 +269,7 @@ def _decide_random(seed: int, state: GameState) -> Action:
 def _decide_greedy(state: GameState, want_max: bool) -> Action:
     moves = _moves(state)
     cv = state.graph.components()
-    cur = max(len(ms) for ms in cv.members)
+    cur = max(mask.bit_count() for mask in cv.masks)
 
     def result_size(e: Move) -> int:
         mu, mv = cv.mask_of[e[0]], cv.mask_of[e[1]]

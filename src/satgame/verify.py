@@ -34,7 +34,7 @@ from .families import (
     is_free,
     is_saturated,
 )
-from .graph import Graph, everywhere_traceable, vertex_mask
+from .graph import Graph, everywhere_traceable
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
 from .solver import best_response, solve
 from .strategies import Strategy, make_strategy
@@ -77,6 +77,12 @@ def naive_value(g: Graph, mover: Player, family: ForbiddenFamily, variant: Varia
             best = max(best, naive_value(g, mover.other, family, variant))
         return best
     return min(1 + naive_value(h, mover.other, family, variant) for h in children)
+
+
+def _check_at_least(suite: str, name: str, value: int, least: int) -> None:
+    """Reject a size below the least one under which `suite` checks something."""
+    if value < least:
+        raise ValueError(f"{suite} needs {name} >= {least}, got {name}={value}")
 
 
 # --- suite: the 4-vertex path game ---------------------------------------------
@@ -169,6 +175,7 @@ def response_checks(k: int, n_max: int = 8) -> list[Check]:
 
 
 def suite_p4(n_max: int = 8) -> list[Check]:
+    _check_at_least("suite_p4", "n_max", n_max, 3)
     family = PathFamily(4)
     checks = solve_window_checks("p4", family, range(3, n_max + 1), time_limit=60.0)
     checks += anchor_checks()
@@ -178,6 +185,7 @@ def suite_p4(n_max: int = 8) -> list[Check]:
 
 
 def suite_p5(n_max: int = 8) -> list[Check]:
+    _check_at_least("suite_p5", "n_max", n_max, 4)
     family = PathFamily(5)
     checks = solve_window_checks("p5", family, range(4, n_max + 1), time_limit=300.0)
     checks += response_checks(5, n_max)
@@ -186,6 +194,7 @@ def suite_p5(n_max: int = 8) -> list[Check]:
 
 
 def suite_trees(n_max: int = 9) -> list[Check]:
+    _check_at_least("suite_trees", "n_max", n_max, 4)  # n = 3 is 1 mod k-1 for k = 3
     checks = []
     for k in (3, 4, 5):
         for n in range(k, n_max + 1):
@@ -295,7 +304,7 @@ def _untraceable(rec: GameRecord) -> int:
     """After each of the traceable player's actions, every component is
     everywhere traceable (pass variant)."""
     return sum(1 for g in _after_prolonger(rec)
-               if not all(everywhere_traceable(g, ms) for ms in g.components().members))
+               if not all(everywhere_traceable(comp) for comp in g.components().records))
 
 
 def _two_cherries(rec: GameRecord) -> int:
@@ -303,7 +312,7 @@ def _two_cherries(rec: GameRecord) -> int:
     each opposing move."""
     p3 = ComponentLabel("star", 2)
     return sum(1 for g in _after_prolonger(rec)
-               if sum(1 for ms in g.components().members if label_component(g, ms) == p3) > 1)
+               if sum(1 for comp in g.components().records if label_component(comp) == p3) > 1)
 
 
 def _fresh_vertex_excess(rec: GameRecord) -> int:
@@ -319,10 +328,9 @@ def _four_vertex_overflow(rec: GameRecord) -> int:
     component with at most one isolated edge, or none with at most two."""
     bad = 0
     for state in rec.replay():
-        g = state.graph
-        members = g.components().members
-        c4 = sum(1 for ms in members if len(ms) == 4)
-        k2 = sum(1 for ms in members if label_component(g, ms) == CLIQUE2)
+        records = state.graph.components().records
+        c4 = sum(1 for comp in records if len(comp.members) == 4)
+        k2 = sum(1 for comp in records if label_component(comp) == CLIQUE2)
         bad += not ((c4 <= 1 and k2 <= 1) or (c4 == 0 and k2 <= 2))
     return bad
 
@@ -330,10 +338,9 @@ def _four_vertex_overflow(rec: GameRecord) -> int:
 def _triangle_free_components(rec: GameRecord) -> int:
     """With the 5-path prolonger: at the end every component larger than an
     edge that is not a star contains a triangle."""
-    g = rec.terminal
-    return sum(1 for ms in g.components().members
-               if len(ms) > 2 and label_component(g, ms).kind != "star"
-               and not has_triangle(g, vertex_mask(ms)))
+    return sum(1 for comp in rec.terminal.components().records
+               if len(comp.members) > 2 and label_component(comp).kind != "star"
+               and not has_triangle(comp))
 
 
 def _low_min_degree(rec: GameRecord) -> int:
@@ -361,10 +368,8 @@ CLAIMS: tuple[tuple[str, GameSource, Callable[[GameRecord], int]], ...] = (
 
 def _check_fuzz_sizes(suite: str, games: int, n_max: int) -> None:
     """Reject sizes under which a fuzz suite would check nothing."""
-    if n_max < 4:
-        raise ValueError(f"{suite} needs n_max >= 4, got n_max={n_max}")
-    if games < 1:
-        raise ValueError(f"{suite} needs games >= 1, got games={games}")
+    _check_at_least(suite, "n_max", n_max, 4)
+    _check_at_least(suite, "games", games, 1)
 
 
 def suite_claims(games: int = 10000, n_max: int = 20, seed: int = 0) -> list[Check]:

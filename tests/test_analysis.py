@@ -23,7 +23,7 @@ from satgame.analysis import (
 )
 from satgame.engine import Player, Variant, play
 from satgame.families import PathFamily, StarFamily, TreeFamily, is_free, parse_family
-from satgame.graph import Graph, to_graph6
+from satgame.graph import Graph, bits, to_graph6
 from satgame.strategies import make_strategy
 
 
@@ -339,10 +339,10 @@ class TestTerminalStructure:
                        rng.choice((Player.PROLONGER, Player.SHORTENER)),
                        make_strategy("p-trees"), make_strategy(f"random:{rng.randint(0, 99)}"))
             cv = rec.terminal.components()
-            sizes = [len(ms) for ms in cv.members]
+            sizes = [len(comp.members) for comp in cv.records]
             assert all(s < k for s in sizes)
-            for ms, mask in zip(cv.members, cv.masks):
-                assert rec.terminal.is_clique_mask(mask)
+            for mask in cv.masks:
+                assert all(rec.terminal.adj[v] | 1 << v == mask for v in bits(mask))
             sizes.sort()
             if len(sizes) > 1:
                 assert sizes[0] + sizes[1] >= k

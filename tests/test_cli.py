@@ -59,6 +59,18 @@ class TestSolveCommand:
             main(["solve", "--family", "P4", "--n", "9..4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n-cap", "-1"), ("--n-cap", "0"), ("--node-cap", "-5"), ("--node-cap", "0"),
+        ("--time-cap", "-1"), ("--time-cap", "0"), ("--time-cap", "nan"),
+    ])
+    def test_caps_not_above_zero_are_usage_errors(self, capsys, option, value):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--family", "P4", "--n", "6", option, value])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        assert option in err_text.splitlines()[-1]
+
     @pytest.mark.parametrize("command", ["solve", "play", "sweep", "enumerate"])
     @pytest.mark.parametrize("n", ["0", "-3", "0..4"])
     def test_no_vertices_is_usage_error(self, capsys, command, n):
@@ -204,6 +216,10 @@ class TestVerifyCommand:
         (["--suite", "algebra", "--games", "-3"], "games"),
         (["--suite", "algebra", "--games", "0"], "games"),
         (["--suite", "claims", "--games", "0", "--n-max", "9"], "games"),
+        (["--suite", "trees", "--n-max", "-3"], "n_max"),
+        (["--suite", "trees", "--n-max", "3"], "n_max"),
+        (["--suite", "p4", "--n-max", "0"], "n_max"),
+        (["--suite", "p5", "--n-max", "3"], "n_max"),
     ])
     def test_fuzz_sizes_that_check_nothing_are_usage_errors(self, capsys, argv, option):
         code = main(["verify", *argv])

@@ -96,7 +96,7 @@ class TestConstruction:
 
     def test_single_vertex(self):
         g = Graph.empty(1)
-        assert g.components().members == ((0,),)
+        assert [r.members for r in g.components().records] == [(0,)]
 
     def test_bounds(self):
         Graph.empty(64)
@@ -145,12 +145,12 @@ class TestComponents:
     def test_two_components(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         cv = g.components()
-        assert cv.members == ((0, 1, 2), (3, 4))
+        assert [r.members for r in cv.records] == [(0, 1, 2), (3, 4)]
         assert cv.mask_of == (0b00111,) * 3 + (0b11000,) * 2
 
     def test_complete(self):
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        assert g.components().members == ((0, 1, 2, 3),)
+        assert [r.members for r in g.components().records] == [(0, 1, 2, 3)]
 
     @given(graphs(max_n=8))
     @settings(max_examples=80, deadline=None)
@@ -159,8 +159,9 @@ class TestComponents:
         fresh = Graph(g.n + 1, g.adj + (0,), g.m)
         assert child == fresh
         got, want = child.components(), fresh.components()
-        assert (got.members, got.masks, got.mask_of) == (want.members, want.masks, want.mask_of)
-        assert [r.local for r in got.records] == [r.local for r in want.records]
+        assert (got.masks, got.mask_of) == (want.masks, want.mask_of)
+        assert [(r.members, r.local) for r in got.records] == [
+            (r.members, r.local) for r in want.records]
         assert child.canonical_key() == fresh.canonical_key()
 
     def test_add_vertex_bound(self):
@@ -255,7 +256,7 @@ class TestCanonicalKey:
         gc.collect()
         assert parent_ref() is None
         assert view_ref() is not None  # the child's link, until it derives
-        assert child.components().members == ((0, 1, 2, 3), (4,), (5,))
+        assert [r.members for r in child.components().records] == [(0, 1, 2, 3), (4,), (5,)]
         gc.collect()
         assert view_ref() is None
         grandchild = child.add_edge(4, 5)
@@ -300,54 +301,69 @@ class TestCanonicalKey:
                 )
 
 
+def whole(g: Graph):
+    """The record of connected g's one component."""
+    (rec,) = g.components().records
+    return rec
+
+
+def dfs_everywhere_traceable(g: Graph, members) -> bool:
+    """Every vertex starts a Hamiltonian path, by one DFS per start."""
+    mask = sum(1 << v for v in members)
+
+    def extend(v: int, visited: int) -> bool:
+        return visited == mask or any(extend(w, visited | (1 << w))
+                                      for w in bits(g.adj[v] & mask & ~visited))
+
+    return all(extend(v, 1 << v) for v in members)
+
+
 class TestTraceability:
     def test_cliques_are_everywhere_traceable(self):
         for j in range(1, 9):
             g = Graph.from_edges(j, [(u, v) for u in range(j) for v in range(u + 1, j)])
-            assert everywhere_traceable(g, list(range(j)))
+            assert everywhere_traceable(whole(g))
 
     def test_stars_are_not(self):
         for m in range(2, 6):
             g = Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
-            assert not everywhere_traceable(g, list(range(m + 1)))
+            assert not everywhere_traceable(whole(g))
 
     def test_path_centre_fails(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert not everywhere_traceable(g, [0, 1, 2])
+        assert not everywhere_traceable(whole(g))
 
     def test_cycle_is_everywhere_traceable(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert everywhere_traceable(g, range(5))
-
-    def test_requires_connected_component(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            everywhere_traceable(g, [0, 1, 2, 3])
+        assert everywhere_traceable(whole(g))
 
     def test_hamiltonian_path_of_path(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert hamiltonian_path(g, [0, 1, 2, 3]) == (0, 1, 2, 3)
+        assert hamiltonian_path(whole(g)) == (0, 1, 2, 3)
 
     def test_star_has_none(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert hamiltonian_path(g, [0, 1, 2, 3]) is None
+        assert hamiltonian_path(whole(g)) is None
 
     def test_joined_traceable_components_have_path(self):
         # two triangles joined by one edge
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-        assert hamiltonian_path(g, range(6)) is not None
+        assert hamiltonian_path(whole(g)) is not None
 
     def test_lexicographically_least(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert hamiltonian_path(g, range(4)) == (0, 1, 2, 3)
+        assert hamiltonian_path(whole(g)) == (0, 1, 2, 3)
 
     def test_hamiltonian_path_matches_dfs(self):
+        # every labelled graph on at most 6 vertices, then random larger ones
         rng = random.Random(2024)
-        for _ in range(400):
-            n = rng.randint(1, 9)
-            g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
-            for ms in g.components().members:
-                assert hamiltonian_path(g, ms) == dfs_hamiltonian_path(g, ms)
+        exhaustive = (g for n in range(1, 7) for g in all_graphs_on(n))
+        sampled = (random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+                   for n in (rng.randint(1, 9) for _ in range(400)))
+        for g in itertools.chain(exhaustive, sampled):
+            for rec in g.components().records:
+                assert hamiltonian_path(rec) == dfs_hamiltonian_path(g, rec.members)
+                assert everywhere_traceable(rec) == dfs_everywhere_traceable(g, rec.members)
 
 
 class TestGraph6:

@@ -327,6 +327,11 @@ class TestCaps:
             solve(8, P5, time_cap=1e-9)
         assert err.value.kind == "time"
 
+    def test_zero_time_cap_is_a_cap(self):
+        with pytest.raises(BudgetExceeded) as err:
+            solve(8, P5, time_cap=0)
+        assert err.value.kind == "time"
+
 
 class TestCacheFile:
     def test_roundtrip(self, tmp_path):

@@ -46,6 +46,17 @@ def test_claims_reject_games_too_small_to_fuzz(n_max):
         suite_claims(games=6, n_max=n_max)
 
 
+@pytest.mark.parametrize("suite, least, first", [
+    (suite_p4, 3, "solve-window n=3 first=P"),
+    (suite_p5, 4, "solve-window n=4 first=P"),
+    (suite_trees, 4, "formula k=3 n=4 first=P"),  # n = 3 is 1 mod k-1 for k = 3
+])
+def test_window_suites_need_an_n_whose_score_they_check(suite, least, first):
+    with pytest.raises(ValueError, match="n_max"):
+        suite(n_max=least - 1)
+    assert suite(n_max=least)[0].name == first
+
+
 def test_each_option_goes_to_every_suite_that_takes_it(monkeypatch):
     seen = []
 
