@@ -12,7 +12,7 @@ the number of moves).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol
 
@@ -104,20 +104,22 @@ def is_terminal(state: GameState) -> bool:
 
 
 def apply_action(state: GameState, action: Action) -> GameState:
+    graph = state.graph
     if action.is_pass:
         if state.variant is not Variant.PROLONGER_MAY_PASS:
             raise IllegalMoveError("pass is only allowed in the pass variant")
         if state.to_move is not Player.PROLONGER:
             raise IllegalMoveError("only the maximising player may pass")
-        return replace(state, to_move=state.to_move.other)
-    u, v = action.edge
-    try:
-        if creates_forbidden(state.graph, state.family, norm_edge(u, v)):
-            raise IllegalMoveError(f"edge {u}-{v} would create a forbidden subgraph")
-        graph = state.graph.add_edge(u, v)
-    except ValueError as exc:  # self-loop, duplicate edge, vertex out of range
-        raise IllegalMoveError(str(exc)) from exc
-    return replace(state, graph=graph, to_move=state.to_move.other)
+    else:
+        u, v = action.edge
+        try:
+            if creates_forbidden(graph, state.family, norm_edge(u, v)):
+                raise IllegalMoveError(f"edge {u}-{v} would create a forbidden subgraph")
+            graph = graph.add_edge(u, v)
+        except ValueError as exc:  # self-loop, duplicate edge, vertex out of range
+            raise IllegalMoveError(str(exc)) from exc
+    # built directly: `dataclasses.replace` would cost more than adding the edge
+    return GameState(graph, state.to_move.other, state.family, state.variant, state.first_mover)
 
 
 class StrategyLike(Protocol):
@@ -137,7 +139,15 @@ class GameRecord:
     score: int
 
     def replay(self) -> list[GameState]:
-        """All states G_0..G_T; raises if any recorded action is illegal."""
+        """All states G_0..G_T; raises if any recorded action is illegal.
+
+        A record returned by `play` keeps the states it walked, each checked
+        by `apply_action`, outside its fields; this is a new list of them.
+        A record from `from_json` or `replace` is replayed from its actions.
+        """
+        kept = self.__dict__.get("states")
+        if kept is not None:
+            return list(kept)
         state = initial_state(self.n, self.family, self.variant, self.first_mover)
         states = [state]
         for player, action in self.actions:
@@ -191,10 +201,12 @@ def play(
 
     Each strategy must return a legal action for every non-terminal state it
     is handed; an illegal action aborts with the offending state attached.
+    The record keeps the states the game walked, for `GameRecord.replay`.
     """
     if strategy_p is None or strategy_s is None:
         raise ValueError("both strategies are required")
     state = initial_state(n, family, variant, first_mover)
+    states = [state]
     actions: list[tuple[Player, Action]] = []
     while not is_terminal(state):
         strat = strategy_p if state.to_move is Player.PROLONGER else strategy_s
@@ -210,7 +222,8 @@ def play(
             ) from exc
         actions.append((state.to_move, action))
         state = nxt
-    return GameRecord(
+        states.append(state)
+    record = GameRecord(
         n=n,
         family=family,
         variant=variant,
@@ -219,3 +232,5 @@ def play(
         terminal=state.graph,
         score=state.graph.m,
     )
+    record.__dict__["states"] = tuple(states)
+    return record

@@ -41,19 +41,22 @@ class Component:
     `members` lists its vertices in increasing order and `local[i]` is the
     neighbourhood of members[i] with members[j] as bit j. The rest is
     derived from (mask, local) on first use: `encoding`, the canonical form,
-    `shape`, the label that `shapes.label_component` keeps here, and
-    `paths[k]`, the P_k legality rows that `families` keeps in global bits
-    (`shape` and `paths` are None until asked for). A record is never
-    changed once built, only filled in.
+    `shape`, the label that `shapes.label_component` keeps here,
+    `traceability`, the pair (everywhere traceable, lex-least Hamiltonian
+    path or None) that `everywhere_traceable` and `hamiltonian_path` read,
+    and `paths[k]`, the P_k legality rows that `families` keeps in global
+    bits (`shape`, `traceability` and `paths` are None until asked for). A
+    record is never changed once built, only filled in.
     """
 
-    __slots__ = ("mask", "members", "local", "shape", "paths", "_encoding")
+    __slots__ = ("mask", "members", "local", "shape", "traceability", "paths", "_encoding")
 
     def __init__(self, mask: int, members: tuple[int, ...], local: tuple[int, ...]):
         self.mask = mask
         self.members = members
         self.local = local
         self.shape = None
+        self.traceability: Optional[tuple[bool, Optional[tuple[int, ...]]]] = None
         self.paths: Optional[dict[int, tuple]] = None
         self._encoding: Optional[bytes] = None
 
@@ -342,36 +345,38 @@ def _path_ends(local: Sequence[int]) -> list[int]:
     return ends
 
 
+def _traceability(rec: Component) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """The record's `traceability`, filled from one endpoint DP on first use.
+
+    The path walks greedily from the least possible start to the least next
+    vertex that still starts a Hamiltonian path of the unvisited vertices,
+    so the walk never needs to back up.
+    """
+    if rec.traceability is None:
+        local = rec.local
+        ends = _path_ends(local)
+        full = rest = step = len(ends) - 1  # rest: unvisited; step: next candidates
+        path = []
+        while rest:
+            choice = step & ends[rest]
+            if not choice:
+                break
+            i = (choice & -choice).bit_length() - 1
+            path.append(rec.members[i])
+            rest ^= 1 << i
+            step = local[i]
+        rec.traceability = (ends[full] == full, None if rest else tuple(path))
+    return rec.traceability
+
+
 def everywhere_traceable(rec: Component) -> bool:
     """True iff every vertex of the component starts a Hamiltonian path of it."""
-    if len(rec.members) <= 2:
-        return True
-    ends = _path_ends(rec.local)
-    full = len(ends) - 1
-    return ends[full] == full
+    return _traceability(rec)[0]
 
 
 def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
-    """Lexicographically least Hamiltonian path of the component, or None.
-
-    Walks greedily from the least possible start to the least next vertex
-    that still starts a Hamiltonian path of the unvisited vertices, so the
-    walk never needs to back up.
-    """
-    local = rec.local
-    ends = _path_ends(local)
-    rest = len(ends) - 1  # unvisited vertices
-    step = rest  # candidates for the next vertex
-    path = []
-    while rest:
-        choice = step & ends[rest]
-        if not choice:
-            return None
-        i = (choice & -choice).bit_length() - 1
-        path.append(rec.members[i])
-        rest ^= 1 << i
-        step = local[i]
-    return tuple(path)
+    """Lexicographically least Hamiltonian path of the component, or None."""
+    return _traceability(rec)[1]
 
 
 # --- canonical form ---------------------------------------------------------

@@ -307,12 +307,17 @@ _STRATEGIES: dict[str, tuple[Callable[[GameState], Action], Optional[Player]]] =
 def make_strategy(name: str, default_seed: int = 0) -> Strategy:
     """Resolve a strategy name: traceable, s-p4, p-p4, s-p5, p-p5, p-trees,
     p-star, random[:seed], greedy-min, greedy-max, optimal."""
-    base, _, arg = name.partition(":")
+    base, colon, arg = name.partition(":")
     if base == "random":
-        seed = int(arg) if arg else default_seed
+        try:
+            seed = int(arg) if arg else default_seed
+        except ValueError:
+            raise ValueError(f"strategy {name!r}: seed {arg!r} is not an integer") from None
         return Strategy(f"random:{seed}", partial(_decide_random, seed))
+    if base != "optimal" and base not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    if colon:
+        raise ValueError(f"strategy {name!r}: only random takes an argument")
     if base == "optimal":
         return Strategy("optimal", partial(best_action, table={}))
-    if base not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {name!r}")
     return Strategy(base, *_STRATEGIES[base])

@@ -104,6 +104,24 @@ class TestSolveCommand:
                      "--prolonger", "nope", "--shortener", "s-p4"])
         assert code == 2
 
+    @pytest.mark.parametrize("command, prolonger, shortener, named", [
+        ("play", "p-p4:7", "s-p4", "p-p4:7"),
+        ("play", "p-p4", "s-p4:oops", "s-p4:oops"),
+        ("play", "random:x1", "s-p4", "x1"),
+        ("sweep", "optimal:x", "s-p4", "optimal:x"),
+        ("sweep", "p-p4,traceable:1", "s-p4", "traceable:1"),
+        ("sweep", "p-p4", "greedy-min,random:1.5", "1.5"),
+    ])
+    def test_strategy_with_a_stray_argument_is_usage_error(self, capsys, command, prolonger,
+                                                           shortener, named):
+        code = main([command, "--family", "P4", "--n", "5", "--prolonger", prolonger,
+                     "--shortener", shortener])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert named in line
+
 
 class TestPlayCommand:
     def test_record_and_score(self, capsys):

@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satgame.engine import (
     PASS,
@@ -13,9 +17,16 @@ from satgame.engine import (
     is_terminal,
     play,
 )
-from satgame.families import PathFamily, StarFamily, TreeFamily, is_free, legal_moves
+from satgame.families import (
+    PathFamily,
+    StarFamily,
+    TreeFamily,
+    is_free,
+    legal_moves,
+    parse_family,
+)
 from satgame.graph import Graph
-from satgame.strategies import make_strategy
+from satgame.strategies import _STRATEGIES, make_strategy
 
 P4 = PathFamily(4)
 
@@ -121,3 +132,67 @@ class TestRecordSerialisation:
         line = rec.to_json()
         assert '"pass"' in line
         assert GameRecord.from_json(line) == rec
+
+
+def same_states(a, b) -> bool:
+    return [(s.graph.adj, s.graph.m, s.to_move) for s in a] == \
+        [(s.graph.adj, s.graph.m, s.to_move) for s in b]
+
+
+def illegal_at(state) -> Action:
+    """An action that `apply_action` rejects in `state`: an absent edge that
+    completes a forbidden subgraph, else an edge already present, else a
+    self-loop."""
+    g = state.graph
+    legal = set(legal_moves(g, state.family))
+    blocked = [e for e in g.absent_edges() if e not in legal]
+    if blocked:
+        return Action(blocked[0])
+    return Action(g.edges()[0] if g.m else (0, 0))
+
+
+@st.composite
+def played_games(draw):
+    family = draw(st.sampled_from(("P4", "P5", "P6", "Trees:4", "Star:4", "List:Cl")))
+    variants = [Variant.STANDARD]
+    if family.startswith("P"):
+        variants.append(Variant.PROLONGER_MAY_PASS)
+    variant = draw(st.sampled_from(variants))
+    first = draw(st.sampled_from(list(Player)))
+    # p-trees plays only the tree game
+    names = [name for name in _STRATEGIES if name != "p-trees" or family == "Trees:4"]
+    names.append(f"random:{draw(st.integers(0, 999))}")
+    p = draw(st.sampled_from(names))
+    s = draw(st.sampled_from(names))
+    n = draw(st.integers(1, 10))
+    return play(n, parse_family(family), variant, first, make_strategy(p), make_strategy(s))
+
+
+class TestKeptStates:
+    @given(played_games(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_states_are_a_replay(self, rec, data):
+        states = rec.replay()
+        read = GameRecord.from_json(rec.to_json())
+        assert read == rec
+        assert same_states(states, read.replay())
+        assert len(states) == len(rec.actions) + 1
+        assert states[-1].graph == rec.terminal
+
+        states.clear()  # the caller's list, not the record's
+        assert same_states(rec.replay(), read.replay())
+
+        if not rec.actions:
+            return
+        i = data.draw(st.integers(0, len(rec.actions) - 1))
+        player, action = rec.actions[i]
+        state = read.replay()[i]
+        for tampered in (
+            rec.actions[:i] + ((player, illegal_at(state)),) + rec.actions[i + 1:],
+            rec.actions[:i] + ((player.other, action),) + rec.actions[i + 1:],
+        ):
+            bad = replace(rec, actions=tampered)
+            with pytest.raises(IllegalMoveError):
+                bad.replay()
+            with pytest.raises(IllegalMoveError):
+                GameRecord.from_json(bad.to_json()).replay()

@@ -361,9 +361,50 @@ class TestTraceability:
         sampled = (random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
                    for n in (rng.randint(1, 9) for _ in range(400)))
         for g in itertools.chain(exhaustive, sampled):
-            for rec in g.components().records:
-                assert hamiltonian_path(rec) == dfs_hamiltonian_path(g, rec.members)
-                assert everywhere_traceable(rec) == dfs_everywhere_traceable(g, rec.members)
+            # a fresh copy has fresh records, so each order fills its own
+            copy = Graph(g.n, g.adj, g.m)
+            for rec, twin in zip(g.components().records, copy.components().records):
+                path = dfs_hamiltonian_path(g, rec.members)
+                every = dfs_everywhere_traceable(g, rec.members)
+                assert (hamiltonian_path(rec), everywhere_traceable(rec)) == (path, every)
+                assert (everywhere_traceable(twin), hamiltonian_path(twin)) == (every, path)
+
+
+class TestTraceabilityKept:
+    @pytest.fixture
+    def dp_runs(self, monkeypatch):
+        runs = []
+        real = graph._path_ends
+        monkeypatch.setattr(graph, "_path_ends", lambda local: runs.append(local) or real(local))
+        return runs
+
+    @pytest.mark.parametrize("order", [(everywhere_traceable, hamiltonian_path),
+                                       (hamiltonian_path, everywhere_traceable)])
+    def test_one_dp_per_record(self, dp_runs, order):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        rec = whole(g)
+        for ask in order + order:
+            ask(rec)
+        assert len(dp_runs) == 1
+        assert rec.traceability == (False, None)
+
+    def test_child_shares_answers_of_untouched_records(self, dp_runs):
+        # a 3-path, a triangle, and isolated vertices 6 and 7
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+        for rec in g.components().records:
+            everywhere_traceable(rec)
+        parent = g.components().records
+        for u, v in ((0, 2), (2, 6)):  # grows the 3-path; merges it with 6
+            child = g.add_edge(u, v)
+            dp_runs.clear()
+            for rec in child.components().records:
+                touched = rec.mask >> u & 1
+                assert (rec in parent) != touched
+                assert (rec.traceability is None) == touched
+                assert (hamiltonian_path(rec), everywhere_traceable(rec)) == (
+                    dfs_hamiltonian_path(child, rec.members),
+                    dfs_everywhere_traceable(child, rec.members))
+            assert len(dp_runs) == 1
 
 
 class TestGraph6:

@@ -195,6 +195,23 @@ class TestBaselines:
         with pytest.raises(ValueError):
             make_strategy("does-not-exist")
 
+    @pytest.mark.parametrize("name", ["p-p4:7", "s-p4:oops", "optimal:x", "traceable:",
+                                      "greedy-max:1"])
+    def test_only_random_takes_an_argument(self, name):
+        with pytest.raises(ValueError, match="only random takes an argument"):
+            make_strategy(name)
+
+    @pytest.mark.parametrize("seed", ["oops", "1.5", "7:8"])
+    def test_random_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError) as err:
+            make_strategy(f"random:{seed}")
+        assert str(err.value) == f"strategy 'random:{seed}': seed {seed!r} is not an integer"
+
+    def test_random_seed_defaults(self):
+        assert make_strategy("random", default_seed=4).name == "random:4"
+        assert make_strategy("random:", default_seed=4).name == "random:4"
+        assert make_strategy("random:12", default_seed=4).name == "random:12"
+
 
 class TestOptimalStrategy:
     def test_optimal_pair_matches_solver(self):
