@@ -8,8 +8,6 @@ from .graph import (
     hamiltonian_path,
     from_graph6,
     to_graph6,
-    from_edge_text,
-    to_edge_text,
     norm_edge,
 )
 from .families import (
@@ -57,11 +55,9 @@ from .analysis import (
     bound,
     classify_p4_saturated,
     classify_p5_saturated,
-    degree_sum_bound,
     f_closed,
     f_sequence,
     free_graphs,
-    minimizing_delta,
     saturated_graphs,
     trace_stats,
     tree_score_formula,

@@ -318,19 +318,6 @@ def tree_score_formula(n: int, k: int) -> Union[int, tuple[Fraction, Fraction]]:
     return (top - (k - 3), top)
 
 
-def degree_sum_bound(n: int, k: int, delta: int) -> Fraction:
-    """Edge-count lower bound when every two disconnected vertices have degree
-    sum at least k-2 and the minimum degree is delta."""
-    if not 0 <= delta <= n - 1:
-        raise ValueError("delta must be in 0..n-1")
-    return Fraction(max(k - 2 - 2 * delta, 0) * (n - delta - 1) + delta * n, 2)
-
-
-def minimizing_delta(k: int) -> int:
-    """The minimum degree that minimises degree_sum_bound."""
-    return (k - 2) // 2
-
-
 def f_sequence(n: int, k: int) -> list[Fraction]:
     """Excess-degree budget recurrence f_0..f_{k-1}:
     f_0 = 0, f_{i+1} = f_i + (n + 2k + 2) - 2 f_i / (k - i)."""

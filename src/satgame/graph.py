@@ -262,13 +262,6 @@ class Graph:
             memo["components"] = cv
         return cv
 
-    def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph on `vertices`, relabelled to 0..len-1 in sorted order."""
-        if not vertices:
-            raise ValueError("induced subgraph needs at least one vertex")
-        local = _local_adj(self.adj, sorted(vertices))
-        return Graph(len(local), tuple(local), sum(a.bit_count() for a in local) // 2)
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under the permutation old-vertex -> perm[old-vertex]."""
         adj = [0] * self.n
@@ -477,7 +470,7 @@ def _canon_component(adj: tuple[int, ...]) -> bytes:
     return best.to_bytes(nbytes, "big")
 
 
-# --- graph6 and edge-text I/O -----------------------------------------------
+# --- graph6 I/O -------------------------------------------------------------
 
 
 def to_graph6(g: Graph) -> str:
@@ -534,20 +527,3 @@ def from_graph6(text: str) -> Graph:
             idx += 1
     return g
 
-
-def to_edge_text(g: Graph) -> str:
-    es = ",".join(f"{u}-{v}" for u, v in g.edges())
-    return f"{g.n}; {es}" if es else f"{g.n};"
-
-
-def from_edge_text(text: str) -> Graph:
-    head, _, tail = text.partition(";")
-    if not _:
-        raise ValueError("edge text must look like 'n; u-v,u-v'")
-    g = Graph.empty(int(head.strip()))
-    tail = tail.strip()
-    if tail:
-        for part in tail.split(","):
-            u, _, v = part.strip().partition("-")
-            g = g.add_edge(int(u), int(v))
-    return g

@@ -22,9 +22,6 @@ serve many games.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -258,7 +255,6 @@ def solve(
     node_cap: Optional[int] = None,
     time_cap: Optional[float] = None,
     table: Optional[PositionTable] = None,
-    cache_path: Optional[str] = None,
 ) -> SolveResult:
     """Exact score of the game on n vertices under optimal play by both sides.
 
@@ -268,12 +264,8 @@ def solve(
         table = {}
     search = _Search(n, family, variant, first_mover, table,
                      n_cap=n_cap, node_cap=node_cap, time_cap=time_cap)
-    if cache_path:
-        table.update(load_table(cache_path, family, variant, n))
     score = search.value(Graph.empty(n), first_mover)
     pv = search.principal_variation(score)
-    if cache_path:
-        save_table(cache_path, family, variant, n, table)
     return SolveResult(score, pv, search.nodes, time.monotonic() - started)
 
 
@@ -310,82 +302,3 @@ def best_response(
     pv = search.principal_variation(score)
     return SolveResult(score, pv, search.nodes, time.monotonic() - started)
 
-
-# --- optional on-disk cache ---------------------------------------------------
-
-_MAGIC = b"SGC1"
-_VARIANT_CODE = {Variant.STANDARD: 0, Variant.PROLONGER_MAY_PASS: 1}
-_MOVER_BYTE = {Player.PROLONGER: b"\x00", Player.SHORTENER: b"\x01"}
-_MOVER = {byte: mover for mover, byte in _MOVER_BYTE.items()}
-
-
-def save_table(
-    path: str, family: ForbiddenFamily, variant: Variant, n: int, table: PositionTable
-) -> None:
-    """Write the exact entries of one game on n vertices; a failed write
-    leaves any earlier file at `path` as it was."""
-    game = (family_name(family), variant)
-    entries = sorted(
-        ((key, mover, lo) for (g, key, mover), (lo, hi) in table.items()
-         if g == game and key[0] == n and lo == hi),
-        key=lambda e: (e[0], e[1].value),
-    )
-    name = game[0].encode()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack(">BBH", _VARIANT_CODE[variant], n, len(name)))
-            fh.write(name)
-            for key, mover, value in entries:
-                fh.write(struct.pack(">H", len(key)))
-                fh.write(key)
-                fh.write(_MOVER_BYTE[mover])
-                fh.write(struct.pack(">i", value))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_table(
-    path: str, family: ForbiddenFamily, variant: Variant, n: int
-) -> PositionTable:
-    """Load a cache written by save_table as exact entries, keyed as the
-    solver keys them; a missing file is an empty table, and a file for
-    different game parameters is ignored. A file that save_table cannot have
-    written for this game raises ValueError."""
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"{path} is not a solver cache file")
-    off = 4
-
-    def take(size: int) -> bytes:
-        nonlocal off
-        if off + size > len(data):
-            raise ValueError(f"{path} is a truncated solver cache file")
-        off += size
-        return data[off - size : off]
-
-    var_code, file_n, name_len = struct.unpack(">BBH", take(4))
-    name = take(name_len).decode()
-    game = (family_name(family), variant)
-    if var_code != _VARIANT_CODE[variant] or file_n != n or name != game[0]:
-        return {}
-    table: PositionTable = {}
-    while off < len(data):
-        (key_len,) = struct.unpack(">H", take(2))
-        key = take(key_len)
-        if key[:1] != bytes([n]):
-            raise ValueError(f"{path} holds a position key for another n")
-        mover = _MOVER.get(take(1))
-        if mover is None:
-            raise ValueError(f"{path} holds an invalid mover byte")
-        (value,) = struct.unpack(">i", take(4))
-        if value < 0:
-            raise ValueError(f"{path} holds a negative value")
-        table[(game, key, mover)] = (value, value)
-    return table

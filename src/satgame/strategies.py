@@ -230,9 +230,8 @@ def _decide_prolonger_trees(state: GameState) -> Action:
     fitting = [p for p in pairs if p[0] <= budget]
     if fitting:
         _, u, v = max(fitting, key=lambda p: p[0])
-        e = (u, v)
-        if not creates_forbidden(g, state.family, e):
-            return Action(e)
+        # distinct components whose sizes sum below k: the edge is absent and legal
+        return Action((u, v))
     return _least_legal(state)
 
 

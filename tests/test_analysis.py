@@ -10,12 +10,9 @@ from satgame.analysis import (
     bound,
     classify_p4_saturated,
     classify_p5_saturated,
-    component_labels,
-    degree_sum_bound,
     f_closed,
     f_sequence,
     free_graphs,
-    minimizing_delta,
     saturated_graphs,
     trace_stats,
     tree_score_formula,
@@ -257,24 +254,6 @@ class TestTreeFormula:
         assert lo == hi == Fraction(7, 2)
         lo, hi = tree_score_formula(9, 5)
         assert (lo, hi) == (Fraction(27, 2) - 2, Fraction(27, 2))
-
-
-class TestDegreeSumBound:
-    def test_example_values(self):
-        assert degree_sum_bound(10, 6, 2) == 10
-        assert degree_sum_bound(10, 4, 1) == 5
-        assert degree_sum_bound(30, 2, 0) == 0
-
-    def test_minimiser(self):
-        assert minimizing_delta(6) == 2
-        for k in range(2, 9):
-            n = 20
-            best = min(degree_sum_bound(n, k, d) for d in range(n))
-            assert degree_sum_bound(n, k, minimizing_delta(k)) == best
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            degree_sum_bound(5, 4, 5)
 
 
 class TestFSequence:

@@ -40,6 +40,15 @@ class TestSolveCommand:
         row = json.loads(out.splitlines()[0])
         assert row["score"] == 6 and row["holds"] == "true"
 
+    def test_row_outside_its_window_exits_one(self, capsys):
+        # Trees:5 at n=9 with Shortener first scores below Theorem 2.4's
+        # printed window and carries no note (ROADMAP item 3)
+        code, out = run(capsys, "solve", "--family", "Trees:5", "--n", "9")
+        assert code == 1
+        rows = {r["first"]: r for r in csv.DictReader(io.StringIO(out))}
+        assert (rows["P"]["score"], rows["P"]["holds"]) == ("12", "true")
+        assert (rows["S"]["score"], rows["S"]["holds"], rows["S"]["note"]) == ("10", "false", "")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--family", "NOPE", "--n", "4"])

@@ -13,11 +13,9 @@ from satgame.graph import (
     Graph,
     bits,
     everywhere_traceable,
-    from_edge_text,
     from_graph6,
     hamiltonian_path,
     least_twins,
-    to_edge_text,
     to_graph6,
 )
 
@@ -119,22 +117,6 @@ class TestConstruction:
             g.add_edge(1, 1)
         with pytest.raises(ValueError):
             g.add_edge(0, 3)
-
-    @given(graphs(max_n=9), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_induced_relabels_in_sorted_order(self, g, data):
-        vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
-        sub = g.induced(vs)
-        order = sorted(vs)
-        want = Graph.from_edges(len(order), [
-            (i, j) for i, j in itertools.combinations(range(len(order)), 2)
-            if g.has_edge(order[i], order[j])
-        ])
-        assert sub == want  # same n, adjacency and edge count
-
-    def test_induced_needs_a_vertex(self):
-        with pytest.raises(ValueError):
-            Graph.from_edges(3, [(0, 1)]).induced([])
 
     def test_degree_sum_is_twice_edges(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
@@ -452,28 +434,3 @@ class TestGraph6:
             return
         assert to_graph6(g) == text.strip().removeprefix(">>graph6<<")
 
-
-class TestEdgeText:
-    def test_roundtrip(self):
-        g = Graph.from_edges(5, [(0, 1), (2, 4)])
-        assert to_edge_text(g) == "5; 0-1,2-4"
-        assert from_edge_text(to_edge_text(g)).adj == g.adj
-
-    def test_empty(self):
-        g = Graph.empty(3)
-        assert to_edge_text(g) == "3;"
-        assert from_edge_text("3;").adj == g.adj
-        assert from_edge_text("3; ").adj == g.adj
-
-    def test_bad_text(self):
-        with pytest.raises(ValueError):
-            from_edge_text("5")
-
-    @given(st.one_of(st.text(max_size=16), st.text(alphabet="0123456789;-, ", max_size=16)))
-    @settings(max_examples=300, deadline=None)
-    def test_arbitrary_text_parses_or_raises_value_error(self, text):
-        try:
-            g = from_edge_text(text)
-        except ValueError:
-            return
-        assert from_edge_text(to_edge_text(g)) == g

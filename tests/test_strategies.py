@@ -10,7 +10,6 @@ from satgame.engine import (
     Player,
     Variant,
     initial_state,
-    is_terminal,
     play,
 )
 from satgame.families import PathFamily, StarFamily, TreeFamily, legal_moves, parse_family
