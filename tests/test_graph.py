@@ -162,6 +162,44 @@ class TestComponents:
         assert after in (before, before - 1)
 
 
+def check_records(g: Graph) -> None:
+    """Each component record holds a maximal connected vertex set of g, its
+    members in increasing order and `local` the subgraph induced on them."""
+    view = g.components()
+    assert sum(rec.mask for rec in view.records) == (1 << g.n) - 1  # a partition
+    assert list(view.masks) == [rec.mask for rec in view.records]
+    for rec in view.records:
+        members = rec.members
+        assert list(members) == sorted(members) and rec.mask == graph.vertex_mask(members)
+        assert all(view.mask_of[v] == rec.mask for v in members)
+        assert all(g.adj[v] & ~rec.mask == 0 for v in members)  # no edge leaves it
+        assert rec.local == tuple(
+            sum(1 << j for j, w in enumerate(members) if g.has_edge(v, w)) for v in members)
+        reached = 1
+        for _ in members:
+            for i in bits(reached):
+                reached |= rec.local[i]
+        assert reached == (1 << len(members)) - 1  # connected
+
+
+class TestComponentRecords:
+    @given(graphs(max_n=9))
+    @settings(max_examples=80, deadline=None)
+    def test_records_found_from_scratch(self, g):
+        check_records(g)
+
+    @given(graphs(max_n=9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_records_derived_by_add_edge(self, g, data):
+        for _ in range(data.draw(st.integers(1, 4))):
+            absent = g.absent_edges()
+            if not absent:
+                break
+            g.components()  # so the child derives its records from these
+            g = g.add_edge(*data.draw(st.sampled_from(absent)))
+            check_records(g)
+
+
 class TestTwins:
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=120, deadline=None)
@@ -393,6 +431,18 @@ class TestGraph6:
     def test_known_value(self):
         k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         assert to_graph6(k3) == "Bw"
+
+    @pytest.mark.parametrize("n, edges, text", [
+        (1, [], "@"),
+        (3, [], "B?"),
+        (4, [(0, 1), (1, 2), (2, 3)], "Ch"),
+        (4, list(itertools.combinations(range(4), 2)), "C~"),
+        (5, [(0, 1), (2, 4)], "D_G"),
+    ])
+    def test_pinned_small_graphs(self, n, edges, text):
+        g = Graph.from_edges(n, edges)
+        assert to_graph6(g) == text
+        assert from_graph6(text) == g
 
     @given(graphs(max_n=10))
     @settings(max_examples=100, deadline=None)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from satgame.analysis import window
+from satgame.analysis import free_graphs, window
 from satgame.engine import GameState, Player, Variant, apply_action, initial_state, is_terminal
 from satgame.families import (
     PathFamily,
     StarFamily,
     TreeFamily,
+    family_name,
     is_free,
     max_saturated_edges,
     parse_family,
@@ -344,3 +345,67 @@ class TestBestResponsePass:
         res = best_response(5, P4, Variant.STANDARD, make_strategy("s-p4"), Player.SHORTENER)
         assert res.score <= 5  # 4n/5 + 1
 
+
+
+TABLE_GAMES = [(spec, variant) for spec in ORACLE_FAMILIES
+               for variant in (Variant.STANDARD, Variant.PROLONGER_MAY_PASS)]
+
+
+def game_entries(table, spec, variant) -> dict:
+    game = (family_name(parse_family(spec)), variant)
+    return {key: value for key, value in table.items() if key[0] == game}
+
+
+class TestTableEntries:
+    """What a solve leaves in its table is sound, so a table handed to a later
+    solve, of this game or another, can change no score or line."""
+
+    @pytest.mark.parametrize("spec, variant", TABLE_GAMES)
+    def test_every_entry_brackets_the_oracle_value(self, spec, variant, oracle):
+        n, family = 6, parse_family(spec)
+        table = {}
+        solve(n, family, variant, table=table)
+        by_key = {g.canonical_key(): g for g in free_graphs(n, family)}
+        assert table and table == game_entries(table, spec, variant)
+        for (_, key, mover), (lo, hi) in table.items():
+            g = by_key[key]  # every position searched is a free graph on n vertices
+            assert 0 <= lo <= hi <= max_saturated_edges(family, n) - g.m
+            assert lo <= oracle(g, mover, spec, variant) <= hi
+
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_exact_entries_alone_reproduce_the_solve(self, spec):
+        family = parse_family(spec)
+        table = {}
+        first = solve(6, family, table=table)
+        exact = {key: (lo, hi) for key, (lo, hi) in table.items() if lo == hi}
+        kept = dict(exact)
+        again = solve(6, family, table=kept)
+        assert (again.score, again.principal_variation) == (first.score, first.principal_variation)
+        assert again.positions_expanded <= first.positions_expanded
+        assert all(kept[key] == value for key, value in exact.items())  # never rewritten
+
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_other_games_entries_are_left_alone(self, spec):
+        family = parse_family(spec)
+        table = {}
+        for other in ORACLE_FAMILIES:
+            if other != spec:
+                solve(6, parse_family(other), table=table)
+        solve(6, family, Variant.PROLONGER_MAY_PASS, table=table)
+        before = dict(table)
+        fresh_table = {}
+        fresh = solve(6, family, table=fresh_table)
+        res = solve(6, family, table=table)
+        assert (res.score, res.principal_variation, res.positions_expanded) == (
+            fresh.score, fresh.principal_variation, fresh.positions_expanded)
+        assert game_entries(table, spec, Variant.STANDARD) == fresh_table
+        assert {key: table[key] for key in before} == before
+
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_second_first_mover_after_the_first(self, spec):
+        family = parse_family(spec)
+        table = {}
+        for first in BOTH:
+            res = solve(7, family, first_mover=first, table=table)
+            fresh = solve(7, family, first_mover=first)
+            assert (res.score, res.principal_variation) == (fresh.score, fresh.principal_variation)
