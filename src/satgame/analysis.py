@@ -106,11 +106,15 @@ ALL_GRAPHS_CAP = 8
 SATURATED_CAP = 9
 
 
+class CapExceeded(RuntimeError):
+    """The requested instance is larger than the configured vertex cap."""
+
+
 def _check_n(name: str, n: int, cap: int) -> None:
     if n < 1:
         raise ValueError(f"{name} needs n >= 1, got {n}")
     if n > cap:
-        raise ValueError(f"{name} capped at n <= {cap}")
+        raise CapExceeded(f"{name} capped at n <= {cap}")
 
 
 def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
@@ -131,8 +135,9 @@ def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
     one of the same class, so the graph `_augment` keeps of each class is
     still made.
 
-    g + w takes g's components and a singleton, and each child derives its
-    own from its parent's, so only the components that meet w are rebuilt.
+    The components of g + w with w isolated are found once, and each child
+    derives its own from its parent's, so only the components that meet w
+    are rebuilt.
     """
     w = g.n
     least = least_twins(g)
@@ -148,7 +153,7 @@ def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
             ):
                 grow(h.add_edge(v, w), subset | 1 << v, v + 1)
 
-    grow(g.add_vertex(), 0, 0)
+    grow(Graph(w + 1, g.adj + (0,), g.m), 0, 0)
     return [found[s] for s in sorted(found)]
 
 

@@ -15,7 +15,7 @@ import sys
 from typing import Callable, Optional
 
 from .analysis import component_labels, saturated_graphs, window
-from .engine import Player, Variant, play
+from .engine import IllegalStrategyActionError, Player, Variant, play
 from .families import ForbiddenFamily, family_name, parse_family
 from .graph import to_graph6
 from .solver import DEFAULT_N_CAP, BudgetExceeded, CapExceeded, solve
@@ -146,8 +146,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_play(args: argparse.Namespace) -> int:
-    from .engine import IllegalStrategyActionError
-
     if len(args.n) > 1:
         raise ValueError("play takes a single n; use sweep for a range of n")
     strat_p = make_strategy(args.prolonger, default_seed=args.seed)
@@ -157,8 +155,6 @@ def cmd_play(args: argparse.Namespace) -> int:
                       strat_p, strat_s)
     except IllegalStrategyActionError as exc:
         sys.stderr.write(f"{exc}\n")
-        sys.stderr.write(f"state: {to_graph6(exc.state.graph)} "
-                         f"({exc.state.to_move.value} to move), action: {exc.action}\n")
         return EXIT_FAIL
     _write(record.to_json() + "\n", args.out)
     sys.stdout.write(f"score {record.score}\n")
@@ -209,11 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        graphs = [g for n in args.n for g in saturated_graphs(n, args.family)]
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CAPPED
+    graphs = [g for n in args.n for g in saturated_graphs(n, args.family)]
     lines = [
         f"{to_graph6(g)}\t{'+'.join(lab.display() for lab in component_labels(g))}"
         for g in graphs

@@ -143,7 +143,8 @@ class GameRecord:
 
         A record returned by `play` keeps the states it walked, each checked
         by `apply_action`, outside its fields; this is a new list of them.
-        A record from `from_json` or `replace` is replayed from its actions.
+        `from_json` keeps them the same way; a record from `replace` is
+        replayed from its actions.
         """
         kept = self.__dict__.get("states")
         if kept is not None:
@@ -175,8 +176,11 @@ class GameRecord:
 
     @staticmethod
     def from_json(line: str) -> "GameRecord":
+        """The record on `line`, whose actions are replayed once and kept
+        as its states; raises ValueError if they do not end at the line's
+        terminal graph and score."""
         obj = json.loads(line)
-        return GameRecord(
+        record = GameRecord(
             n=obj["n"],
             family=parse_family(obj["family"]),
             variant=Variant(obj["variant"]),
@@ -187,6 +191,15 @@ class GameRecord:
             terminal=from_graph6(obj["terminal_graph6"]),
             score=obj["score"],
         )
+        states = record.replay()
+        end = states[-1].graph
+        if end != record.terminal or end.m != record.score:
+            raise ValueError(
+                f"actions end at {to_graph6(end)} with {end.m} edges, but the line "
+                f"records {obj['terminal_graph6']} with score {record.score}"
+            )
+        record.__dict__["states"] = tuple(states)
+        return record
 
 
 def play(

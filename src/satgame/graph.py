@@ -67,10 +67,6 @@ class Component:
         return self._encoding
 
 
-# an isolated vertex is the same record in every graph
-_SINGLETONS = tuple(Component(1 << v, (v,), (0,)) for v in range(MAX_VERTICES))
-
-
 class ComponentView:
     """Connected components of a Graph.
 
@@ -96,12 +92,6 @@ class ComponentView:
         unseen = (1 << len(adj)) - 1
         while unseen:
             comp = unseen & -unseen
-            v = comp.bit_length() - 1
-            if not adj[v]:
-                records.append(_SINGLETONS[v])
-                mask_of[v] = comp
-                unseen ^= comp
-                continue
             frontier = comp
             while frontier:
                 grow = 0
@@ -147,13 +137,6 @@ class ComponentView:
             masks[:i] + (comp,) + masks[i + 1:j] + masks[j + 1:],
             tuple(new_mask_of),
         )
-
-    def plus_vertex(self) -> "ComponentView":
-        """The components once an isolated vertex w = len(mask_of) is added:
-        these records and w's singleton, which sorts last."""
-        w = len(self.mask_of)
-        return ComponentView(self.records + (_SINGLETONS[w],), self.masks + (1 << w,),
-                             self.mask_of + (1 << w,))
 
 
 @dataclass(frozen=True)
@@ -211,15 +194,6 @@ class Graph:
             child.__dict__["memo"] = {"parent": (memo["components"], u, v)}
         return child
 
-    def add_vertex(self) -> "Graph":
-        """This graph plus an isolated vertex n, whose components are this
-        graph's records and n's singleton."""
-        if self.n == MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}")
-        child = Graph(self.n + 1, self.adj + (0,), self.m)
-        child.memo["components"] = self.components().plus_vertex()
-        return child
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -272,16 +246,11 @@ class Graph:
 
     def canonical_key(self) -> bytes:
         """Isomorphism-invariant key: equal keys iff the graphs are isomorphic."""
-        memo = self.memo
-        key = memo.get("key")
-        if key is None:
-            out = bytearray([self.n])
-            records = self.components().records
-            for size, enc in sorted((len(r.members), r.encoding) for r in records):
-                out.append(size)
-                out += enc
-            key = memo["key"] = bytes(out)
-        return key
+        out = bytearray([self.n])
+        for size, enc in sorted((len(r.members), r.encoding) for r in self.components().records):
+            out.append(size)
+            out += enc
+        return bytes(out)
 
 
 def least_twins(g: Graph) -> tuple[int, ...]:
@@ -387,7 +356,7 @@ def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
 # carries. A move touches at most two components, so a child position
 # derived from its parent's records (`ComponentView.plus_edge`) shares every
 # other record, encoding included, and only the merged or grown one needs a
-# search. The key is then kept on the graph.
+# search.
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:

@@ -26,14 +26,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .analysis import window
+from .analysis import CapExceeded, window
 from .engine import PASS, Action, GameState, Player, Variant
 from .families import ForbiddenFamily, Move, family_name, legal_moves, max_saturated_edges
 from .graph import Graph, least_twins
-
-
-class CapExceeded(RuntimeError):
-    """The requested instance is larger than the configured vertex cap."""
 
 
 class BudgetExceeded(RuntimeError):

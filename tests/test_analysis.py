@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from satgame.analysis import (
+    CapExceeded,
     _extensions,
     all_graphs,
     bound,
@@ -101,9 +102,9 @@ class TestEnumeration:
         assert len(free_graphs(6, PathFamily(4))) <= len(free_graphs(6, PathFamily(5)))
 
     def test_caps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceeded):
             all_graphs(9)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceeded):
             free_graphs(10, PathFamily(4))
 
     def test_class_counts_match_known_sequence(self):

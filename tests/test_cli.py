@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from satgame import cli
 from satgame.cli import main
+from satgame.engine import Action
+from satgame.graph import Graph, to_graph6
+from satgame.strategies import Strategy
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -163,6 +167,19 @@ class TestPlayCommand:
         code, out = run(capsys, "play", "--family", "P4", "--n", "5..5",
                         "--prolonger", "p-p4", "--shortener", "s-p4")
         assert code == 0 and json.loads(out.splitlines()[0])["n"] == 5
+
+    def test_illegal_strategy_action_exits_one(self, capsys, monkeypatch):
+        # plays 0-1 on every turn, so the second move repeats an edge
+        bad = Strategy("bad", lambda state: Action.play(0, 1))
+        monkeypatch.setattr(cli, "make_strategy", lambda name, default_seed: bad)
+        code = main(["play", "--family", "P4", "--n", "5", "--prolonger", "x", "--shortener", "y"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        assert to_graph6(Graph.from_edges(5, [(0, 1)])) in err_lines[0]
+        assert "illegal action 0-1" in err_lines[0]
+        assert "Traceback" not in captured.err
 
     def test_three_vertex_game(self, capsys):
         code, out = run(capsys, "play", "--family", "P4", "--n", "3",

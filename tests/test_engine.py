@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -133,6 +134,22 @@ class TestRecordSerialisation:
         assert '"pass"' in line
         assert GameRecord.from_json(line) == rec
 
+    @pytest.mark.parametrize("field, value", [
+        ("score", 99),
+        ("score", 3),
+        ("terminal_graph6", "E???"),
+        ("terminal_graph6", "D??"),
+        ("n", 7),
+        ("n", 0),
+    ])
+    def test_tampered_line_rejected(self, field, value):
+        rec = play(6, P4, strategy_p=make_strategy("p-p4"), strategy_s=make_strategy("s-p4"))
+        assert rec.score == 4
+        obj = json.loads(rec.to_json())
+        obj[field] = value
+        with pytest.raises(ValueError):
+            GameRecord.from_json(json.dumps(obj))
+
 
 def same_states(a, b) -> bool:
     return [(s.graph.adj, s.graph.m, s.to_move) for s in a] == \
@@ -174,7 +191,7 @@ class TestKeptStates:
     def test_kept_states_are_a_replay(self, rec, data):
         states = rec.replay()
         read = GameRecord.from_json(rec.to_json())
-        assert read == rec
+        assert read == rec and "states" in read.__dict__  # replayed once, on reading
         assert same_states(states, read.replay())
         assert len(states) == len(rec.actions) + 1
         assert states[-1].graph == rec.terminal

@@ -134,22 +134,6 @@ class TestComponents:
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         assert [r.members for r in g.components().records] == [(0, 1, 2, 3)]
 
-    @given(graphs(max_n=8))
-    @settings(max_examples=80, deadline=None)
-    def test_add_vertex_derives_the_components_found_from_scratch(self, g):
-        child = g.add_vertex()
-        fresh = Graph(g.n + 1, g.adj + (0,), g.m)
-        assert child == fresh
-        got, want = child.components(), fresh.components()
-        assert (got.masks, got.mask_of) == (want.masks, want.mask_of)
-        assert [(r.members, r.local) for r in got.records] == [
-            (r.members, r.local) for r in want.records]
-        assert child.canonical_key() == fresh.canonical_key()
-
-    def test_add_vertex_bound(self):
-        with pytest.raises(ValueError):
-            Graph.empty(64).add_vertex()
-
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=80, deadline=None)
     def test_add_edge_merges_at_most_two(self, g, data):
