@@ -177,8 +177,8 @@ class GameRecord:
     @staticmethod
     def from_json(line: str) -> "GameRecord":
         """The record on `line`, whose actions are replayed once and kept
-        as its states; raises ValueError if they do not end at the line's
-        terminal graph and score."""
+        as its states; raises ValueError if they do not end the game, or
+        end it at another graph or score than the line records."""
         obj = json.loads(line)
         record = GameRecord(
             n=obj["n"],
@@ -192,6 +192,8 @@ class GameRecord:
             score=obj["score"],
         )
         states = record.replay()
+        if not is_terminal(states[-1]):
+            raise ValueError(f"actions stop after {len(record.actions)} moves, before the game ends")
         end = states[-1].graph
         if end != record.terminal or end.m != record.score:
             raise ValueError(

@@ -85,11 +85,13 @@ class ComponentView:
         return len(self.records)
 
     @staticmethod
-    def of(adj: Sequence[int]) -> "ComponentView":
-        """The components of the graph with adjacency `adj`, found from scratch."""
+    def of(adj: Sequence[int], within: Optional[int] = None) -> "ComponentView":
+        """The components of the graph with adjacency `adj`, found from
+        scratch; with `within`, those of the subgraph induced on that vertex
+        mask (`mask_of` is 0 outside it)."""
         records = []
         mask_of = [0] * len(adj)
-        unseen = (1 << len(adj)) - 1
+        unseen = (1 << len(adj)) - 1 if within is None else within
         while unseen:
             comp = unseen & -unseen
             frontier = comp
@@ -97,7 +99,7 @@ class ComponentView:
                 grow = 0
                 for w in bits(frontier):
                     grow |= adj[w]
-                frontier = grow & ~comp
+                frontier = grow & unseen & ~comp
                 comp |= frontier
             members = tuple(bits(comp))
             for w in members:
@@ -246,11 +248,27 @@ class Graph:
 
     def canonical_key(self) -> bytes:
         """Isomorphism-invariant key: equal keys iff the graphs are isomorphic."""
-        out = bytearray([self.n])
-        for size, enc in sorted((len(r.members), r.encoding) for r in self.components().records):
-            out.append(size)
-            out += enc
-        return bytes(out)
+        return _join_key(self.n, ((len(r.members), r.encoding) for r in self.components().records))
+
+    def residual_key(self, cap: int) -> bytes:
+        """Key of the residual below degree `cap`: the subgraph induced on the
+        vertices of degree below `cap`, each coloured by its spare degree
+        (`cap` minus its degree). Equal keys iff the graphs have the same n
+        and colour-preserving isomorphic residuals."""
+        spare = [cap - a.bit_count() for a in self.adj]
+        live = vertex_mask(v for v, s in enumerate(spare) if s > 0)
+        return _join_key(self.n, (
+            (len(r.members), _canon_component(r.local, tuple(spare[v] for v in r.members)))
+            for r in ComponentView.of(self.adj, live).records))
+
+
+def _join_key(n: int, parts: Iterable[tuple[int, bytes]]) -> bytes:
+    """n followed by the sorted (size, encoding) pairs of the components."""
+    out = bytearray([n])
+    for size, enc in sorted(parts):
+        out.append(size)
+        out += enc
+    return bytes(out)
 
 
 def least_twins(g: Graph) -> tuple[int, ...]:
@@ -351,6 +369,13 @@ def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
 # independent inside) never branch: any order of such a cell gives the same
 # encoding, so cliques, independent sets and star leaves cost nothing.
 #
+# The search may start from a vertex colouring (coloured refinement, as in
+# McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014):
+# one cell per colour, in increasing colour order, so every order it reaches
+# lists the colours ascending and the encoding is prefixed by the sorted
+# colours. Without a colouring the search starts from one cell and the
+# encoding has no prefix. `Graph.residual_key` colours by spare degree.
+#
 # Each component's encoding is kept on its record (`Component`), and the
 # search behind it is memoised by the relabelled adjacency that the record
 # carries. A move touches at most two components, so a child position
@@ -409,8 +434,9 @@ def _encode_order(adj: Sequence[int], order: list[int]) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _canon_component(adj: tuple[int, ...]) -> bytes:
-    """Encoding of the connected graph with adjacency `adj` on 0..s-1."""
+def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = None) -> bytes:
+    """Encoding of the connected graph with adjacency `adj` on 0..s-1, in
+    which vertex i has colour colours[i] (a byte); uncoloured when None."""
     best: Optional[int] = None
 
     def search(cells: list[list[int]]) -> None:
@@ -433,10 +459,15 @@ def _canon_component(adj: tuple[int, ...]) -> bytes:
             return
 
     s = len(adj)
-    search([list(range(s))])
+    if colours is None:
+        prefix, cells = b"", [list(range(s))]
+    else:
+        prefix = bytes(sorted(colours))
+        cells = [[v for v in range(s) if colours[v] == c] for c in sorted(set(colours))]
+    search(cells)
     assert best is not None
     nbytes = (s * (s - 1) // 2 + 7) // 8
-    return best.to_bytes(nbytes, "big")
+    return prefix + best.to_bytes(nbytes, "big")
 
 
 # --- graph6 I/O -------------------------------------------------------------

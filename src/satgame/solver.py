@@ -17,6 +17,22 @@ bounds in the table. The first guess is the upper end of the theorem window
 that covers the game. The guess steers only the search, never a value.
 Entries are keyed by the game as well as the position, so one table may
 serve many games.
+
+A position's key is its canonical key, except in two cases. A scripted side
+sees labels, so a best response keys by the labelled adjacency. A star game
+is solved in its residual quotient. Under Star:k a free graph has maximum
+degree at most k-1, and an absent edge uv is legal iff both u and v have
+degree below k-1. So a vertex of degree k-1 never gains an edge again, and
+neither its edges nor its presence change which moves are legal later. The
+remaining score is therefore a function of the residual: the subgraph
+induced on the vertices of degree below k-1, each coloured by its spare
+degree k-1-deg. Such a position is keyed by n followed by the sorted
+(size, coloured encoding) of the residual's components
+(`Graph.residual_key`). With n fixed, 2m = n(k-1) - (sum of spare degrees),
+so m is a function of the key and the bound max_edges - m stays admissible
+for every graph that shares an entry. Move order, twin pruning and `best`
+still walk labelled graphs, so values and principal variations are those of
+the canonical key.
 """
 
 from __future__ import annotations
@@ -28,7 +44,14 @@ from typing import Callable, Optional
 
 from .analysis import CapExceeded, window
 from .engine import PASS, Action, GameState, Player, Variant
-from .families import ForbiddenFamily, Move, family_name, legal_moves, max_saturated_edges
+from .families import (
+    ForbiddenFamily,
+    Move,
+    StarFamily,
+    family_name,
+    legal_moves,
+    max_saturated_edges,
+)
 from .graph import Graph, least_twins
 
 
@@ -50,9 +73,9 @@ class SolveResult:
 
 # (family name, variant): a table shared between games keeps them apart
 Game = tuple[str, Variant]
-# position key is the canonical key (or the labelled adjacency when one side
-# is scripted); both encode n. The value is a (lower, upper) bound on the
-# remaining score, exact when the two are equal.
+# position key is the canonical key, the residual key for a star game, or the
+# labelled adjacency when one side is scripted; each encodes n. The value is
+# a (lower, upper) bound on the remaining score, exact when the two are equal.
 PositionTable = dict[tuple[Game, object, Player], tuple[int, int]]
 DEFAULT_N_CAP = 10
 
@@ -78,10 +101,11 @@ def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
 class _Search:
     """Null-window alpha-beta of one game on n vertices over a table of bounds.
 
-    With `fixed` given, `fixed_side` plays `fixed(state)` and the other
-    side's exact optimum is searched; the script sees labelled
-    positions, so the table is keyed by the adjacency instead of the
-    canonical form.
+    `key` maps a position to its table key: the canonical key, or for a
+    star game the residual key (see the module docstring). With `fixed`
+    given, `fixed_side` plays `fixed(state)` and the other side's exact
+    optimum is searched; the script sees labelled positions, so the table
+    is keyed by the adjacency instead.
     """
 
     def __init__(
@@ -111,6 +135,16 @@ class _Search:
         self.deadline = None if time_cap is None else time.monotonic() + time_cap
         self.nodes = 0
         self.fixed, self.fixed_side = fixed, fixed_side
+        self.key: Callable[[Graph], object]
+        if fixed is not None:
+            self.key = lambda g: g.adj
+        elif isinstance(family, StarFamily):
+            # a cap of n or more never binds, so n stands for all of them and
+            # every spare degree fits in a byte of the key
+            cap = min(family.leaves - 1, n)
+            self.key = lambda g: g.residual_key(cap)
+        else:
+            self.key = Graph.canonical_key
 
     def _may_pass(self, mover: Player) -> bool:
         return self.variant is Variant.PROLONGER_MAY_PASS and mover is Player.PROLONGER
@@ -123,7 +157,7 @@ class _Search:
         move if it lies strictly between alpha and beta, else a bound on it
         that is at most alpha (an upper bound) or at least beta (a lower one).
         """
-        key = (self.game, g.adj if self.fixed else g.canonical_key(), mover)
+        key = (self.game, self.key(g), mover)
         entry = self.table.get(key)
         lo, hi = entry or (0, self.max_edges - g.m)
         if lo >= beta or lo == hi:

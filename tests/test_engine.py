@@ -26,7 +26,7 @@ from satgame.families import (
     legal_moves,
     parse_family,
 )
-from satgame.graph import Graph
+from satgame.graph import Graph, to_graph6
 from satgame.strategies import _STRATEGIES, make_strategy
 
 P4 = PathFamily(4)
@@ -148,6 +148,18 @@ class TestRecordSerialisation:
         obj = json.loads(rec.to_json())
         obj[field] = value
         with pytest.raises(ValueError):
+            GameRecord.from_json(json.dumps(obj))
+
+    def test_unfinished_game_rejected(self):
+        rec = play(6, P4, strategy_p=make_strategy("p-p4"), strategy_s=make_strategy("s-p4"))
+        assert rec.score == 4
+        before = rec.replay()[-2]  # the 3-edge position before the last action
+        assert before.graph.m == 3 and not is_terminal(before)
+        obj = json.loads(rec.to_json())
+        obj["actions"] = obj["actions"][:-1]
+        obj["terminal_graph6"] = to_graph6(before.graph)
+        obj["score"] = 3
+        with pytest.raises(ValueError, match="before the game ends"):
             GameRecord.from_json(json.dumps(obj))
 
 

@@ -220,6 +220,33 @@ class TestCanonicalKey:
                 assert theirs.setdefault(ref, key) == key
             assert len(mine) == len(theirs) == classes
 
+    def test_residual_key_matches_brute_force_classes(self):
+        # equal keys exactly when the coloured residuals are isomorphic
+        def brute(g, cap):
+            live = [v for v in range(g.n) if g.degree(v) < cap]
+            return min(
+                (tuple(cap - g.degree(v) for v in perm),
+                 tuple(g.adj[perm[i]] >> perm[j] & 1
+                       for i in range(len(perm)) for j in range(i + 1, len(perm))))
+                for perm in itertools.permutations(live))
+
+        for n in range(1, 6):
+            for cap in range(1, 5):
+                mine, theirs = {}, {}
+                for g in all_graphs_on(n):
+                    key = g.residual_key(cap)
+                    ref = brute(g, cap)
+                    assert mine.setdefault(key, ref) == ref
+                    assert theirs.setdefault(ref, key) == key
+        rng = random.Random(4242)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.random())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cap = rng.randint(1, n)
+            assert g.residual_key(cap) == g.relabel(perm).residual_key(cap)
+
     def test_keys_do_not_depend_on_call_order(self):
         rng = random.Random(777)
         corpus = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]

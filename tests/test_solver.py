@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from satgame.analysis import free_graphs, window
+from satgame.analysis import bound, free_graphs, window
 from satgame.engine import GameState, Player, Variant, apply_action, initial_state, is_terminal
 from satgame.families import (
     PathFamily,
@@ -44,21 +44,22 @@ def labelled_value(g, mover, family, script, side) -> int:
     return max(values) if mover is Player.PROLONGER else min(values)
 
 
-def oracle_value(g, mover, family, variant, memo) -> int:
-    """`naive_value` memoised by labelled adjacency: plain minimax, legality
-    by the freeness oracle, no bounds, no canonical keys."""
-    key = (g.adj, mover)
+def oracle_value(g, mover, family, variant, memo, position=lambda g: g.adj) -> int:
+    """`naive_value` memoised by `position(g)`, by default the labelled
+    adjacency: plain minimax, legality by the freeness oracle, no bounds."""
+    key = (position(g), mover)
     if key not in memo:
         children = [h for h in (g.add_edge(*e) for e in g.absent_edges()) if is_free(h, family)]
         if not children:
             memo[key] = 0
         elif mover is Player.PROLONGER:
-            value = max(1 + oracle_value(h, mover.other, family, variant, memo) for h in children)
+            value = max(1 + oracle_value(h, mover.other, family, variant, memo, position)
+                        for h in children)
             if variant is Variant.PROLONGER_MAY_PASS:
-                value = max(value, oracle_value(g, mover.other, family, variant, memo))
+                value = max(value, oracle_value(g, mover.other, family, variant, memo, position))
             memo[key] = value
         else:
-            memo[key] = min(1 + oracle_value(h, mover.other, family, variant, memo)
+            memo[key] = min(1 + oracle_value(h, mover.other, family, variant, memo, position)
                             for h in children)
     return memo[key]
 
@@ -223,7 +224,7 @@ class TestConsistency:
 class TestMovePruning:
     """Twin pruning skips only children that would have been table hits."""
 
-    @pytest.mark.parametrize("n, family, positions", [(10, P5, 211), (9, StarFamily(3), 32)])
+    @pytest.mark.parametrize("n, family, positions", [(10, P5, 211), (9, StarFamily(3), 27)])
     def test_search_size_is_pinned(self, n, family, positions):
         table = {}
         res = solve(n, family, table=table)
@@ -239,6 +240,53 @@ class TestMovePruning:
             res = best_response(n, family, Variant.STANDARD, script, script.side)
             assert res.score == expected
         assert res.positions_expanded == positions
+
+
+def position_key(n, family, variant):
+    """The table key that the solver gives positions of this game."""
+    return _Search(n, family, variant, Player.PROLONGER, {},
+                   n_cap=n, node_cap=None, time_cap=None).key
+
+
+class TestStarResidual:
+    """Under Star:k a vertex of degree k-1 never gains an edge again, so a
+    position's value depends only on n and its residual: the subgraph on the
+    other vertices, each coloured by its spare degree."""
+
+    @pytest.mark.parametrize("leaves", [2, 3, 4, 5])
+    def test_equal_residual_keys_have_equal_values(self, leaves):
+        family = StarFamily(leaves)
+        shared = 0  # graphs that share their key with an earlier one
+        for n in range(2, 8):
+            graphs = free_graphs(n, family)
+            for variant in Variant:
+                key = position_key(n, family, variant)
+                memo: dict = {}
+                for mover in BOTH:
+                    value_of: dict = {}
+                    for g in graphs:
+                        value = oracle_value(g, mover, family, variant, memo, Graph.canonical_key)
+                        seen = value_of.setdefault(key(g), value)
+                        assert seen == value, (n, variant, mover, g.edges())
+                    shared += len(graphs) - len(value_of)
+        # free graphs under Star:2 are matchings, whose residuals all differ
+        assert shared > 0 or leaves == 2
+
+    def test_star_too_large_to_bind(self):
+        # spare degrees of 256 and more do not fit a byte of the key
+        wide, tight = solve(6, StarFamily(300)), solve(6, StarFamily(6))
+        assert (wide.score, wide.principal_variation) == (tight.score, tight.principal_variation)
+
+    # Theorem 2.5 with k=3 forbids K_{1,4}; its window starts at n=10
+    @pytest.mark.parametrize("n, scores", [
+        (10, (14, 15)), (11, (16, 16)), (12, (18, 17)), (13, (19, 19)),
+        (14, (20, 21)), (15, (22, 22)), (16, (24, 23)),
+    ])
+    def test_theorem_2_5_rows(self, n, scores):
+        for first, expected in zip(BOTH, scores):
+            score = solve(n, StarFamily(4), first_mover=first, n_cap=n).score
+            assert score == expected
+            assert bound("2.5", n, 3, observed=score).holds
 
 
 def pv_digest(res) -> str:
@@ -290,6 +338,17 @@ class TestSharedTable:
         table = {}
         solve(5, P4, table=table)
         assert solve(6, P4, table=table).score == solve(6, P4).score
+
+    def test_other_n_after_star(self):
+        # what the n=9 solves leave in the table changes no n=10 solve
+        table = {}
+        star = StarFamily(4)
+        for first in BOTH:
+            for n in (9, 10):
+                res = solve(n, star, first_mover=first, table=table)
+                fresh = solve(n, star, first_mover=first)
+                assert (res.score, res.principal_variation) == (
+                    fresh.score, fresh.principal_variation)
 
 
 class TestPrincipalVariation:
@@ -365,12 +424,17 @@ class TestTableEntries:
         n, family = 6, parse_family(spec)
         table = {}
         solve(n, family, variant, table=table)
-        by_key = {g.canonical_key(): g for g in free_graphs(n, family)}
+        position = position_key(n, family, variant)
+        by_key: dict = {}
+        for g in free_graphs(n, family):
+            by_key.setdefault(position(g), []).append(g)
         assert table and table == game_entries(table, spec, variant)
         for (_, key, mover), (lo, hi) in table.items():
-            g = by_key[key]  # every position searched is a free graph on n vertices
-            assert 0 <= lo <= hi <= max_saturated_edges(family, n) - g.m
-            assert lo <= oracle(g, mover, spec, variant) <= hi
+            # every position searched is a free graph on n vertices, and the
+            # entry holds for each free graph that has its key
+            for g in by_key[key]:
+                assert 0 <= lo <= hi <= max_saturated_edges(family, n) - g.m
+                assert lo <= oracle(g, mover, spec, variant) <= hi
 
     @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
     def test_exact_entries_alone_reproduce_the_solve(self, spec):
