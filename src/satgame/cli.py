@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .analysis import component_labels, saturated_graphs, window
 from .engine import IllegalStrategyActionError, Player, Variant, play
 from .families import ForbiddenFamily, family_name, parse_family
-from .graph import to_graph6
+from .graph import MAX_VERTICES, to_graph6
 from .solver import DEFAULT_N_CAP, BudgetExceeded, CapExceeded, solve
 from .strategies import make_strategy
 from .verify import SUITES, render_report, run_suites
@@ -40,12 +40,12 @@ def _n_range(text: str) -> list[int]:
     try:
         a = int(lo)
         b = int(hi) if sep else a
-        if not 1 <= a <= b:
+        if not 1 <= a <= b <= MAX_VERTICES:
             raise ValueError
         return list(range(a, b + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad n or n-range {text!r}; use e.g. 6 or 4..8, with n >= 1"
+            f"bad n or n-range {text!r}; use e.g. 6 or 4..8, with n >= 1 and n <= {MAX_VERTICES}"
         )
 
 

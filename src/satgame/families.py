@@ -16,6 +16,14 @@ component's record. For an explicit family, each pattern is searched with
 one of its edges mapped onto the new edge, and the table is that search on
 every absent edge.
 
+The subgraph search reads a pattern only through its plans, built once per
+pattern and start: for each position of an order of its vertices, the
+earlier positions adjacent to it. `contains_subgraph` and the search
+through a new edge run the same backtracking loop over a host adjacency.
+The new edge's ends are placed first and the search never reads an edge
+between placed positions, so legality reads g's own adjacency: no child
+graph is built.
+
 `creates_forbidden(g, family, e)` reads the table; for an explicit family it
 searches through e alone. `legal_moves` lists the table's edges, and
 `is_saturated` asks whether there is one, stopping at the first legal edge
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 from .graph import Component, Graph, bits, from_graph6, to_graph6, vertex_mask
 
@@ -195,10 +203,16 @@ def _path_rows(rec: Component, k: int) -> tuple[tuple[int, ...], tuple[int, ...]
 # --- subgraph search ----------------------------------------------------------
 
 
+# A plan of a pattern h orders its vertices, and entry i lists the earlier
+# positions adjacent to position i: all that the search reads of h.
+Plan = tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=1 << 10)
-def _expansion_order(h: Graph, first: tuple[int, ...]) -> tuple[int, ...]:
-    """`first`, then h's other vertices, each touching an earlier one, the
-    one with most earlier neighbours first."""
+def _plan(h: Graph, first: tuple[int, ...]) -> Plan:
+    """The plan of h that orders `first` first, then h's other vertices,
+    each touching an earlier one, the one with most earlier neighbours
+    first."""
     order = list(first)
     placed = vertex_mask(first)
     while len(order) < h.n:
@@ -208,33 +222,40 @@ def _expansion_order(h: Graph, first: tuple[int, ...]) -> tuple[int, ...]:
         )
         order.append(nxt)
         placed |= 1 << nxt
-    return tuple(order)
-
-
-def _embeds(g: Graph, h: Graph, order: tuple[int, ...], placed: list[int]) -> bool:
-    """Can the images `placed` of order[:len(placed)] extend to an injective
-    map embedding every edge of h into g? Backtracking over the vertices
-    adjacent to the images of each vertex's placed neighbours."""
     pos = {v: i for i, v in enumerate(order)}
-    image = placed + [0] * (h.n - len(placed))  # order index -> g vertex
+    return tuple(tuple(pos[w] for w in bits(h.adj[v]) if pos[w] < i)
+                 for i, v in enumerate(order))
 
-    def assign(i: int, used: int) -> bool:
-        if i == h.n:
-            return True
-        hv = order[i]
-        # candidates must be adjacent (in g) to images of hv's placed neighbours
-        cand = ~used & ((1 << g.n) - 1)
-        for hw in bits(h.adj[hv]):
-            j = pos[hw]
-            if j < i:
-                cand &= g.adj[image[j]]
-        for gv in bits(cand):
-            image[i] = gv
-            if assign(i + 1, used | (1 << gv)):
-                return True
-        return False
 
-    return assign(len(placed), vertex_mask(placed))
+def _embeds(adj: Sequence[int], plan: Plan, placed: list[int]) -> bool:
+    """Can the images `placed` of the plan's first positions extend to an
+    injective map that sends every edge of the pattern into the host with
+    adjacency `adj`? Backtracking in one loop: position i goes to an unused
+    vertex adjacent to the images of the earlier positions in plan[i], least
+    first, and returns to its untried candidates when the later positions
+    fail. Edges among the placed positions are not checked."""
+    size, base = len(plan), len(placed)
+    image = placed + [0] * (size - base)
+    untried = [0] * size  # untried[i]: candidates for position i not yet tried
+    used = vertex_mask(placed)
+    free = (1 << len(adj)) - 1
+    i = base
+    while i < size:
+        cand = free & ~used
+        for j in plan[i]:
+            cand &= adj[image[j]]
+        while not cand:  # back up to the last position with a candidate left
+            i -= 1
+            if i < base:
+                return False
+            used ^= 1 << image[i]
+            cand = untried[i]
+        low = cand & -cand
+        untried[i] = cand ^ low
+        image[i] = low.bit_length() - 1
+        used |= low
+        i += 1
+    return True
 
 
 def contains_subgraph(g: Graph, h: Graph) -> bool:
@@ -247,24 +268,26 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     if len(h.components()) != 1:
         raise ValueError("pattern must be connected")
     start = max(range(h.n), key=lambda v: h.degree(v))
-    return _embeds(g, h, _expansion_order(h, (start,)), [])
+    return _embeds(g.adj, _plan(h, (start,)), [])
 
 
 @lru_cache(maxsize=1 << 10)
-def _anchors(h: Graph) -> tuple[tuple[int, int], ...]:
-    """One ordered edge (a, b) of h from each orbit of h's automorphisms,
-    which are the embeddings of h into itself."""
+def _anchors(h: Graph) -> tuple[Plan, ...]:
+    """The plans of h that start on one ordered edge (a, b) from each orbit
+    of h's automorphisms, which are the embeddings of h into itself."""
     reps: list[tuple[int, int]] = []
     for edge in h.edges():
         for a, b in (edge, edge[::-1]):
-            if not any(_embeds(h, h, _expansion_order(h, rep), [a, b]) for rep in reps):
+            if not any(_embeds(h.adj, _plan(h, rep), [a, b]) for rep in reps):
                 reps.append((a, b))
-    return tuple(reps)
+    return tuple(_plan(h, rep) for rep in reps)
 
 
-def _contains_through(g: Graph, h: Graph, u: int, v: int) -> bool:
-    """Does h embed into g with some edge of h mapped onto the edge uv?"""
-    return any(_embeds(g, h, _expansion_order(h, (a, b)), [u, v]) for a, b in _anchors(h))
+def _contains_through(adj: Sequence[int], h: Graph, u: int, v: int) -> bool:
+    """Does h embed into the host with adjacency `adj` with some edge of h
+    mapped onto uv? The edge uv need not be in `adj`: the search places its
+    ends first and never reads an edge between placed positions."""
+    return any(_embeds(adj, plan, [u, v]) for plan in _anchors(h))
 
 
 # --- freeness and legality --------------------------------------------------
@@ -294,9 +317,9 @@ def _by_room(values: list[int], k: int) -> list[int]:
 
 
 def _explicit_creates(g: Graph, family: ExplicitFamily, u: int, v: int) -> bool:
-    """Does some member embed into g + uv with one of its edges on uv?"""
-    g2 = g.add_edge(u, v)
-    return any(h.n <= g.n and _contains_through(g2, h, u, v) for h in family.members)
+    """Does some member embed into g + uv with one of its edges on uv? Read
+    off g's own adjacency (see `_contains_through`), so no child is built."""
+    return any(h.n <= g.n and _contains_through(g.adj, h, u, v) for h in family.members)
 
 
 def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:

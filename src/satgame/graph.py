@@ -364,7 +364,12 @@ def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
 # A graph is the disjoint union of its components, so its key is n followed by
 # the (size, encoding) pairs of its components in sorted order. A component's
 # encoding is its minimum adjacency encoding over the vertex orders that an
-# individualisation/refinement search reaches. Cells whose members are
+# individualisation/refinement search reaches. Refinement counts neighbours
+# only against the cells that the previous round made (the splitter rounds
+# of McKay & Piperno, cited below; see `_refine`), which gives the same
+# ordered partitions, so the same bytes, as counting against every cell.
+# After a vertex is individualised, the first round has one splitter, that
+# vertex, and a count is one adjacency bit. Cells whose members are
 # pairwise interchangeable (identical outside neighbourhoods, clique or
 # independent inside) never branch: any order of such a cell gives the same
 # encoding, so cliques, independent sets and star leaves cost nothing.
@@ -384,17 +389,55 @@ def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
 # search.
 
 
-def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    while True:
-        masks = [vertex_mask(c) for c in cells]
+def _refine(adj: Sequence[int], cells: list[list[int]], split: Sequence[int]) -> list[list[int]]:
+    """The coarsest equitable refinement of the ordered partition `cells`,
+    where `split` lists, ascending, the indices of the cells that can split
+    another one; the others must already meet every cell with a constant
+    count.
+
+    Each round splits every cell by its members' neighbour counts against
+    the round's splitters, the parts ordered by those counts read as a
+    tuple, first splitter first. That gives the same ordered partition as
+    counting against every cell in every round:
+    - A cell that the previous round left whole was counted against in it,
+      so it meets each cell of this round with a constant count: it splits
+      nothing, and a constant entry never decides the tuples' order.
+    - The counts against the parts of a cell that the previous round split
+      sum to the constant count against the whole cell. So the count against
+      the last part follows from the others and comes after them in the
+      tuple; dropping it keeps the same groups in the same order.
+    So each round's splitters are the parts made by the previous round, the
+    last part of each split cell left out. At the root every cell is a
+    splitter. After a vertex is individualised out of an equitable
+    partition, only its singleton is; after an interchangeable cell is
+    expanded, so are its new singletons except the last.
+    """
+    size = len(adj)
+    while split and len(cells) < size:  # singletons split no further
+        if len(split) == 1 and len(cells[split[0]]) == 1:
+            # one splitter {w}: a count is whether w is a neighbour
+            near = adj[cells[split[0]][0]]
+        else:
+            near = -1
+            masks = [vertex_mask(cells[i]) for i in split]
         out: list[list[int]] = []
-        changed = False
+        split = []
         for c in cells:
             if len(c) == 1:
                 out.append(c)
                 continue
-            # neighbour counts per cell packed 7 bits each, first cell most
-            # significant: a count is at most 63, so ints sort as the tuples
+            if near >= 0:
+                hit = [v for v in c if near >> v & 1]
+                if hit and len(hit) < len(c):
+                    split.append(len(out))
+                    out.append([v for v in c if not near >> v & 1])
+                    out.append(hit)
+                else:
+                    out.append(c)
+                continue
+            # neighbour counts per splitter packed 7 bits each, first
+            # splitter most significant: a count is at most 63, so ints sort
+            # as the tuples
             groups: dict[int, list[int]] = {}
             for v in c:
                 av = adj[v]
@@ -405,12 +448,10 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
             if len(groups) == 1:
                 out.append(c)
             else:
-                changed = True
-                for key in sorted(groups):
-                    out.append(groups[key])
+                split.extend(range(len(out), len(out) + len(groups) - 1))
+                out.extend(groups[key] for key in sorted(groups))
         cells = out
-        if not changed:
-            return cells
+    return cells
 
 
 def _interchangeable(adj: Sequence[int], cell: list[int]) -> bool:
@@ -425,11 +466,10 @@ def _interchangeable(adj: Sequence[int], cell: list[int]) -> bool:
 
 def _encode_order(adj: Sequence[int], order: list[int]) -> int:
     code = 0
-    s = len(order)
-    for i in range(s):
-        ai = adj[order[i]]
-        for j in range(i + 1, s):
-            code = (code << 1) | (ai >> order[j] & 1)
+    for i, v in enumerate(order):
+        av = adj[v]
+        for w in order[i + 1:]:
+            code = code << 1 | (av >> w & 1)
     return code
 
 
@@ -439,10 +479,10 @@ def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = 
     which vertex i has colour colours[i] (a byte); uncoloured when None."""
     best: Optional[int] = None
 
-    def search(cells: list[list[int]]) -> None:
+    def search(cells: list[list[int]], split: Sequence[int]) -> None:
         nonlocal best
         while True:
-            cells = _refine(adj, cells)
+            cells = _refine(adj, cells, split)
             target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
             if target is None:
                 code = _encode_order(adj, [c[0] for c in cells])
@@ -452,10 +492,11 @@ def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = 
             cell = cells[target]
             if _interchangeable(adj, cell):
                 cells = cells[:target] + [[v] for v in cell] + cells[target + 1 :]
+                split = range(target, target + len(cell) - 1)
                 continue
             for v in cell:
                 rest = [u for u in cell if u != v]
-                search(cells[:target] + [[v], rest] + cells[target + 1 :])
+                search(cells[:target] + [[v], rest] + cells[target + 1 :], (target,))
             return
 
     s = len(adj)
@@ -464,7 +505,7 @@ def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = 
     else:
         prefix = bytes(sorted(colours))
         cells = [[v for v in range(s) if colours[v] == c] for c in sorted(set(colours))]
-    search(cells)
+    search(cells, range(len(cells)))
     assert best is not None
     nbytes = (s * (s - 1) // 2 + 7) // 8
     return prefix + best.to_bytes(nbytes, "big")

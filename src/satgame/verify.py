@@ -34,7 +34,7 @@ from .families import (
     is_free,
     is_saturated,
 )
-from .graph import Graph, everywhere_traceable
+from .graph import MAX_VERTICES, Graph, everywhere_traceable
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
 from .solver import best_response, solve
 from .strategies import Strategy, make_strategy
@@ -367,8 +367,11 @@ CLAIMS: tuple[tuple[str, GameSource, Callable[[GameRecord], int]], ...] = (
 
 
 def _check_fuzz_sizes(suite: str, games: int, n_max: int) -> None:
-    """Reject sizes under which a fuzz suite would check nothing."""
+    """Reject sizes under which a fuzz suite would check nothing, and an
+    n_max that no graph reaches, before any game is played."""
     _check_at_least(suite, "n_max", n_max, 4)
+    if n_max > MAX_VERTICES:
+        raise ValueError(f"{suite} needs n_max <= {MAX_VERTICES}, got n_max={n_max}")
     _check_at_least(suite, "games", games, 1)
 
 

@@ -72,6 +72,20 @@ class TestSolveCommand:
             main(["solve", "--family", "P4", "--n", "9..4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("n", ["65", "60..65", "1..1000000000"])
+    def test_more_vertices_than_a_graph_holds_is_usage_error(self, capsys, n):
+        # rejected when parsed, before any list of sizes is built
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--family", "P4", "--n", n])
+        assert err.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert "n <= 64" in err_lines[-1] and "Traceback" not in err_lines[-1]
+
+    def test_sixty_four_vertices_parse(self, capsys):
+        code, out = run(capsys, "solve", "--family", "P4", "--n", "63..64", "--n-cap", "2")
+        assert code == 3
+        assert [r["n"] for r in csv.DictReader(io.StringIO(out))] == ["63", "63", "64", "64"]
+
     @pytest.mark.parametrize("option, value", [
         ("--n-cap", "-1"), ("--n-cap", "0"), ("--node-cap", "-5"), ("--node-cap", "0"),
         ("--time-cap", "-1"), ("--time-cap", "0"), ("--time-cap", "nan"),
@@ -264,6 +278,8 @@ class TestVerifyCommand:
         (["--suite", "trees", "--n-max", "3"], "n_max"),
         (["--suite", "p4", "--n-max", "0"], "n_max"),
         (["--suite", "p5", "--n-max", "3"], "n_max"),
+        (["--suite", "claims", "--n-max", "65"], "n_max <= 64"),
+        (["--suite", "algebra", "--n-max", "1000000000"], "n_max <= 64"),
     ])
     def test_fuzz_sizes_that_check_nothing_are_usage_errors(self, capsys, argv, option):
         code = main(["verify", *argv])

@@ -118,7 +118,9 @@ class TestContainsSubgraph:
             contains_subgraph(C4, Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
-# connected patterns beyond paths: K3, C4, K_{1,3}, the paw, K4 - e and K4
+# connected patterns beyond paths: K3, C4, K_{1,3}, the paw, K4 - e and K4;
+# P4, which has a bridge; C5 and the bull (a triangle with two pendant
+# vertices), on 5 vertices
 PATTERNS = {
     "K3": K3,
     "C4": C4,
@@ -126,14 +128,26 @@ PATTERNS = {
     "paw": Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
     "K4-e": Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
     "K4": Graph.from_edges(4, list(itertools.combinations(range(4), 2))),
+    "P4": parse_family("List:Ch").members[0],
+    "C5": parse_family("List:Dhc").members[0],
+    "bull": Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)]),
 }
+
+# each pattern alone, and two-member lists: the triangle with the 4-cycle,
+# and the 4-cycle with C5, which is larger than the hosts on 4 vertices
+EXPLICIT_FAMILIES = {name: ExplicitFamily((h,)) for name, h in PATTERNS.items()}
+EXPLICIT_FAMILIES.update({spec: parse_family(spec) for spec in ("List:Bw,Cl", "List:Cl,Dhc")})
 
 
 def brute_contains(g, h):
     """Does some injective map of h's vertices into g's send every edge of h
     to an edge of g? Tries every map."""
-    return any(all(g.has_edge(f[a], f[b]) for a, b in h.edges())
+    return any(all(g.adj[f[a]] >> f[b] & 1 for a, b in h.edges())
                for f in itertools.permutations(range(g.n), h.n))
+
+
+def brute_free(g, family):
+    return not any(h.n <= g.n and brute_contains(g, h) for h in family.members)
 
 
 class TestSubgraphSearchAgainstBruteForce:
@@ -144,18 +158,19 @@ class TestSubgraphSearchAgainstBruteForce:
             for g in all_graphs(n):
                 assert contains_subgraph(g, h) == brute_contains(g, h), (name, g.edges())
 
-    @pytest.mark.parametrize("name", PATTERNS)
+    @pytest.mark.parametrize("name", EXPLICIT_FAMILIES)
     def test_legality_on_free_graphs(self, name):
-        h = PATTERNS[name]
-        family = ExplicitFamily((h,))
-        for n in range(1, 6):
+        family = EXPLICIT_FAMILIES[name]
+        for n in range(1, 7):
             for g in all_graphs(n):
-                if brute_contains(g, h):
+                if not brute_free(g, family):
                     continue
-                creates = {e: brute_contains(g.add_edge(*e), h) for e in g.absent_edges()}
-                assert legal_moves(g, family) == [e for e, bad in creates.items() if not bad]
+                creates = {e: not brute_free(g.add_edge(*e), family) for e in g.absent_edges()}
+                legal = [e for e, bad in creates.items() if not bad]
                 for e, bad in creates.items():
                     assert creates_forbidden(g, family, e) == bad, (name, g.edges(), e)
+                assert legal_moves(g, family) == legal
+                assert is_saturated(g, family) == (not legal)
 
 
 class TestCreatesForbidden:

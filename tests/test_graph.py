@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satgame import graph
+from satgame.analysis import all_graphs
 from satgame.graph import (
     Graph,
     bits,
@@ -199,6 +200,49 @@ class TestTwins:
         assert g.relabel(perm) == g
 
 
+def refine_all_cells(adj, cells):
+    """Equitable refinement that counts against every cell in every round:
+    each cell splits by its members' tuples of neighbour counts per cell,
+    the parts in increasing tuple order, until a round splits nothing."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        out = []
+        for c in cells:
+            groups = {}
+            for v in c:
+                groups.setdefault(tuple((adj[v] & m).bit_count() for m in masks), []).append(v)
+            out += [groups[sig] for sig in sorted(groups)]
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+class TestRefinement:
+    """`graph._refine` counts only against the cells that the previous round
+    made; its ordered partitions must be those of counting against all."""
+
+    def test_matches_all_cells_refinement(self):
+        rng = random.Random(2014)
+        for _ in range(400):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.7)))
+            colours = [rng.randint(1, rng.randint(1, 4)) for _ in range(n)]
+            cells = [[v for v in range(n) if colours[v] == c] for c in sorted(set(colours))]
+            equitable = refine_all_cells(g.adj, cells)
+            assert graph._refine(g.adj, cells, range(len(cells))) == equitable
+            for t, cell in enumerate(equitable):
+                if len(cell) == 1:
+                    continue
+                # individualise one vertex: only its singleton can split
+                v = rng.choice(cell)
+                split = equitable[:t] + [[v], [u for u in cell if u != v]] + equitable[t + 1:]
+                assert graph._refine(g.adj, split, (t,)) == refine_all_cells(g.adj, split)
+                # expand the cell into singletons: all but the last can split
+                expanded = equitable[:t] + [[u] for u in cell] + equitable[t + 1:]
+                assert (graph._refine(g.adj, expanded, range(t, t + len(cell) - 1))
+                        == refine_all_cells(g.adj, expanded))
+
+
 class TestCanonicalKey:
     def test_relabel_invariance_seeded(self):
         rng = random.Random(12345)
@@ -306,6 +350,30 @@ class TestCanonicalKey:
                 digest.update(bytes([len(key)]) + key)
         assert digest.hexdigest() == (
             "27d3f8a3ed50dc507f30a95b6adb19ca1f7cc49a04b465383a9ff435cdcee82d")
+
+    def test_golden_key_bytes_beyond_six_vertices(self):
+        # every class on 7 vertices, then random graphs on 7..16, whose
+        # searches individualise and refine far more than the small ones
+        digest = hashlib.sha256()
+        rng = random.Random(1907)
+        sample = [random_graph(rng, rng.randint(7, 16), rng.choice((0.15, 0.3, 0.5, 0.7)))
+                  for _ in range(300)]
+        for g in list(all_graphs(7)) + sample:
+            key = g.canonical_key()
+            digest.update(bytes([len(key)]) + key)
+        assert digest.hexdigest() == (
+            "d7ff285ba48a48c42d9d3e81cae2fabf14147cc7e9d0adc2a9b5de9e5b161278")
+
+    def test_golden_residual_key_bytes(self):
+        digest = hashlib.sha256()
+        rng = random.Random(1908)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(4, 16), rng.choice((0.15, 0.3, 0.5)))
+            for cap in (1, 2, 3, 4, 6):
+                key = g.residual_key(cap)
+                digest.update(bytes([len(key)]) + key)
+        assert digest.hexdigest() == (
+            "55695bfa08baa31d95f637eadb7495b23ea91ac6921bd6b9b30094ca99006a3f")
 
     def test_eleven_classes_on_four_vertices(self):
         keys = set()

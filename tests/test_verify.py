@@ -46,6 +46,20 @@ def test_claims_reject_games_too_small_to_fuzz(n_max):
         suite_claims(games=6, n_max=n_max)
 
 
+@pytest.mark.parametrize("suite", ["suite_claims", "suite_algebra"])
+@pytest.mark.parametrize("n_max", [65, 10**9])
+def test_fuzz_suites_reject_more_vertices_than_a_graph_holds(monkeypatch, suite, n_max):
+    # rejected before any game is drawn or any window computed
+    def no_games(*args):
+        raise AssertionError("a game was drawn")
+
+    monkeypatch.setattr(verify, "_star_games", no_games)
+    monkeypatch.setattr(verify, "CLAIMS", [(name, no_games, check)
+                                           for name, _, check in verify.CLAIMS])
+    with pytest.raises(ValueError, match="n_max <= 64"):
+        getattr(verify, suite)(games=6, n_max=n_max)
+
+
 @pytest.mark.parametrize("suite, least, first", [
     (suite_p4, 3, "solve-window n=3 first=P"),
     (suite_p5, 4, "solve-window n=4 first=P"),
