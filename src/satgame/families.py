@@ -34,7 +34,11 @@ component are kept on its record (`graph.Component`), which a child
 position shares with its parent unless the move touched that component, so
 a move costs at most one new set of rows. Behind the records, one bounded
 process-wide cache holds the rows in local bits, keyed by k and the
-component's relabelled adjacency, of which they are a function.
+component's relabelled adjacency, of which they are a function. Behind that
+cache, a second one holds the search of each shape: the adjacency sorted by
+(degree, sorted neighbour degrees). Components that differ only in their
+labels mostly share a shape, so they share one search, whose answer is
+mapped back to each component's labels.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .graph import Component, Graph, bits, from_graph6, to_graph6, vertex_mask
+from .graph import Component, Graph, _local_adj, bits, from_graph6, to_graph6, vertex_mask
 
 Move = tuple[int, int]
 
@@ -147,6 +151,22 @@ def _longest_path_from(adj: tuple[int, ...], x: int, k: int, avoid: int = 0) -> 
 
 @lru_cache(maxsize=1 << 16)
 def _path_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_shape_record` of `adj`, searched on its shape: adj relabelled by the
+    stable order of (degree, sorted neighbour degrees). The record is a
+    function of the graph, so relabelling it relabels the record; components
+    that differ only in their labels mostly share a shape, and one search.
+    """
+    deg = [row.bit_count() for row in adj]
+    order = sorted(range(len(adj)), key=lambda x: (deg[x], sorted(deg[y] for y in bits(adj[x]))))
+    pos = [0] * len(adj)
+    for i, x in enumerate(order):
+        pos[x] = i
+    ends, inner = _shape_record(k, tuple(_local_adj(adj, order)))
+    return tuple(ends[i] for i in pos), tuple(_local_adj(inner, pos))
+
+
+@lru_cache(maxsize=1 << 16)
+def _shape_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """P_k legality of the connected graph with adjacency `adj` on 0..s-1.
 
     Returns (ends, inner): ends[x] is L(x) capped at k, and bit y of inner[x]

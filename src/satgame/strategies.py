@@ -10,6 +10,14 @@ rule's candidates. A rule that several strategies use is defined once.
 The other strategies are plain functions of the state. Play is
 reproducible, and every strategy returns a legal action (or a pass, where
 allowed) even from states its rules were not designed around.
+
+No strategy lists the legal moves. Each reads the graph's legality table
+with row u cut to its partners v > u; read row by row, low bit first, that
+is the lex order of `legal_moves`, so "least legal edge" is the first set
+bit. The random baseline draws an index below the number of legal edges and
+takes that set bit, as `random.choice` draws from the list. Greedy and the
+star strategy find their best value from one mask per component size or
+per degree, then take the lex-least edge of that value.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .engine import PASS, Action, GameState, Player, Variant
-from .families import Move, TreeFamily, creates_forbidden, legal_moves
+from .families import Move, TreeFamily, _by_room, _legal_table, creates_forbidden
 from .graph import Component, Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
 from .solver import best_action
@@ -37,19 +45,32 @@ class Strategy:
         return self.decide(state)
 
 
-def _moves(state: GameState) -> list[Move]:
-    moves = legal_moves(state.graph, state.family)
-    if not moves:
+def _rows(state: GameState) -> list[int]:
+    """The legality table with row u cut to its partners v > u. Read row by
+    row and low bit first, its edges come in the lex order of `legal_moves`."""
+    rows = [row >> (u + 1) << (u + 1)
+            for u, row in enumerate(_legal_table(state.graph, state.family))]
+    if not any(rows):
         raise RuntimeError("asked to move in a terminal state")
-    return moves
+    return rows
+
+
+def _first(rows: Iterable[int]) -> Optional[Action]:
+    """The lex-least edge of `rows`, or None when they are empty."""
+    for u, row in enumerate(rows):
+        if row:
+            return Action((u, (row & -row).bit_length() - 1))
+    return None
 
 
 def _least_legal(state: GameState, exclude: Iterable[Move] = ()) -> Action:
     """Least legal edge outside `exclude`, or the least legal edge when all
     are excluded."""
-    moves = _moves(state)
-    skip = set(exclude)
-    return Action(next((e for e in moves if e not in skip), moves[0]))
+    rows = _rows(state)
+    skip = [0] * len(rows)
+    for u, v in exclude:
+        skip[u] |= 1 << v
+    return _first(row & ~s for row, s in zip(rows, skip)) or _first(rows)
 
 
 # --- path games: keep every component traceable from every vertex ------------
@@ -241,43 +262,79 @@ def _decide_prolonger_trees(state: GameState) -> Action:
 def _decide_star_lex(state: GameState) -> Action:
     """Least legal edge under the key (min endpoint degree, max endpoint
     degree, endpoints): builds up degrees from the bottom."""
+    rows = _rows(state)
     deg = state.graph.degrees()
-
-    def key(e: Move):
-        du, dv = deg[e[0]], deg[e[1]]
-        if du > dv:
-            du, dv = dv, du
-        return (du, dv, e[0], e[1])
-
-    return Action(min(_moves(state), key=key))
+    of_deg: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        of_deg[d] = of_deg.get(d, 0) | 1 << v
+    classes = sorted(of_deg)
+    for i, d1 in enumerate(classes):
+        for d2 in classes[i:]:
+            # u of one degree of the class pairs with a partner of the other
+            for u in bits(of_deg[d1] | of_deg[d2]):
+                row = rows[u] & of_deg[d1 + d2 - deg[u]]
+                if row:
+                    return Action((u, (row & -row).bit_length() - 1))
+    raise AssertionError("unreachable: _rows found a legal edge")
 
 
 # --- baselines ----------------------------------------------------------------
 
 
 def _state_rng(seed: int, state: GameState) -> random.Random:
-    # pure function of (seed, position) so replays are reproducible
-    edges = ",".join(f"{u}-{v}" for u, v in state.graph.edges())
-    return random.Random(f"{seed}|{state.graph.n}|{state.to_move.value}|{edges}")
+    # pure function of (seed, position) so replays are reproducible; the
+    # edges are listed "u-v" in lex order, read straight off the rows
+    edges = []
+    for u, row in enumerate(state.graph.adj):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            edges.append(f"{u}-{u + low.bit_length()}")
+            row ^= low
+    return random.Random(f"{seed}|{state.graph.n}|{state.to_move.value}|{','.join(edges)}")
 
 
 def _decide_random(seed: int, state: GameState) -> Action:
-    return Action(_state_rng(seed, state).choice(_moves(state)))
+    """A uniform legal edge; `randrange(count)` draws as `choice` does from
+    the list of all `count` legal edges in lex order."""
+    rows = _rows(state)
+    i = _state_rng(seed, state).randrange(sum(row.bit_count() for row in rows))
+    for u, row in enumerate(rows):
+        size = row.bit_count()
+        if i < size:
+            for _ in range(i):
+                row &= row - 1
+            return Action((u, (row & -row).bit_length() - 1))
+        i -= size
+    raise AssertionError("unreachable: i is below the number of legal edges")
 
 
 def _decide_greedy(state: GameState, want_max: bool) -> Action:
-    moves = _moves(state)
+    """Least legal edge that leaves the largest component smallest (or
+    largest). An edge's value is `cur`, the largest size now, inside a
+    component, and max(cur, |A| + |B|) joining components A and B."""
+    rows = _rows(state)
     cv = state.graph.components()
-    cur = max(mask.bit_count() for mask in cv.masks)
-
-    def result_size(e: Move) -> int:
-        mu, mv = cv.mask_of[e[0]], cv.mask_of[e[1]]
-        if mu == mv:
-            return cur
-        return max(cur, mu.bit_count() + mv.bit_count())
-
-    sign = -1 if want_max else 1
-    return Action(min(moves, key=lambda e: (sign * result_size(e), e)))
+    size = [mask.bit_count() for mask in cv.mask_of]
+    of_size: dict[int, int] = {}
+    for mask in cv.masks:
+        of_size[mask.bit_count()] = of_size.get(mask.bit_count(), 0) | mask
+    cur = max(of_size)
+    inside = 0
+    joins = dict.fromkeys(of_size, 0)  # size -> legal partners of those vertices elsewhere
+    for u, row in enumerate(rows):
+        inside |= row & cv.mask_of[u]
+        joins[size[u]] |= row & ~cv.mask_of[u]
+    values = {max(cur, a + b) for a, out in joins.items() for b, mask in of_size.items()
+              if out & mask}
+    if inside:
+        values.add(cur)
+    best = max(values) if want_max else min(values)
+    if best == cur:  # inside a component, or joining sizes that sum to at most cur
+        upto = _by_room(size, cur + 1)
+        return _first(row & (cv.mask_of[u] | upto[cur - size[u]]) for u, row in enumerate(rows))
+    return _first(row & ~cv.mask_of[u] & of_size.get(best - size[u], 0)
+                  for u, row in enumerate(rows))
 
 
 # --- registry -----------------------------------------------------------------

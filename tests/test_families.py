@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -428,3 +430,41 @@ class TestDerivedChildren:
             kept = [rec for i, rec in enumerate(parent) if i not in touched]
             assert all(any(rec is new for new in child) for rec in kept)
             assert not any(parent[i] is new for i in touched for new in child)
+
+
+class TestPathShapes:
+    """`_path_record` searches each component on its degree-sorted shape and
+    maps the answer back to the component's own labels."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_record_matches_the_search_on_the_given_labels(self, n):
+        search = families._shape_record.__wrapped__  # the search, uncached
+        rng = random.Random(n)
+        for g in all_graphs(n):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                adj = g.relabel(perm).adj
+                for k in range(2, 8):
+                    assert families._path_record(k, adj) == search(k, adj)
+
+    @pytest.mark.parametrize("leaves", [2, 3, 5])
+    def test_a_star_costs_one_search_per_k(self, leaves, monkeypatch):
+        searches = []
+        search = families._shape_record.__wrapped__
+
+        def counted(k, adj):
+            searches.append(k)
+            return search(k, adj)
+
+        # fresh caches, so that earlier calls cannot answer for these
+        monkeypatch.setattr(families, "_shape_record", functools.lru_cache(counted))
+        monkeypatch.setattr(families, "_path_record",
+                            functools.lru_cache(families._path_record.__wrapped__))
+        for k in range(2, 8):
+            for centre in range(leaves + 1):
+                star = Graph.from_edges(leaves + 1, [(centre, v) for v in range(leaves + 1)
+                                                     if v != centre])
+                assert families._path_record(k, star.adj) == search(k, star.adj)
+        assert searches == list(range(2, 8))
+        assert families._path_record.cache_info().currsize == 6 * (leaves + 1)

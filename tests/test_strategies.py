@@ -2,7 +2,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satgame import strategies
 from satgame.engine import (
     GameState,
     PASS,
@@ -295,3 +298,112 @@ class TestGoldenRecords:
                             count += 1
         assert count == 4550
         assert digest.hexdigest() == self.GOLDEN
+
+    BASELINE_NAMES = ("greedy-min", "greedy-max", "random:1", "random:7", "p-star")
+    BASELINE_FAMILIES = ("Star:3", "Star:4", "P5", "Trees:4", "List:Cl")
+    BASELINE_GOLDEN = "92737395d4b269280cb1d6718b590e2a407608774e4f5d69346506d51b3f6564"
+
+    def test_baseline_records_unchanged(self):
+        """Every record of the baselines and p-star against one another, an
+        explicit family included, for both variants and first movers."""
+        digest = hashlib.sha256()
+        count = 0
+        for fname in self.BASELINE_FAMILIES:
+            family = parse_family(fname)
+            for n in range(4, 11):
+                for variant in Variant:
+                    for first in Player:
+                        for p in self.BASELINE_NAMES:
+                            for s in self.BASELINE_NAMES:
+                                line = play(n, family, variant, first,
+                                            make_strategy(p), make_strategy(s)).to_json()
+                                digest.update((line + "\n").encode())
+                                count += 1
+        assert count == 3500
+        assert digest.hexdigest() == self.BASELINE_GOLDEN
+
+
+# --- the moves chosen from the legality table against list-based choices -----
+
+
+def reference_greedy(state: GameState, want_max: bool) -> Action:
+    moves = legal_moves(state.graph, state.family)
+    cv = state.graph.components()
+    cur = max(mask.bit_count() for mask in cv.masks)
+
+    def result_size(e):
+        mu, mv = cv.mask_of[e[0]], cv.mask_of[e[1]]
+        return cur if mu == mv else max(cur, mu.bit_count() + mv.bit_count())
+
+    sign = -1 if want_max else 1
+    return Action(min(moves, key=lambda e: (sign * result_size(e), e)))
+
+
+def reference_star_lex(state: GameState) -> Action:
+    deg = state.graph.degrees()
+
+    def key(e):
+        du, dv = sorted((deg[e[0]], deg[e[1]]))
+        return (du, dv, e[0], e[1])
+
+    return Action(min(legal_moves(state.graph, state.family), key=key))
+
+
+def reference_random(seed: int, state: GameState) -> Action:
+    g = state.graph
+    edges = ",".join(f"{u}-{v}" for u, v in g.edges())
+    rng = random.Random(f"{seed}|{g.n}|{state.to_move.value}|{edges}")
+    return Action(rng.choice(legal_moves(g, state.family)))
+
+
+def reference_least_legal(state: GameState, exclude) -> Action:
+    moves = legal_moves(state.graph, state.family)
+    return Action(next((e for e in moves if e not in set(exclude)), moves[0]))
+
+
+DIFFERENTIAL_FAMILIES = ("P4", "P5", "P6", "Trees:4", "Star:3", "Star:4", "List:Cl")
+
+
+@st.composite
+def positions(draw):
+    """A non-terminal position reached by random legal moves, with either
+    mover to play in either variant."""
+    family = parse_family(draw(st.sampled_from(DIFFERENTIAL_FAMILIES), label="family"))
+    g = Graph.empty(draw(st.integers(2, 12), label="n"))
+    rng = random.Random(draw(st.integers(0, 2**32), label="game seed"))
+    for _ in range(draw(st.integers(0, 40), label="moves")):
+        moves = legal_moves(g, family)
+        child = g.add_edge(*rng.choice(moves))
+        if not legal_moves(child, family):
+            break
+        g = child
+    return GameState(g, draw(st.sampled_from(list(Player)), label="mover"), family,
+                     draw(st.sampled_from(list(Variant)), label="variant"), Player.PROLONGER)
+
+
+class TestChoicesMatchListReferences:
+    @given(positions())
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_and_star_lex(self, state):
+        assert make_strategy("greedy-min")(state) == reference_greedy(state, want_max=False)
+        assert make_strategy("greedy-max")(state) == reference_greedy(state, want_max=True)
+        assert make_strategy("p-star")(state) == reference_star_lex(state)
+
+    @given(positions(), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_random(self, state, seed):
+        assert make_strategy(f"random:{seed}")(state) == reference_random(seed, state)
+
+    @given(positions(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_least_legal(self, state, data):
+        moves = legal_moves(state.graph, state.family)
+        exclude = data.draw(st.lists(st.sampled_from(moves), unique=True), label="exclude")
+        for skip in (exclude, moves, []):
+            assert strategies._least_legal(state, skip) == reference_least_legal(state, skip)
+
+    def test_terminal_state_raises(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        for name in ("greedy-min", "greedy-max", "random:3", "p-star"):
+            with pytest.raises(RuntimeError, match="terminal"):
+                make_strategy(name)(state(g, P4))
