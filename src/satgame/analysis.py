@@ -281,9 +281,7 @@ def bound(
     raise ValueError(f"unknown theorem id {theorem!r}")
 
 
-def window(
-    family: ForbiddenFamily, variant: Variant, n: int, observed: Optional[int] = None
-) -> Optional[BoundReport]:
+def window(family: ForbiddenFamily, variant: Variant, n: int) -> Optional[BoundReport]:
     """Score window of the theorem that covers the game, or None where none
     does: another family, or n outside the theorem's domain.
 
@@ -304,7 +302,7 @@ def window(
     if theorem is None:
         return None
     try:
-        return bound(theorem, n, k, observed)
+        return bound(theorem, n, k)
     except ValueError:
         return None  # out of the theorem's domain
 

@@ -14,13 +14,13 @@ import json
 import sys
 from typing import Callable, Optional
 
-from .analysis import component_labels, saturated_graphs, window
+from .analysis import component_labels, saturated_graphs
 from .engine import IllegalStrategyActionError, Player, Variant, play
 from .families import ForbiddenFamily, family_name, parse_family
 from .graph import MAX_VERTICES, to_graph6
-from .solver import DEFAULT_N_CAP, BudgetExceeded, CapExceeded, solve
+from .solver import DEFAULT_N_CAP, CapExceeded
 from .strategies import make_strategy
-from .verify import SUITES, render_report, run_suites
+from .verify import BOTH_PLAYERS, SUITES, render_report, run_suites, window_rows
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -95,54 +95,37 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) ->
         writer.writerows(rows)
     else:
         for row in rows:
-            buf.write(json.dumps({c: row.get(c) for c in columns}, sort_keys=True))
+            buf.write(json.dumps({c: row.get(c, "") for c in columns}, sort_keys=True))
             buf.write("\n")
     _write(buf.getvalue(), out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    firsts = [args.first] if args.first else [Player.PROLONGER, Player.SHORTENER]
+    firsts = [args.first] if args.first else BOTH_PLAYERS
     rows = []
-    capped = False
-    failed = False
-    for n in args.n:
-        for first in firsts:
-            row = {
-                "family": family_name(args.family),
-                "variant": args.variant.value,
-                "first": first.value,
-                "n": n,
-                "status": "ok",
-                "score": None,
-                "lower": "",
-                "upper": "",
-                "holds": "",
-                "note": "",
-            }
-            try:
-                res = solve(
-                    n, args.family, args.variant, first,
-                    n_cap=args.n_cap, node_cap=args.node_cap, time_cap=args.time_cap,
-                )
-                row["score"] = res.score
-                rep = window(args.family, args.variant, n, res.score)
-                if rep is not None:
-                    row["lower"], row["upper"] = str(rep.lower), str(rep.upper)
-                    row["holds"] = str(rep.holds).lower()
-                    row["note"] = rep.note
-                    if rep.holds is False and not rep.note:
-                        failed = True
-            except (CapExceeded, BudgetExceeded) as exc:
-                row["status"] = "unsolved"
-                row["note"] = str(exc)
-                capped = True
-            rows.append(row)
+    verdicts = []
+    for n, first, score, rep, holds in window_rows(
+        args.family, args.variant, args.n, firsts,
+        n_cap=args.n_cap, node_cap=args.node_cap, time_cap=args.time_cap,
+    ):
+        # a column that a row leaves out is written empty
+        row = {"family": family_name(args.family), "variant": args.variant.value,
+               "first": first.value, "n": n, "status": "ok", "score": score}
+        if isinstance(score, str):
+            row.update(status="unsolved", score=None, note=score)
+        elif rep is not None:
+            # the column reports the printed window; a noted window is a single
+            # non-integer point that no score meets, which the verdict excuses
+            row.update(lower=str(rep.lower), upper=str(rep.upper), note=rep.note,
+                       holds=str(holds and not rep.note).lower())
+        rows.append(row)
+        verdicts.append(holds)
     columns = ["family", "variant", "first", "n", "status", "score",
                "lower", "upper", "holds", "note"]
     _emit(rows, columns, args.format, args.out)
-    if capped:
+    if any(row["status"] == "unsolved" for row in rows):
         return EXIT_CAPPED
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_FAIL if False in verdicts else EXIT_OK
 
 
 def cmd_play(args: argparse.Namespace) -> int:
@@ -274,7 +257,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, BudgetExceeded) as exc:
+    except CapExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAPPED
     except ValueError as exc:  # bad strategy names, suite names, sizes

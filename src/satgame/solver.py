@@ -38,6 +38,7 @@ the canonical key.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,7 +53,7 @@ from .families import (
     legal_moves,
     max_saturated_edges,
 )
-from .graph import Graph, least_twins
+from .graph import MAX_VERTICES, Graph, least_twins
 
 
 class BudgetExceeded(RuntimeError):
@@ -68,7 +69,6 @@ class SolveResult:
     score: int
     principal_variation: list[Action]
     positions_expanded: int
-    elapsed: float
 
 
 # (family name, variant): a table shared between games keeps them apart
@@ -96,6 +96,28 @@ def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
             seen.add(pair)
             kept.append((u, v))
     return kept
+
+
+def _check_depth(n: int, family: ForbiddenFamily, variant: Variant, max_edges: int) -> None:
+    """Raise `CapExceeded` when searching this game could outgrow the
+    interpreter's recursion limit, which is left as it is.
+
+    The bound is safe: each nested `_Search.bounded` is one frame and adds
+    one of at most min(max_edges, n(n-1)/2) edges, or is a pass that
+    Shortener must answer with one. At most three frames (`principal_variation`,
+    `best`, `_at_least`) lie between the first of them and the frames in use
+    now, and the deepest stacks at most 2 * MAX_VERTICES of its own calls:
+    the canonical search nests once per vertex, nothing else more than a few.
+    """
+    edges = min(max_edges, n * (n - 1) // 2)
+    plies = edges * (2 if variant is Variant.PROLONGER_MAY_PASS else 1)
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    if frames + 3 + plies + 2 * MAX_VERTICES > limit:
+        raise CapExceeded(f"n={n} {family_name(family)} may nest {plies} plies, "
+                          f"too deep for the recursion limit {limit}")
 
 
 class _Search:
@@ -127,6 +149,7 @@ class _Search:
         self.n, self.family, self.variant, self.first_mover = n, family, variant, first_mover
         self.game: Game = (family_name(family), variant)
         self.max_edges = max_saturated_edges(family, n)
+        _check_depth(n, family, variant, self.max_edges)
         rep = window(family, variant, n)
         # the final score that MTD(f) tries first; any guess gives the same values
         self.guess = math.floor(rep.upper) if rep else self.max_edges
@@ -289,14 +312,11 @@ def solve(
     """Exact score of the game on n vertices under optimal play by both sides.
 
     `table` may be shared between calls, also of different games."""
-    started = time.monotonic()
-    if table is None:
-        table = {}
-    search = _Search(n, family, variant, first_mover, table,
+    search = _Search(n, family, variant, first_mover, {} if table is None else table,
                      n_cap=n_cap, node_cap=node_cap, time_cap=time_cap)
     score = search.value(Graph.empty(n), first_mover)
     pv = search.principal_variation(score)
-    return SolveResult(score, pv, search.nodes, time.monotonic() - started)
+    return SolveResult(score, pv, search.nodes)
 
 
 def best_action(
@@ -325,10 +345,9 @@ def best_response(
     n_cap: int = DEFAULT_N_CAP,
 ) -> SolveResult:
     """Exact optimum for the free side while `fixed_side` plays its script."""
-    started = time.monotonic()
     search = _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=None,
                      time_cap=None, fixed=fixed, fixed_side=fixed_side)
     score = search.value(Graph.empty(n), first_mover)
     pv = search.principal_variation(score)
-    return SolveResult(score, pv, search.nodes, time.monotonic() - started)
+    return SolveResult(score, pv, search.nodes)
 

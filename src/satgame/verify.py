@@ -2,6 +2,9 @@
 classifier/oracle equivalence, fuzzed claim invariants, algebraic identities
 and determinism checks.
 
+Every score checked against a theorem window comes from `window_rows`, which
+also gives the one verdict on it; `satgame solve` reads the same rows.
+
 Every suite returns Check rows whose rendered text is a pure function of the
 suite parameters and seed, so repeated runs are byte-identical.
 """
@@ -13,9 +16,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .analysis import (
+    CapExceeded,
     all_graphs,
     classify_p4_saturated,
     classify_p5_saturated,
@@ -36,7 +40,7 @@ from .families import (
 )
 from .graph import MAX_VERTICES, Graph, everywhere_traceable
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
-from .solver import best_response, solve
+from .solver import BudgetExceeded, best_response, solve
 from .strategies import Strategy, make_strategy
 
 BOTH_PLAYERS = (Player.PROLONGER, Player.SHORTENER)
@@ -85,28 +89,52 @@ def _check_at_least(suite: str, name: str, value: int, least: int) -> None:
         raise ValueError(f"{suite} needs {name} >= {least}, got {name}={value}")
 
 
-# --- suite: the 4-vertex path game ---------------------------------------------
+# --- window rows: a score against the theorem window that covers its game ------
 
 
-def solve_window_checks(
-    suite: str, family: ForbiddenFamily, n_range: Iterable[int], time_limit: float
-) -> list[Check]:
-    """Exact scores of the standard game inside the window that covers it."""
-    checks = []
-    for n in n_range:
-        for first in BOTH_PLAYERS:
-            res = solve(n, family, first_mover=first)
-            rep = window(family, Variant.STANDARD, n, res.score)
-            ok = bool(rep.holds) and res.elapsed <= time_limit
-            checks.append(
-                Check(
-                    suite,
-                    f"solve-window n={n} first={first.value}",
-                    ok,
-                    f"score={res.score} in [{rep.lower},{rep.upper}]",
-                )
-            )
-    return checks
+def window_rows(
+    family: ForbiddenFamily, variant: Variant, ns: Iterable[int],
+    firsts: Iterable[Player] = BOTH_PLAYERS, script: Optional[str] = None, **caps,
+) -> Iterator[tuple]:
+    """One row (n, first, score, window, holds) per n and first mover.
+
+    The score is the exact solve, or with `script` the free side's best
+    response to that one-sided strategy; `caps` go to the solver. The window
+    is `analysis.window` of the game, and `holds` is the one verdict on the
+    score. A solve stopped by a cap or budget is an unsolved row: its score
+    is the reason and it does not hold.
+    """
+    strategy = make_strategy(script) if script else None
+    for n in ns:
+        rep = window(family, variant, n)
+        for first in firsts:
+            try:
+                if strategy is None:
+                    score = solve(n, family, variant, first, **caps).score
+                else:
+                    score = best_response(n, family, variant, strategy, strategy.side,
+                                          first, **caps).score
+            except (CapExceeded, BudgetExceeded) as exc:
+                yield n, first, str(exc), rep, False
+                continue
+            if rep is None:
+                holds = None
+            elif rep.note:  # the k=3 tree residue: the printed window is off
+                holds = True
+            elif strategy is None:
+                holds = rep.lower <= score <= rep.upper
+            elif strategy.side is Player.SHORTENER:  # a script keeps only its own end
+                holds = score <= rep.upper
+            else:
+                holds = score >= rep.lower
+            yield n, first, score, rep, holds
+
+
+def solve_checks(suite: str, rows: Iterable[tuple]) -> list[Check]:
+    """One check per solve row of `window_rows`: its score within its window."""
+    return [Check(suite, f"solve-window n={n} first={first.value}", holds,
+                  f"score={score} in [{rep.lower},{rep.upper}]")
+            for n, first, score, rep, holds in rows]
 
 
 def classifier_checks(
@@ -160,24 +188,23 @@ def response_checks(k: int, n_max: int = 8) -> list[Check]:
     """The published k-path strategies hold their side of the window against
     every reply: Shortener's `s-p{k}` keeps the score at most its upper end,
     Prolonger's `p-p{k}` at least the ceiling of its lower end."""
-    family = PathFamily(k)
+    family, ns = PathFamily(k), range(3, n_max + 1)
+    shortener = window_rows(family, Variant.STANDARD, ns, (Player.PROLONGER,), f"s-p{k}")
+    prolonger = window_rows(family, Variant.STANDARD, ns, (Player.PROLONGER,), f"p-p{k}")
     checks = []
-    for n in range(3, n_max + 1):
-        rep = window(family, Variant.STANDARD, n)
-        top, bot = rep.upper, math.ceil(rep.lower)
-        hi, lo = (best_response(n, family, Variant.STANDARD, make_strategy(name), side).score
-                  for name, side in ((f"s-p{k}", Player.SHORTENER), (f"p-p{k}", Player.PROLONGER)))
-        checks.append(Check(f"p{k}", f"shortener-guarantee n={n}", hi <= top,
-                            f"best response {hi} <= {top}"))
-        checks.append(Check(f"p{k}", f"prolonger-guarantee n={n}", lo >= bot,
-                            f"best response {lo} >= {bot}"))
+    for (n, _, hi, rep, hi_holds), (_, _, lo, _, lo_holds) in zip(shortener, prolonger):
+        checks.append(Check(f"p{k}", f"shortener-guarantee n={n}", hi_holds,
+                            f"best response {hi} <= {rep.upper}"))
+        checks.append(Check(f"p{k}", f"prolonger-guarantee n={n}", lo_holds,
+                            f"best response {lo} >= {math.ceil(rep.lower)}"))
     return checks
 
 
 def suite_p4(n_max: int = 8) -> list[Check]:
     _check_at_least("suite_p4", "n_max", n_max, 3)
     family = PathFamily(4)
-    checks = solve_window_checks("p4", family, range(3, n_max + 1), time_limit=60.0)
+    checks = solve_checks("p4", window_rows(family, Variant.STANDARD, range(3, n_max + 1),
+                                            time_cap=60.0))
     checks += anchor_checks()
     checks += response_checks(4, n_max)
     checks += classifier_checks("p4", family, classify_p4_saturated, min(n_max, 7))
@@ -187,7 +214,8 @@ def suite_p4(n_max: int = 8) -> list[Check]:
 def suite_p5(n_max: int = 8) -> list[Check]:
     _check_at_least("suite_p5", "n_max", n_max, 4)
     family = PathFamily(5)
-    checks = solve_window_checks("p5", family, range(4, n_max + 1), time_limit=300.0)
+    checks = solve_checks("p5", window_rows(family, Variant.STANDARD, range(4, n_max + 1),
+                                            time_cap=300.0))
     checks += response_checks(5, n_max)
     checks += classifier_checks("p5", family, classify_p5_saturated, min(n_max, 8))
     return checks
@@ -197,40 +225,22 @@ def suite_trees(n_max: int = 9) -> list[Check]:
     _check_at_least("suite_trees", "n_max", n_max, 4)  # n = 3 is 1 mod k-1 for k = 3
     checks = []
     for k in (3, 4, 5):
-        for n in range(k, n_max + 1):
-            rep = window(TreeFamily(k), Variant.STANDARD, n)
-            if not rep.exact:
-                continue  # the formula is only exact away from n = 1 mod (k-1)
-            expected = rep.lower
-            for first in BOTH_PLAYERS:
-                got = solve(n, TreeFamily(k), first_mover=first).score
-                checks.append(
-                    Check(
-                        "trees",
-                        f"formula k={k} n={n} first={first.value}",
-                        got == expected,
-                        f"solver={got} formula={expected}",
-                    )
-                )
+        family = TreeFamily(k)
+        # the formula is only exact away from n = 1 mod (k-1)
+        exact = [n for n in range(k, n_max + 1) if window(family, Variant.STANDARD, n).exact]
+        for n, first, got, rep, holds in window_rows(family, Variant.STANDARD, exact):
+            checks.append(Check("trees", f"formula k={k} n={n} first={first.value}", holds,
+                                f"solver={got} formula={rep.lower}"))
     return checks
 
 
 def suite_pass() -> list[Check]:
     checks = []
-    for n, k in [(5, 4), (6, 4), (7, 4), (6, 5), (7, 5)]:
-        res = best_response(
-            n, PathFamily(k), Variant.PROLONGER_MAY_PASS,
-            make_strategy("traceable"), Player.PROLONGER,
-        )
-        floor = window(PathFamily(k), Variant.PROLONGER_MAY_PASS, n).lower
-        checks.append(
-            Check(
-                "pass",
-                f"traceable-floor n={n} k={k}",
-                res.score >= floor,
-                f"best response {res.score} >= {floor}",
-            )
-        )
+    for k, ns in ((4, range(5, 8)), (5, range(6, 8))):
+        for n, _, score, rep, holds in window_rows(PathFamily(k), Variant.PROLONGER_MAY_PASS, ns,
+                                                   (Player.PROLONGER,), "traceable"):
+            checks.append(Check("pass", f"traceable-floor n={n} k={k}", holds,
+                                f"best response {score} >= {rep.lower}"))
     return checks
 
 

@@ -6,6 +6,7 @@ The fuzzed-claims criterion plays ten thousand games and dominates the runtime.
 
 from satgame.analysis import classify_p4_saturated, classify_p5_saturated
 from satgame.cli import main as cli_main
+from satgame.engine import Variant
 from satgame.families import PathFamily
 from satgame.verify import (
     Check,
@@ -13,11 +14,12 @@ from satgame.verify import (
     classifier_checks,
     response_checks,
     shared_table_checks,
-    solve_window_checks,
+    solve_checks,
     suite_algebra,
     suite_claims,
     suite_pass,
     suite_trees,
+    window_rows,
 )
 
 
@@ -31,13 +33,15 @@ def report(criterion: str, checks: list[Check]) -> None:
 
 
 def test_criterion_1_p4_window_and_anchors():
-    checks = solve_window_checks("p4", PathFamily(4), range(3, 9), time_limit=60.0)
+    rows = window_rows(PathFamily(4), Variant.STANDARD, range(3, 9), time_cap=60.0)
+    checks = solve_checks("p4", rows)
     checks += anchor_checks()
     report("criterion 1: 4-path solve windows with oracle anchors", checks)
 
 
 def test_criterion_2_p5_window():
-    checks = solve_window_checks("p5", PathFamily(5), range(4, 9), time_limit=300.0)
+    rows = window_rows(PathFamily(5), Variant.STANDARD, range(4, 9), time_cap=300.0)
+    checks = solve_checks("p5", rows)
     report("criterion 2: 5-path solve windows", checks)
 
 

@@ -230,9 +230,9 @@ class TestWindow:
         ("Star:3", Variant.STANDARD, 4, "2.5", 2),
     ])
     def test_covering_theorem(self, family, variant, n, theorem, k):
-        rep = window(parse_family(family), variant, n, observed=7)
+        rep = window(parse_family(family), variant, n)
         assert (rep.theorem, rep.k) == (theorem, k)
-        assert rep == bound(theorem, n, k, observed=7)
+        assert rep == bound(theorem, n, k)
 
     @pytest.mark.parametrize("family, variant, n", [
         ("P6", Variant.STANDARD, 6),  # no theorem for longer paths

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -9,6 +10,10 @@ from satgame.cli import main
 from satgame.engine import Action
 from satgame.graph import Graph, to_graph6
 from satgame.strategies import Strategy
+
+
+# sha256 of the concatenated stdout of the solves in `test_pinned_bytes`
+SOLVE_SHA256 = "a1e632c3d83fb6a315ce7d8a1a6fde4a6a97f178c2888b43a03713ee0426b3a8"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -37,6 +42,32 @@ class TestSolveCommand:
         assert code == 3
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(r["status"] == "unsolved" for r in rows)
+
+    def test_game_too_deep_to_search_is_unsolved_without_traceback(self, capsys):
+        code = main(["solve", "--family", "Star:60", "--n", "60", "--n-cap", "64",
+                     "--time-cap", "5", "--first", "P"])
+        captured = capsys.readouterr()
+        assert code == 3
+        [row] = csv.DictReader(io.StringIO(captured.out))
+        assert row["status"] == "unsolved" and "recursion limit" in row["note"]
+        assert "Traceback" not in captured.err
+
+    def test_pinned_bytes(self, capsys):
+        # stdout of five solves over every kind of row: scored windows, noted
+        # Trees:3 residues (jsonl), the pass variant, a star game and a family
+        # that no theorem covers
+        runs = [
+            ["--family", "P4", "--n", "3..8"],
+            ["--family", "Trees:3", "--n", "3..9", "--format", "jsonl"],
+            ["--family", "P5", "--n", "4..8", "--variant", "pass"],
+            ["--family", "Star:4", "--n", "9..12", "--n-cap", "12"],
+            ["--family", "List:Cl", "--n", "4..8"],
+        ]
+        outs = [run(capsys, "solve", *argv) for argv in runs]
+        assert [code for code, _ in outs] == [0] * len(runs)
+        text = "".join(out for _, out in outs)
+        assert len(text.splitlines()) == 58
+        assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_SHA256
 
     def test_jsonl_format(self, capsys):
         code, out = run(capsys, "solve", "--family", "Trees:4", "--n", "6",

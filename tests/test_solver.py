@@ -23,7 +23,7 @@ from satgame.solver import (
     solve,
 )
 from satgame.strategies import make_strategy
-from satgame.verify import naive_value
+from satgame.verify import naive_value, window_rows
 
 P4, P5 = PathFamily(4), PathFamily(5)
 BOTH = (Player.PROLONGER, Player.SHORTENER)
@@ -179,14 +179,12 @@ class TestBoundedSearch:
         assert (rep.lower, rep.upper) == (Fraction(23, 2), Fraction(27, 2))
         assert _Search(9, fam, Variant.STANDARD, Player.PROLONGER, {},
                        n_cap=9, node_cap=None, time_cap=None).guess == 13
-        p_first = solve(9, fam, first_mover=Player.PROLONGER).score
-        s_first = solve(9, fam, first_mover=Player.SHORTENER).score
-        assert (p_first, s_first) == (12, 10)
+        rows = list(window_rows(fam, Variant.STANDARD, [9]))
+        assert [(first, score) for _, first, score, _, _ in rows] == [
+            (Player.PROLONGER, 12), (Player.SHORTENER, 10)]
         # A residue row outside the printed window, reported as it stands
         # (ROADMAP item 3): no note excuses it.
-        assert window(fam, Variant.STANDARD, 9, p_first).holds is True
-        below = window(fam, Variant.STANDARD, 9, s_first)
-        assert below.holds is False and below.note == ""
+        assert [holds for *_, holds in rows] == [True, False] and rep.note == ""
 
 
 class TestSandwich:
@@ -390,6 +388,13 @@ class TestCaps:
         with pytest.raises(BudgetExceeded) as err:
             solve(8, P5, time_cap=0)
         assert err.value.kind == "time"
+
+    @pytest.mark.parametrize("n, spec", [(46, "Star:46"), (60, "Trees:64")])
+    def test_game_deeper_than_the_recursion_limit_is_capped(self, n, spec):
+        # more possible edges than the recursion limit leaves room for:
+        # refused before the search starts, not a RecursionError
+        with pytest.raises(CapExceeded, match="recursion limit"):
+            solve(n, parse_family(spec), n_cap=64, time_cap=3)
 
 
 class TestBestResponsePass:

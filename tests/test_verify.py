@@ -3,6 +3,9 @@ import hashlib
 import pytest
 
 from satgame import verify
+from satgame.analysis import window
+from satgame.engine import Player, Variant
+from satgame.families import PathFamily, TreeFamily, parse_family
 from satgame.verify import (
     render_report,
     suite_algebra,
@@ -12,6 +15,7 @@ from satgame.verify import (
     suite_p5,
     suite_pass,
     suite_trees,
+    window_rows,
 )
 
 # sha256 of one report over small runs of every suite (83 lines). A change to
@@ -90,3 +94,72 @@ def test_each_option_goes_to_every_suite_that_takes_it(monkeypatch):
     verify.run_suites(["a", "b", "c"], n_max=5, games=7, seed=3)
     verify.run_suites(["a"])
     assert seen == [(5, 7, 3), (5,), (), (0, 0, 0)]
+
+
+# --- the window-row verdict, against windows computed here ---------------------
+
+
+def test_solve_row_holds_iff_its_score_lies_within_both_ends():
+    games = [("P4", range(3, 8)), ("P5", range(4, 7)), ("Trees:4", range(4, 8)),
+             ("Trees:5", [9])]  # Trees:5 n=9 with Shortener first scores below
+    verdicts = []
+    for spec, ns in games:
+        family = parse_family(spec)
+        for n, first, score, rep, holds in window_rows(family, Variant.STANDARD, ns):
+            expected = window(family, Variant.STANDARD, n)
+            assert rep == expected and not expected.note
+            assert holds is (expected.lower <= score <= expected.upper)
+            verdicts.append(holds)
+    assert False in verdicts and True in verdicts
+
+
+P, S = Player.PROLONGER, Player.SHORTENER
+
+
+@pytest.mark.parametrize("spec, script, ns, fails", [
+    ("P4", "s-p4", range(3, 8), []),
+    ("P5", "s-p5", range(4, 7), []),
+    ("P4", "s-p5", range(4, 7), [(6, P), (6, S)]),  # a 5-path script in the 4-path game
+])
+def test_shortener_script_row_holds_iff_at_most_the_upper_end(spec, script, ns, fails):
+    family = parse_family(spec)
+    rows = list(window_rows(family, Variant.STANDARD, ns, script=script))
+    for n, _, score, _, holds in rows:
+        assert holds is (score <= window(family, Variant.STANDARD, n).upper)
+    assert [(n, first) for n, first, *_, holds in rows if not holds] == fails
+
+
+@pytest.mark.parametrize("spec, script, ns, fails", [
+    ("P4", "p-p4", range(3, 8), []),
+    ("P5", "p-p5", range(4, 7), []),
+    ("P4", "traceable", range(4, 7), [(6, S)]),
+])
+def test_prolonger_script_row_holds_iff_at_least_the_lower_end(spec, script, ns, fails):
+    family = parse_family(spec)
+    rows = list(window_rows(family, Variant.STANDARD, ns, script=script))
+    for n, _, score, _, holds in rows:
+        assert holds is (score >= window(family, Variant.STANDARD, n).lower)
+    assert [(n, first) for n, first, *_, holds in rows if not holds] == fails
+
+
+def test_noted_tree_residue_row_holds():
+    family = TreeFamily(3)
+    rows = list(window_rows(family, Variant.STANDARD, [3, 5]))
+    assert len(rows) == 4
+    for n, _, score, rep, holds in rows:
+        expected = window(family, Variant.STANDARD, n)
+        assert expected.note and rep == expected
+        assert not expected.lower <= score <= expected.upper
+        assert holds is True
+
+
+def test_row_with_no_window_has_no_verdict():
+    rows = list(window_rows(parse_family("List:Cl"), Variant.STANDARD, [5]))
+    assert [(rep, holds) for *_, rep, holds in rows] == [(None, None)] * 2
+
+
+def test_capped_row_is_unsolved_and_fails():
+    [row] = window_rows(PathFamily(5), Variant.STANDARD, [8], (P,), node_cap=1)
+    n, first, score, rep, holds = row
+    assert score == "node cap 1 exceeded" and holds is False
+    assert rep == window(PathFamily(5), Variant.STANDARD, 8)
