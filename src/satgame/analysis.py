@@ -140,7 +140,7 @@ def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
     are rebuilt.
     """
     w = g.n
-    least = least_twins(g)
+    least = least_twins(g.adj)
     below = [vertex_mask(u for u in range(v) if least[u] == t) for v, t in enumerate(least)]
     found: dict[int, Graph] = {}
 

@@ -434,13 +434,14 @@ def is_saturated(g: Graph, family: ForbiddenFamily) -> bool:
 
 
 def max_saturated_edges(family: ForbiddenFamily, n: int) -> int:
-    """Admissible upper bound on the edge count of any family-free graph on n."""
+    """Admissible upper bound on the edge count of any family-free graph on
+    n, never above n(n-1)/2."""
     if isinstance(family, PathFamily):
-        return n * (family.k - 1) // 2
+        return n * (min(family.k, n) - 1) // 2
     if isinstance(family, TreeFamily):
         k = family.k
         full, rem = divmod(n, k - 1)
         return full * (k - 1) * (k - 2) // 2 + rem * (rem - 1) // 2
     if isinstance(family, StarFamily):
-        return n * (family.leaves - 1) // 2
+        return n * (min(family.leaves, n) - 1) // 2
     return n * (n - 1) // 2

@@ -271,18 +271,18 @@ def _join_key(n: int, parts: Iterable[tuple[int, bytes]]) -> bytes:
     return bytes(out)
 
 
-def least_twins(g: Graph) -> tuple[int, ...]:
-    """The least twin of each vertex.
+def least_twins(adj: Sequence[int]) -> tuple[int, ...]:
+    """The least twin of each vertex of the graph with adjacency `adj`.
 
     Twins are vertices with the same open, or the same closed,
-    neighbourhood; an automorphism of g may permute each twin class freely.
+    neighbourhood; an automorphism may permute each twin class freely.
     A vertex with an open twin has no other closed twin, so the classes
     never overlap.
     """
     first_open: dict[int, int] = {}
     first_closed: dict[int, int] = {}
     least = []
-    for v, nbrs in enumerate(g.adj):
+    for v, nbrs in enumerate(adj):
         twin = first_open.setdefault(nbrs, v)
         if twin == v:
             twin = first_closed.setdefault(nbrs | 1 << v, v)
@@ -454,16 +454,6 @@ def _refine(adj: Sequence[int], cells: list[list[int]], split: Sequence[int]) ->
     return cells
 
 
-def _interchangeable(adj: Sequence[int], cell: list[int]) -> bool:
-    cmask = vertex_mask(cell)
-    outside = adj[cell[0]] & ~cmask
-    if any(adj[v] & ~cmask != outside for v in cell[1:]):
-        return False
-    inner = [(adj[v] & cmask).bit_count() for v in cell]
-    k = len(cell)
-    return all(d == 0 for d in inner) or all(d == k - 1 for d in inner)
-
-
 def _encode_order(adj: Sequence[int], order: list[int]) -> int:
     code = 0
     for i, v in enumerate(order):
@@ -476,8 +466,12 @@ def _encode_order(adj: Sequence[int], order: list[int]) -> int:
 @lru_cache(maxsize=1 << 16)
 def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = None) -> bytes:
     """Encoding of the connected graph with adjacency `adj` on 0..s-1, in
-    which vertex i has colour colours[i] (a byte); uncoloured when None."""
+    which vertex i has colour colours[i] (a byte); uncoloured when None.
+
+    A cell of twins (`least_twins`) is split into singletons at once, in any
+    order, as an automorphism permutes it freely."""
     best: Optional[int] = None
+    least = least_twins(adj)
 
     def search(cells: list[list[int]], split: Sequence[int]) -> None:
         nonlocal best
@@ -490,7 +484,7 @@ def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = 
                     best = code
                 return
             cell = cells[target]
-            if _interchangeable(adj, cell):
+            if len({least[v] for v in cell}) == 1:
                 cells = cells[:target] + [[v] for v in cell] + cells[target + 1 :]
                 split = range(target, target + len(cell) - 1)
                 continue

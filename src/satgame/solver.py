@@ -1,22 +1,25 @@
-"""Exact game values by null-window alpha-beta over canonical positions.
+"""Exact game values by null-window tests over canonical positions.
 
 Positions are graded by edge count so the game DAG is acyclic (a pass keeps
 the graph but hands the move to the side that must add an edge). A value is
 the remaining score. The table holds a (lower, upper) bound on it per
 position, and an entry is exact when the two are equal. A position not yet
 in the table is bounded by 0 and the family's saturation maximum minus its
-edges; one with a legal move scores at least 1. Children are searched in
-lex order of their edges, skipping all but the first of each set of
-twin-equivalent edges, and `best` tests them in the same order, so the
-principal variation is the lex-least optimal line.
+edges; one with a legal move scores at least 1.
+
+The one search, `_Search.bounded`, is a fail-soft test at one threshold
+gamma: is the remaining score at least gamma? It walks the children that
+`_actions` gives, the only code that chooses them: the scripted side's one
+action, or else the first edge of each set of twin-equivalent edges in lex
+order, then a pass where the variant allows one. `best` walks the same
+list, so the principal variation is the lex-least optimal line.
 
 `value` finds the exact score by MTD(f) (Plaat, Schaeffer, Pijls & de Bruin,
 "Best-first fixed-depth minimax algorithms", Artif. Intell. 1996): a series
-of null-window, fail-soft alpha-beta searches, each of which tightens the
-bounds in the table. The first guess is the upper end of the theorem window
-that covers the game. The guess steers only the search, never a value.
-Entries are keyed by the game as well as the position, so one table may
-serve many games.
+of null-window tests, each of which tightens the bounds in the table. The
+first guess is the upper end of the theorem window that covers the game.
+The guess steers only the search, never a value. Entries are keyed by the
+game as well as the position, so one table may serve many games.
 
 A position's key is its canonical key, except in two cases. A scripted side
 sees labels, so a best response keys by the labelled adjacency. A star game
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import CapExceeded, window
-from .engine import PASS, Action, GameState, Player, Variant
+from .engine import Action, GameState, Player, Variant
 from .families import (
     ForbiddenFamily,
     Move,
@@ -87,7 +90,7 @@ def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
     (`graph.least_twins`), so two edges whose endpoints map to the same
     pair of least twins give isomorphic children.
     """
-    least = least_twins(g)
+    least = least_twins(g.adj)
     seen = set()
     kept = []
     for u, v in moves:
@@ -103,14 +106,13 @@ def _check_depth(n: int, family: ForbiddenFamily, variant: Variant, max_edges: i
     interpreter's recursion limit, which is left as it is.
 
     The bound is safe: each nested `_Search.bounded` is one frame and adds
-    one of at most min(max_edges, n(n-1)/2) edges, or is a pass that
-    Shortener must answer with one. At most three frames (`principal_variation`,
-    `best`, `_at_least`) lie between the first of them and the frames in use
-    now, and the deepest stacks at most 2 * MAX_VERTICES of its own calls:
-    the canonical search nests once per vertex, nothing else more than a few.
+    one of at most max_edges edges, or is a pass that Shortener must answer
+    with one. At most three frames (`result`, `best`, `_at_least`) lie
+    between the first of them and the frames in use now, and the deepest
+    stacks at most 2 * MAX_VERTICES of its own calls: the canonical search
+    nests once per vertex, nothing else more than a few.
     """
-    edges = min(max_edges, n * (n - 1) // 2)
-    plies = edges * (2 if variant is Variant.PROLONGER_MAY_PASS else 1)
+    plies = max_edges * (2 if variant is Variant.PROLONGER_MAY_PASS else 1)
     frames, frame = 0, sys._getframe()
     while frame is not None:
         frames, frame = frames + 1, frame.f_back
@@ -121,7 +123,8 @@ def _check_depth(n: int, family: ForbiddenFamily, variant: Variant, max_edges: i
 
 
 class _Search:
-    """Null-window alpha-beta of one game on n vertices over a table of bounds.
+    """Null-window tests of one game on n vertices over a table of bounds,
+    each at one threshold over the children that `_actions` gives.
 
     `key` maps a position to its table key: the canonical key, or for a
     star game the residual key (see the module docstring). With `fixed`
@@ -169,23 +172,32 @@ class _Search:
         else:
             self.key = Graph.canonical_key
 
-    def _may_pass(self, mover: Player) -> bool:
-        return self.variant is Variant.PROLONGER_MAY_PASS and mover is Player.PROLONGER
+    def _actions(self, g: Graph, mover: Player, moves: list[Move]) -> list[Optional[Move]]:
+        """The children of `g` in search order, given its legal `moves`, with
+        a pass as None: the scripted side's one action; otherwise the first
+        edge of each twin class in lex order, then a pass where the variant
+        allows one. Twin-equivalent children are isomorphic, so every one
+        after the first would be a table hit; a script sees labels, so with
+        one every edge is a child."""
+        may_pass = self.variant is Variant.PROLONGER_MAY_PASS and mover is Player.PROLONGER
+        if mover is self.fixed_side:
+            action = self.fixed(GameState(g, mover, self.family, self.variant, self.first_mover))
+            if action.edge not in moves and not (action.is_pass and may_pass):
+                raise RuntimeError(f"scripted side played illegal {action} on {g.edges()}")
+            return [action.edge]
+        children = moves if self.fixed else _twin_distinct(g, moves)
+        return [*children, None] if may_pass else children
 
-    def _state(self, g: Graph, mover: Player) -> GameState:
-        return GameState(g, mover, self.family, self.variant, self.first_mover)
-
-    def bounded(self, g: Graph, mover: Player, alpha: int, beta: int) -> int:
-        """Fail-soft alpha-beta: the remaining score of `g` with `mover` to
-        move if it lies strictly between alpha and beta, else a bound on it
-        that is at most alpha (an upper bound) or at least beta (a lower one).
-        """
+    def bounded(self, g: Graph, mover: Player, gamma: int) -> int:
+        """Fail-soft null-window test of whether the remaining score of `g`
+        with `mover` to move is at least gamma: a lower bound on it that is
+        at least gamma, or an upper bound below gamma."""
         key = (self.game, self.key(g), mover)
         entry = self.table.get(key)
         lo, hi = entry or (0, self.max_edges - g.m)
-        if lo >= beta or lo == hi:
+        if lo >= gamma:
             return lo
-        if hi <= alpha:
+        if hi < gamma:
             return hi
         if entry is None:
             self.nodes += 1
@@ -198,54 +210,26 @@ class _Search:
             self.table[key] = (0, 0)
             return 0
         lo = max(lo, 1)  # some side must still add an edge
-        if lo >= beta:
+        if lo >= gamma:
             self.table[key] = (lo, hi)
             return lo
-        alpha, beta = max(alpha, lo), min(beta, hi)
         other = mover.other
-        # Twin-equivalent children are isomorphic, so every one after the
-        # first would be a table hit. A script sees labelled positions, so
-        # with one the children are not interchangeable.
-        children = moves if self.fixed else _twin_distinct(g, moves)
-        if mover is self.fixed_side:
-            action = self.fixed(self._state(g, mover))
-            if action.is_pass:
-                if not self._may_pass(mover):
-                    raise RuntimeError(f"scripted side passed illegally on {g.edges()}")
-                v = self.bounded(g, other, alpha, beta)
-            elif action.edge not in moves:
-                raise RuntimeError(f"scripted side played illegal edge {action.edge} on {g.edges()}")
-            else:
-                v = 1 + self.bounded(g.add_edge(*action.edge), other, alpha - 1, beta - 1)
-        elif mover is Player.PROLONGER:
-            v, a = -1, alpha
-            for e in children:
-                v = max(v, 1 + self.bounded(g.add_edge(*e), other, a - 1, beta - 1))
-                if v >= beta:
-                    break
-                a = max(a, v)
-            else:
-                if self._may_pass(mover):
-                    v = max(v, self.bounded(g, other, a, beta))
-        else:
-            v, b = self.max_edges + 1, beta
-            for e in children:
-                v = min(v, 1 + self.bounded(g.add_edge(*e), other, alpha - 1, b - 1))
-                if v <= alpha:
-                    break
-                b = min(b, v)
-        if v <= alpha:
-            v = hi = min(hi, v)
-        elif v >= beta:
-            lo = v
-        else:
-            lo = hi = v
-        self.table[key] = (lo, hi)
+        # Prolonger keeps the largest child and stops at one that reaches
+        # gamma; Shortener keeps the least and stops at one below it
+        prolonger = mover is Player.PROLONGER
+        v = -1 if prolonger else self.max_edges + 1
+        for e in self._actions(g, mover, moves):
+            step = e is not None
+            w = step + self.bounded(g.add_edge(*e) if step else g, other, gamma - step)
+            v = max(v, w) if prolonger else min(v, w)
+            if (v >= gamma) is prolonger:
+                break
+        self.table[key] = (v, hi) if v >= gamma else (lo, v)
         return v
 
     def _at_least(self, g: Graph, mover: Player, target: int) -> bool:
         """One null-window test: is the remaining score at least `target`?"""
-        return self.bounded(g, mover, target - 1, target) >= target
+        return self.bounded(g, mover, target) >= target
 
     def value(self, g: Graph, mover: Player) -> int:
         """Exact remaining score of `g` with `mover` to move, by MTD(f): each
@@ -253,49 +237,53 @@ class _Search:
         lo, hi = 0, self.max_edges - g.m
         guess = min(max(self.guess - g.m, lo), hi)
         while lo < hi:
-            beta = max(guess, lo + 1)
-            guess = self.bounded(g, mover, beta - 1, beta)
-            if guess < beta:
+            gamma = max(guess, lo + 1)
+            guess = self.bounded(g, mover, gamma)
+            if guess < gamma:
                 hi = guess
             else:
                 lo = guess
         return lo
 
     def best(self, g: Graph, mover: Player, target: Optional[int] = None) -> Optional[Action]:
-        """The scripted action, or the lex-least edge that keeps the remaining
-        score at `target` (by default the value of `g`), with a pass only when
-        no edge does; None in a terminal position."""
+        """The first of `_actions` that keeps the remaining score at `target`
+        (by default the value of `g`); None in a terminal position.
+
+        A child of an edge scores at most target - 1 if Prolonger moves and at
+        least target - 1 if Shortener does (target after a pass), so the
+        action sought is the first whose child scores exactly that. Without
+        a script this is the lex-least optimal edge, a pass only when no edge
+        is optimal: an edge's earlier twins give isomorphic children, so the
+        lex-least optimal edge is the first of its twin class, which
+        `_actions` keeps.
+        """
         moves = legal_moves(g, self.family)
         if not moves:
             return None
-        if mover is self.fixed_side:
-            return self.fixed(self._state(g, mover))
         if target is None:
             target = self.value(g, mover)
-        # Prolonger's children score at most target - 1 and Shortener's at least
-        for e in moves:
-            child = g.add_edge(*e)
-            if mover is Player.PROLONGER:
-                if self._at_least(child, mover.other, target - 1):
-                    return Action(e)
-            elif not self._at_least(child, mover.other, target):
+        prolonger = mover is Player.PROLONGER
+        for e in self._actions(g, mover, moves):
+            step = e is not None
+            child, rest = (g.add_edge(*e) if step else g), target - step
+            if (self._at_least(child, mover.other, rest) if prolonger
+                    else not self._at_least(child, mover.other, rest + 1)):
                 return Action(e)
-        if self._may_pass(mover) and self._at_least(g, mover.other, target):
-            return PASS
         raise AssertionError("no action reproduces the solved value")
 
-    def principal_variation(self, score: int) -> list[Action]:
-        """The line of `best` actions from the empty graph, whose value is
-        `score`, to a terminal one."""
+    def result(self) -> SolveResult:
+        """The exact score of the game, and its line of `best` actions from
+        the empty graph to a terminal one."""
+        score = self.value(Graph.empty(self.n), self.first_mover)
         pv: list[Action] = []
-        g, mover = Graph.empty(self.n), self.first_mover
-        while (action := self.best(g, mover, score)) is not None:
+        g, mover, rest = Graph.empty(self.n), self.first_mover, score
+        while (action := self.best(g, mover, rest)) is not None:
             pv.append(action)
             if not action.is_pass:
                 g = g.add_edge(*action.edge)
-                score -= 1
+                rest -= 1
             mover = mover.other
-        return pv
+        return SolveResult(score, pv, self.nodes)
 
 
 def solve(
@@ -312,11 +300,8 @@ def solve(
     """Exact score of the game on n vertices under optimal play by both sides.
 
     `table` may be shared between calls, also of different games."""
-    search = _Search(n, family, variant, first_mover, {} if table is None else table,
-                     n_cap=n_cap, node_cap=node_cap, time_cap=time_cap)
-    score = search.value(Graph.empty(n), first_mover)
-    pv = search.principal_variation(score)
-    return SolveResult(score, pv, search.nodes)
+    return _Search(n, family, variant, first_mover, {} if table is None else table,
+                   n_cap=n_cap, node_cap=node_cap, time_cap=time_cap).result()
 
 
 def best_action(
@@ -345,9 +330,6 @@ def best_response(
     n_cap: int = DEFAULT_N_CAP,
 ) -> SolveResult:
     """Exact optimum for the free side while `fixed_side` plays its script."""
-    search = _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=None,
-                     time_cap=None, fixed=fixed, fixed_side=fixed_side)
-    score = search.value(Graph.empty(n), first_mover)
-    pv = search.principal_variation(score)
-    return SolveResult(score, pv, search.nodes)
+    return _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=None,
+                   time_cap=None, fixed=fixed, fixed_side=fixed_side).result()
 

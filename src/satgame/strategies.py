@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .engine import PASS, Action, GameState, Player, Variant
-from .families import Move, TreeFamily, _by_room, _legal_table, creates_forbidden
+from .families import Move, TreeFamily, _by_room, _legal_table
 from .graph import Component, Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
 from .solver import best_action
@@ -80,14 +80,14 @@ def _decide_traceable(state: GameState) -> Action:
     """Close a Hamiltonian path of a non-everywhere-traceable component into a
     cycle; otherwise pass (or play the least legal edge when passing is not
     available)."""
-    g = state.graph
-    for rec in g.components().records:
+    rows = _rows(state)
+    for rec in state.graph.components().records:
         if len(rec.members) > 2 and not everywhere_traceable(rec):
             path = hamiltonian_path(rec)
             if path is not None:
-                e = norm_edge(path[0], path[-1])
-                if not creates_forbidden(g, state.family, e):
-                    return Action(e)
+                u, v = norm_edge(path[0], path[-1])
+                if rows[u] >> v & 1:
+                    return Action((u, v))
     if state.variant is Variant.PROLONGER_MAY_PASS and state.to_move is Player.PROLONGER:
         return PASS
     return _least_legal(state)
@@ -125,9 +125,9 @@ def _by_rules(*rules: Rule, avoid: Optional[Rule] = None) -> Callable[[GameState
     least legal edge outside `avoid`'s candidates."""
 
     def decide(state: GameState) -> Action:
-        view = _View(state.graph)
+        view, rows = _View(state.graph), _rows(state)
         for rule in rules:
-            legal = [e for e in rule(view) if not creates_forbidden(state.graph, state.family, e)]
+            legal = [(u, v) for u, v in rule(view) if rows[u] >> v & 1]
             if legal:
                 return Action(min(legal))
         return _least_legal(state, avoid(view) if avoid else ())

@@ -130,10 +130,16 @@ def window_rows(
             yield n, first, score, rep, holds
 
 
+def _detail(score, solved: str) -> str:
+    """A window row's check detail: `solved`, or for an unsolved row, whose
+    score is the reason, that reason."""
+    return f"unsolved: {score}" if isinstance(score, str) else solved
+
+
 def solve_checks(suite: str, rows: Iterable[tuple]) -> list[Check]:
     """One check per solve row of `window_rows`: its score within its window."""
     return [Check(suite, f"solve-window n={n} first={first.value}", holds,
-                  f"score={score} in [{rep.lower},{rep.upper}]")
+                  _detail(score, f"score={score} in [{rep.lower},{rep.upper}]"))
             for n, first, score, rep, holds in rows]
 
 
@@ -194,9 +200,9 @@ def response_checks(k: int, n_max: int = 8) -> list[Check]:
     checks = []
     for (n, _, hi, rep, hi_holds), (_, _, lo, _, lo_holds) in zip(shortener, prolonger):
         checks.append(Check(f"p{k}", f"shortener-guarantee n={n}", hi_holds,
-                            f"best response {hi} <= {rep.upper}"))
+                            _detail(hi, f"best response {hi} <= {rep.upper}")))
         checks.append(Check(f"p{k}", f"prolonger-guarantee n={n}", lo_holds,
-                            f"best response {lo} >= {math.ceil(rep.lower)}"))
+                            _detail(lo, f"best response {lo} >= {math.ceil(rep.lower)}")))
     return checks
 
 
@@ -230,7 +236,7 @@ def suite_trees(n_max: int = 9) -> list[Check]:
         exact = [n for n in range(k, n_max + 1) if window(family, Variant.STANDARD, n).exact]
         for n, first, got, rep, holds in window_rows(family, Variant.STANDARD, exact):
             checks.append(Check("trees", f"formula k={k} n={n} first={first.value}", holds,
-                                f"solver={got} formula={rep.lower}"))
+                                _detail(got, f"solver={got} formula={rep.lower}")))
     return checks
 
 
@@ -240,7 +246,7 @@ def suite_pass() -> list[Check]:
         for n, _, score, rep, holds in window_rows(PathFamily(k), Variant.PROLONGER_MAY_PASS, ns,
                                                    (Player.PROLONGER,), "traceable"):
             checks.append(Check("pass", f"traceable-floor n={n} k={k}", holds,
-                                f"best response {score} >= {rep.lower}"))
+                                _detail(score, f"best response {score} >= {rep.lower}")))
     return checks
 
 

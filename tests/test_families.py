@@ -20,6 +20,7 @@ from satgame.families import (
     is_free,
     is_saturated,
     legal_moves,
+    max_saturated_edges,
     parse_family,
 )
 from satgame.graph import Graph
@@ -357,6 +358,16 @@ class TestSaturation:
         monkeypatch.setattr(families, "_explicit_creates", counted)
         assert not is_saturated(Graph.empty(6), parse_family("List:Cl"))
         assert calls == [(0, 1)]
+
+
+class TestMaxSaturatedEdges:
+    @pytest.mark.parametrize("spec", ["P3", "P5", "P30", "Star:2", "Star:4", "Star:300",
+                                      "Trees:3", "Trees:5", "Trees:30", "List:Cl"])
+    def test_admissible_and_never_above_the_complete_graph(self, spec):
+        family = parse_family(spec)
+        for n in range(1, 7):
+            densest = max(g.m for g in all_graphs(n) if is_free(g, family))
+            assert densest <= max_saturated_edges(family, n) <= n * (n - 1) // 2
 
 
 # the families of the legality properties, plus the 4-cycle alone

@@ -189,7 +189,7 @@ class TestTwins:
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=120, deadline=None)
     def test_swapping_two_twins_is_an_automorphism(self, g, data):
-        least = least_twins(g)
+        least = least_twins(g.adj)
         for v in range(g.n):  # the least vertex with v's open or closed neighbourhood
             assert least[v] == min(u for u in range(g.n) if g.adj[u] == g.adj[v]
                                    or g.adj[u] | 1 << u == g.adj[v] | 1 << v)

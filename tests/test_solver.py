@@ -206,6 +206,14 @@ class TestConsistency:
             score = solve(n, fam).score
             assert min(sizes) <= score <= max(sizes)
 
+    @pytest.mark.parametrize("spec", ["Star:300", "P30"])
+    def test_a_family_forbidding_nothing_searches_as_much_as_star_n(self, spec):
+        # neither Star:300 nor P30 forbids anything on 6 vertices, and neither
+        # does Star:6: the search bound starts at 15 edges for all three
+        assert max_saturated_edges(parse_family(spec), 6) == 15
+        res, star = solve(6, parse_family(spec)), solve(6, StarFamily(6))
+        assert res.positions_expanded == star.positions_expanded == 75
+
     def test_fresh_tables_agree(self):
         a = solve(6, P5).score
         b = solve(6, P5).score
@@ -309,10 +317,33 @@ class TestPinnedPrincipalVariations:
         res = solve(n, parse_family(spec), first_mover=Player(first), n_cap=n)
         assert pv_digest(res) == digest
 
+    @pytest.mark.parametrize("spec, n, first, digest", [
+        ("P4", 9, "P", "92b66a28c726c25c66548eac823693cc51ec876ed500f754022b81d36bd98830"),
+        ("P4", 9, "S", "dc3874a983dcaafc1751e2f3d9a32cb3ced01ea8c69959cfe563f69d6184a43d"),
+        ("P5", 8, "P", "218ae418cf20124d4fb4f1a8eb1ca36685eb48856978a0918124a17eb4a452e8"),
+        ("P5", 8, "S", "767e5a7a366702e94ed0895d0c2734494895a737c5a12916c3cdec2f2e5d60e3"),
+    ])
+    def test_pass_variant_solve(self, spec, n, first, digest):
+        res = solve(n, parse_family(spec), Variant.PROLONGER_MAY_PASS, Player(first), n_cap=n)
+        assert pv_digest(res) == digest
+
     def test_best_response(self):
         script = make_strategy("p-p5")
         res = best_response(8, P5, Variant.STANDARD, script, script.side)
         assert pv_digest(res) == "d9ace0083f75cfa1240a8f3ab1b0a06ef389f3be3e422891b19e9034d5b623d6"
+
+    @pytest.mark.parametrize("name, n, variant, digest", [
+        # a scripted Prolonger that passes
+        ("traceable", 7, Variant.PROLONGER_MAY_PASS,
+         "d4b7a328cf92b3e99c25329bef43c8b63f6a2ba90b40c813244cbb8a2116c72e"),
+        # a scripted Shortener
+        ("s-p4", 9, Variant.STANDARD,
+         "92b66a28c726c25c66548eac823693cc51ec876ed500f754022b81d36bd98830"),
+    ])
+    def test_best_response_to_p4_scripts(self, name, n, variant, digest):
+        script = make_strategy(name)
+        res = best_response(n, P4, variant, script, script.side)
+        assert pv_digest(res) == digest
 
 
 class TestSharedTable:

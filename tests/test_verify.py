@@ -1,13 +1,16 @@
 import hashlib
+import re
 
 import pytest
 
 from satgame import verify
-from satgame.analysis import window
+from satgame.analysis import CapExceeded, window
 from satgame.engine import Player, Variant
 from satgame.families import PathFamily, TreeFamily, parse_family
 from satgame.verify import (
     render_report,
+    response_checks,
+    solve_checks,
     suite_algebra,
     suite_claims,
     suite_determinism,
@@ -163,3 +166,25 @@ def test_capped_row_is_unsolved_and_fails():
     n, first, score, rep, holds = row
     assert score == "node cap 1 exceeded" and holds is False
     assert rep == window(PathFamily(5), Variant.STANDARD, 8)
+    [check] = solve_checks("p5", [row])
+    assert not check.passed and check.detail == "unsolved: node cap 1 exceeded"
+
+
+@pytest.mark.parametrize("checks", [
+    lambda: solve_checks("p4", window_rows(PathFamily(4), Variant.STANDARD, [5, 6])),
+    lambda: response_checks(4, 5),
+    lambda: suite_trees(5),
+    suite_pass,
+], ids=["solve_checks", "response_checks", "suite_trees", "suite_pass"])
+def test_every_window_suite_renders_unsolved_rows_alike(monkeypatch, checks):
+    def capped(n, *args, **kwargs):
+        raise CapExceeded(f"n={n} exceeds the solver cap 2")
+
+    monkeypatch.setattr(verify, "solve", capped)
+    monkeypatch.setattr(verify, "best_response", capped)
+    rendered = checks()
+    assert rendered
+    for check in rendered:
+        n = re.search(r"n=(\d+)", check.name).group(1)
+        assert not check.passed
+        assert check.detail == f"unsolved: n={n} exceeds the solver cap 2"
