@@ -22,6 +22,7 @@ from .families import (
     is_free,
     is_saturated,
     legal_moves,
+    legal_rows,
     parse_family,
 )
 from .engine import (

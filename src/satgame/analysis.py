@@ -164,12 +164,15 @@ def _augment(
     free graphs for `family`, or all graphs when it is None.
 
     The first graph that `_extensions` makes in each class is its
-    representative, and the classes come out sorted by canonical key.
+    representative, and the classes come out sorted by canonical key. Each
+    is kept as a bare copy, without the memo that its search filled.
     """
     seen: dict[bytes, Graph] = {}
     for g in smaller:
         for h in _extensions(g, family):
-            seen.setdefault(h.canonical_key(), h)
+            key = h.canonical_key()
+            if key not in seen:
+                seen[key] = Graph(h.n, h.adj, h.m)
     return tuple(g for _, g in sorted(seen.items()))
 
 

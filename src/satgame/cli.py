@@ -19,7 +19,7 @@ from .engine import IllegalStrategyActionError, Player, Variant, play
 from .families import ForbiddenFamily, family_name, parse_family
 from .graph import MAX_VERTICES, to_graph6
 from .solver import DEFAULT_N_CAP, CapExceeded
-from .strategies import make_strategy
+from .strategies import Strategy, make_strategy
 from .verify import BOTH_PLAYERS, SUITES, render_report, run_suites, window_rows
 
 EXIT_OK = 0
@@ -128,11 +128,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_FAIL if False in verdicts else EXIT_OK
 
 
+def _seated(name: str, seat: Player, seed: int) -> Strategy:
+    """The strategy `name` in the seat of `seat`, refused when its `side`
+    names the other player."""
+    strategy = make_strategy(name, default_seed=seed)
+    if strategy.side not in (None, seat):
+        raise ValueError(f"strategy {name!r} plays {strategy.side.name.lower()}, "
+                         f"not {seat.name.lower()}")
+    return strategy
+
+
 def cmd_play(args: argparse.Namespace) -> int:
     if len(args.n) > 1:
         raise ValueError("play takes a single n; use sweep for a range of n")
-    strat_p = make_strategy(args.prolonger, default_seed=args.seed)
-    strat_s = make_strategy(args.shortener, default_seed=args.seed)
+    strat_p = _seated(args.prolonger, Player.PROLONGER, args.seed)
+    strat_s = _seated(args.shortener, Player.SHORTENER, args.seed)
     try:
         record = play(args.n[0], args.family, args.variant, args.first or Player.PROLONGER,
                       strat_p, strat_s)
@@ -158,8 +168,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for n, first, pname, sname in cells:
         record = play(
             n, args.family, args.variant, Player(first),
-            make_strategy(pname, default_seed=args.seed),
-            make_strategy(sname, default_seed=args.seed),
+            _seated(pname, Player.PROLONGER, args.seed),
+            _seated(sname, Player.SHORTENER, args.seed),
         )
         rows.append({
             "family": family_name(args.family),

@@ -5,16 +5,18 @@ graph P_k; all trees on k vertices (equivalently: no component may reach k
 vertices); a single star K_{1,s} (equivalently: max degree <= s-1); or an
 explicit list of connected graphs checked by subgraph containment.
 
-Legality is one table per graph and family: bit v of entry u is set iff
-adding the absent edge uv keeps the family-free graph free. Forbidden graphs
-are connected, so a new copy uses uv and lies in the component(s) of u and
-v. For stars the table is read off degrees, for trees off component sizes.
-For P_k, an edge joining components A and B creates a P_k iff
-L_A(u) + L_B(v) >= k, where L_C(x) counts the vertices of the longest path
-in C ending at x; which edges inside a component are legal is read off that
-component's record. For an explicit family, each pattern is searched with
-one of its edges mapped onto the new edge, and the table is that search on
-every absent edge.
+Legality is one table per graph and family, `legal_rows`, of upper rows:
+bit v of entry u is set iff u < v and adding the absent edge uv keeps the
+family-free graph free, so its edges, read row by row and low bit first,
+come in lex order. Forbidden graphs are connected, so a new copy uses uv
+and lies in the component(s) of u and v. Stars are read off degrees. Trees
+and paths share one join rule: x has a value, its component's size for
+trees and for P_k the vertices L(x) of the longest path in its component
+ending at x, and u joins v of another component iff their values sum below
+k, with k capped at n + 1 as no value exceeds n. Inside a component every
+absent edge is legal for trees, and for P_k its record says which are. For
+an explicit family, each pattern is searched with one of its edges mapped
+onto the new edge, and the table is that search on every absent edge.
 
 The subgraph search reads a pattern only through its plans, built once per
 pattern and start: for each position of an order of its vertices, the
@@ -24,10 +26,10 @@ The new edge's ends are placed first and the search never reads an edge
 between placed positions, so legality reads g's own adjacency: no child
 graph is built.
 
-`creates_forbidden(g, family, e)` reads the table; for an explicit family it
-searches through e alone. `legal_moves` lists the table's edges, and
-`is_saturated` asks whether there is one, stopping at the first legal edge
-of an explicit family.
+`creates_forbidden(g, family, e)` reads one bit of the table; for an
+explicit family it searches through e alone. `legal_moves` lists the
+table's edges (`graph.row_edges`), and `is_saturated` asks whether there is
+one, stopping at the first legal edge of an explicit family.
 
 The table is kept on its graph (`Graph.memo`) per family. The P_k rows of a
 component are kept on its record (`graph.Component`), which a child
@@ -47,7 +49,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .graph import Component, Graph, _local_adj, bits, from_graph6, to_graph6, vertex_mask
+from .graph import (Component, Graph, _local_adj, bits, from_graph6, norm_edge, row_edges,
+                    to_graph6, vertex_mask)
 
 Move = tuple[int, int]
 
@@ -343,45 +346,39 @@ def _explicit_creates(g: Graph, family: ExplicitFamily, u: int, v: int) -> bool:
 
 
 def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
-    """Bit v of the result's entry u is set iff uv is a legal absent edge."""
+    """The upper rows of the legality table (see the module docstring)."""
     n, adj = g.n, g.adj
     if isinstance(family, ExplicitFamily):
         legal = [0] * n
         for u, v in g.absent_edges():
             if not _explicit_creates(g, family, u, v):
                 legal[u] |= 1 << v
-                legal[v] |= 1 << u
         return legal
     if isinstance(family, StarFamily):
         low = vertex_mask(x for x in range(n) if adj[x].bit_count() < family.leaves - 1)
-        return [low & ~adj[x] & ~(1 << x) if low >> x & 1 else 0 for x in range(n)]
+        return [low & ~adj[x] & -(2 << x) if low >> x & 1 else 0 for x in range(n)]
     cv = g.components()
     comp = cv.mask_of
     if isinstance(family, TreeFamily):
-        # every inner edge is legal; u joins v when the sizes sum below k
-        size = [comp[x].bit_count() for x in range(n)]
-        upto = _by_room(size, family.k)
-        return [comp[x] & ~adj[x] & ~(1 << x) | upto[max(family.k - 1 - size[x], 0)] & ~comp[x]
-                for x in range(n)]
-    k = family.k
-    ends = [1] * n
-    legal = [0] * n
-    for rec in cv.records:
-        if len(rec.members) == 1:
-            continue  # an isolated vertex: L = 1 and no inner edge
-        rec_ends, rows = _path_rows(rec, k)
-        for x, end, row in zip(rec.members, rec_ends, rows):
-            ends[x] = end
-            legal[x] = row
-    # u joins v of another component when L(u) + L(v) <= k - 1
-    upto = _by_room(ends, k)
-    for x in range(n):
-        legal[x] |= upto[max(k - 1 - ends[x], 0)] & ~comp[x]
-    return legal
+        value = [mask.bit_count() for mask in comp]
+        inner = [mask & ~adj[x] for x, mask in enumerate(comp)]
+    else:
+        value, inner = [1] * n, [0] * n  # an isolated vertex: L = 1 and no inner edge
+        for rec in cv.records:
+            if len(rec.members) > 1:
+                ends, rows = _path_rows(rec, family.k)
+                for x, end, row in zip(rec.members, ends, rows):
+                    value[x], inner[x] = end, row
+    k = min(family.k, n + 1)
+    upto = _by_room(value, k)
+    return [(inner[x] | upto[max(k - 1 - value[x], 0)] & ~comp[x]) & -(2 << x) for x in range(n)]
 
 
-def _legal_table(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
-    """`_legal_masks`, computed once per graph and family."""
+def legal_rows(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
+    """The legality table of the family-free graph `g`, computed once per
+    graph and family: bit v of entry u is set iff u < v and adding the
+    absent edge uv keeps g free. Read row by row, low bit first, its edges
+    come in lex order."""
     key = ("legal_table", family)
     table = g.memo.get(key)
     if table is None:
@@ -392,45 +389,37 @@ def _legal_table(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
 def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
     """Would adding `edge` to the family-free graph `g` break freeness?
 
-    Reads g's legality table for the family (see the module docstring). An
-    explicit family is searched through the edge alone, so a single query
-    does not pay for every absent edge.
+    Reads one bit of `legal_rows`. An explicit family is searched through
+    the edge alone, so a single query does not pay for every absent edge.
     """
-    u, v = edge
+    u, v = norm_edge(*edge)
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
     if g.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} already present")
     if isinstance(family, ExplicitFamily):
         return _explicit_creates(g, family, u, v)
-    return not _legal_table(g, family)[u] >> v & 1
+    return not legal_rows(g, family)[u] >> v & 1
 
 
 def legal_moves(g: Graph, family: ForbiddenFamily) -> list[Move]:
     """Absent edges whose addition keeps freeness, lexicographically ordered,
-    listed from the legality table.
+    listed from `legal_rows`.
 
     Empty exactly when the family-free graph `g` is family-saturated.
     """
-    moves = []
-    for u, row in enumerate(_legal_table(g, family)):
-        row >>= u + 1
-        while row:
-            low = row & -row
-            moves.append((u, u + low.bit_length()))
-            row ^= low
-    return moves
+    return row_edges(legal_rows(g, family))
 
 
 def is_saturated(g: Graph, family: ForbiddenFamily) -> bool:
     """Does every absent edge break the freeness of the family-free graph `g`?
 
-    An explicit family stops at the first legal edge; the others read the
-    legality table.
+    An explicit family stops at the first legal edge; the others read
+    `legal_rows`.
     """
     if isinstance(family, ExplicitFamily):
         return all(_explicit_creates(g, family, u, v) for u, v in g.absent_edges())
-    return not any(_legal_table(g, family))
+    return not any(legal_rows(g, family))
 
 
 def max_saturated_edges(family: ForbiddenFamily, n: int) -> int:

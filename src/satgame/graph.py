@@ -26,6 +26,19 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def row_edges(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs u < v with bit v of rows[u] set, in lex order: the edges of
+    an adjacency, or of a table of upper rows (`families.legal_rows`)."""
+    edges = []
+    for u, row in enumerate(rows):
+        row &= -(2 << u)
+        while row:
+            low = row & -row
+            edges.append((u, low.bit_length() - 1))
+            row ^= low
+    return edges
+
+
 def vertex_mask(vertices: Iterable[int]) -> int:
     """Bitset with the bits of `vertices` set."""
     mask = 0
@@ -209,7 +222,7 @@ class Graph:
         return max(self.degrees())
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u] >> (u + 1) << (u + 1))]
+        return row_edges(self.adj)
 
     def absent_edges(self) -> list[tuple[int, int]]:
         return [

@@ -9,10 +9,11 @@ edges; one with a legal move scores at least 1.
 
 The one search, `_Search.bounded`, is a fail-soft test at one threshold
 gamma: is the remaining score at least gamma? It walks the children that
-`_actions` gives, the only code that chooses them: the scripted side's one
-action, or else the first edge of each set of twin-equivalent edges in lex
-order, then a pass where the variant allows one. `best` walks the same
-list, so the principal variation is the lex-least optimal line.
+`_actions` reads off the position's legality table (`legal_rows`), the
+only code that chooses them: the scripted side's one action, or else the
+first edge of each set of twin-equivalent edges in lex order, then a pass
+where the variant allows one. `best` walks the same list, so the principal
+variation is the lex-least optimal line.
 
 `value` finds the exact score by MTD(f) (Plaat, Schaeffer, Pijls & de Bruin,
 "Best-first fixed-depth minimax algorithms", Artif. Intell. 1996): a series
@@ -53,10 +54,10 @@ from .families import (
     Move,
     StarFamily,
     family_name,
-    legal_moves,
+    legal_rows,
     max_saturated_edges,
 )
-from .graph import MAX_VERTICES, Graph, least_twins
+from .graph import MAX_VERTICES, Graph, least_twins, row_edges
 
 
 class BudgetExceeded(RuntimeError):
@@ -81,24 +82,6 @@ Game = tuple[str, Variant]
 # a (lower, upper) bound on the remaining score, exact when the two are equal.
 PositionTable = dict[tuple[Game, object, Player], tuple[int, int]]
 DEFAULT_N_CAP = 10
-
-
-def _twin_distinct(g: Graph, moves: list[Move]) -> list[Move]:
-    """The first of each set of twin-equivalent moves, in the given order.
-
-    Twins may be permuted freely within their class by an automorphism
-    (`graph.least_twins`), so two edges whose endpoints map to the same
-    pair of least twins give isomorphic children.
-    """
-    least = least_twins(g.adj)
-    seen = set()
-    kept = []
-    for u, v in moves:
-        pair = 1 << least[u] | 1 << least[v]
-        if pair not in seen:
-            seen.add(pair)
-            kept.append((u, v))
-    return kept
 
 
 def _check_depth(n: int, family: ForbiddenFamily, variant: Variant, max_edges: int) -> None:
@@ -172,21 +155,29 @@ class _Search:
         else:
             self.key = Graph.canonical_key
 
-    def _actions(self, g: Graph, mover: Player, moves: list[Move]) -> list[Optional[Move]]:
-        """The children of `g` in search order, given its legal `moves`, with
+    def _actions(self, g: Graph, mover: Player, rows: tuple[int, ...]) -> list[Optional[Move]]:
+        """The children of `g` in search order, given its `legal_rows`, with
         a pass as None: the scripted side's one action; otherwise the first
-        edge of each twin class in lex order, then a pass where the variant
-        allows one. Twin-equivalent children are isomorphic, so every one
+        legal edge in lex order of each twin class, then a pass where the
+        variant allows one. Twins may be permuted freely within their class
+        by an automorphism (`graph.least_twins`), so edges whose ends map to
+        the same pair of least twins give isomorphic children, and every one
         after the first would be a table hit; a script sees labels, so with
         one every edge is a child."""
         may_pass = self.variant is Variant.PROLONGER_MAY_PASS and mover is Player.PROLONGER
+        moves = row_edges(rows)
         if mover is self.fixed_side:
             action = self.fixed(GameState(g, mover, self.family, self.variant, self.first_mover))
             if action.edge not in moves and not (action.is_pass and may_pass):
                 raise RuntimeError(f"scripted side played illegal {action} on {g.edges()}")
             return [action.edge]
-        children = moves if self.fixed else _twin_distinct(g, moves)
-        return [*children, None] if may_pass else children
+        if not self.fixed:
+            least = least_twins(g.adj)
+            classes: dict[int, Move] = {}
+            for u, v in moves:
+                classes.setdefault(1 << least[u] | 1 << least[v], (u, v))
+            moves = list(classes.values())
+        return [*moves, None] if may_pass else moves
 
     def bounded(self, g: Graph, mover: Player, gamma: int) -> int:
         """Fail-soft null-window test of whether the remaining score of `g`
@@ -205,8 +196,8 @@ class _Search:
                 raise BudgetExceeded("nodes", f"node cap {self.node_cap} exceeded")
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded("time", "time cap exceeded")
-        moves = legal_moves(g, self.family)
-        if not moves:
+        rows = legal_rows(g, self.family)
+        if not any(rows):
             self.table[key] = (0, 0)
             return 0
         lo = max(lo, 1)  # some side must still add an edge
@@ -218,7 +209,7 @@ class _Search:
         # gamma; Shortener keeps the least and stops at one below it
         prolonger = mover is Player.PROLONGER
         v = -1 if prolonger else self.max_edges + 1
-        for e in self._actions(g, mover, moves):
+        for e in self._actions(g, mover, rows):
             step = e is not None
             w = step + self.bounded(g.add_edge(*e) if step else g, other, gamma - step)
             v = max(v, w) if prolonger else min(v, w)
@@ -257,13 +248,13 @@ class _Search:
         lex-least optimal edge is the first of its twin class, which
         `_actions` keeps.
         """
-        moves = legal_moves(g, self.family)
-        if not moves:
+        rows = legal_rows(g, self.family)
+        if not any(rows):
             return None
         if target is None:
             target = self.value(g, mover)
         prolonger = mover is Player.PROLONGER
-        for e in self._actions(g, mover, moves):
+        for e in self._actions(g, mover, rows):
             step = e is not None
             child, rest = (g.add_edge(*e) if step else g), target - step
             if (self._at_least(child, mover.other, rest) if prolonger

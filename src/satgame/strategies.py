@@ -11,13 +11,14 @@ The other strategies are plain functions of the state. Play is
 reproducible, and every strategy returns a legal action (or a pass, where
 allowed) even from states its rules were not designed around.
 
-No strategy lists the legal moves. Each reads the graph's legality table
-with row u cut to its partners v > u; read row by row, low bit first, that
-is the lex order of `legal_moves`, so "least legal edge" is the first set
-bit. The random baseline draws an index below the number of legal edges and
-takes that set bit, as `random.choice` draws from the list. Greedy and the
-star strategy find their best value from one mask per component size or
-per degree, then take the lex-least edge of that value.
+No strategy lists the legal moves. Each reads the graph's legality table,
+`legal_rows`, whose row u holds the legal partners v > u; read row by row,
+low bit first, that is the lex order of `legal_moves`, so "least legal
+edge" is the first set bit. The random baseline draws an index below the
+number of legal edges and takes that set bit, as `random.choice` draws from
+the list. Greedy and the star strategy find their best value from one mask
+per component size or per degree, then take the lex-least edge of that
+value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .engine import PASS, Action, GameState, Player, Variant
-from .families import Move, TreeFamily, _by_room, _legal_table
+from .families import Move, TreeFamily, _by_room, legal_rows
 from .graph import Component, Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
 from .solver import best_action
@@ -45,11 +46,9 @@ class Strategy:
         return self.decide(state)
 
 
-def _rows(state: GameState) -> list[int]:
-    """The legality table with row u cut to its partners v > u. Read row by
-    row and low bit first, its edges come in the lex order of `legal_moves`."""
-    rows = [row >> (u + 1) << (u + 1)
-            for u, row in enumerate(_legal_table(state.graph, state.family))]
+def _rows(state: GameState) -> tuple[int, ...]:
+    """`legal_rows` of a position that is not terminal."""
+    rows = legal_rows(state.graph, state.family)
     if not any(rows):
         raise RuntimeError("asked to move in a terminal state")
     return rows
@@ -282,16 +281,9 @@ def _decide_star_lex(state: GameState) -> Action:
 
 
 def _state_rng(seed: int, state: GameState) -> random.Random:
-    # pure function of (seed, position) so replays are reproducible; the
-    # edges are listed "u-v" in lex order, read straight off the rows
-    edges = []
-    for u, row in enumerate(state.graph.adj):
-        row >>= u + 1
-        while row:
-            low = row & -row
-            edges.append(f"{u}-{u + low.bit_length()}")
-            row ^= low
-    return random.Random(f"{seed}|{state.graph.n}|{state.to_move.value}|{','.join(edges)}")
+    # pure function of (seed, position) so replays are reproducible
+    edges = ",".join(f"{u}-{v}" for u, v in state.graph.edges())
+    return random.Random(f"{seed}|{state.graph.n}|{state.to_move.value}|{edges}")
 
 
 def _decide_random(seed: int, state: GameState) -> Action:

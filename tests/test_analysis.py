@@ -6,6 +6,7 @@ import pytest
 
 from satgame.analysis import (
     CapExceeded,
+    _augment,
     _extensions,
     all_graphs,
     bound,
@@ -158,6 +159,16 @@ class TestFreeGraphs:
                 for h in _extensions(g, family):
                     got.setdefault(h.canonical_key(), h)
                 assert got == want, (spec, to_graph6(g))
+
+    @pytest.mark.parametrize("spec", [*ORACLE_FAMILIES, None])
+    def test_kept_representatives_carry_no_memo(self, spec):
+        # the levels are cached for good, and no later level reads the
+        # components or tables that a representative's search filled
+        family = parse_family(spec) if spec else None
+        smaller = free_graphs(5, family) if family else all_graphs(5)
+        kept = _augment(smaller, family)
+        assert kept and all("memo" not in g.__dict__ for g in kept)
+        assert kept == (free_graphs(6, family) if family else all_graphs(6))
 
     @pytest.mark.parametrize("spec, n, candidates", [("List:Cl", 8, 3264), ("P5", 9, 1415)])
     def test_pinned_candidate_counts(self, spec, n, candidates):

@@ -208,6 +208,22 @@ class TestPlayCommand:
         err_lines = captured.err.splitlines()
         assert len(err_lines) == 1 and "sweep" in err_lines[0]
 
+    @pytest.mark.parametrize("command, prolonger, shortener, named", [
+        ("play", "s-p4", "s-p4", "s-p4"),
+        ("play", "p-p4", "p-p4", "p-p4"),
+        ("sweep", "p-p4,s-p4", "s-p4", "s-p4"),
+        ("sweep", "greedy-max", "greedy-min,traceable", "traceable"),
+    ])
+    def test_one_sided_strategy_on_the_other_side_is_usage_error(self, capsys, command,
+                                                                  prolonger, shortener, named):
+        code = main([command, "--family", "P4", "--n", "6", "--prolonger", prolonger,
+                     "--shortener", shortener])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert named in line
+
     def test_one_n_range_plays(self, capsys):
         code, out = run(capsys, "play", "--family", "P4", "--n", "5..5",
                         "--prolonger", "p-p4", "--shortener", "s-p4")

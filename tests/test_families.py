@@ -285,6 +285,34 @@ class TestLegalityProperties:
         assert {fresh: 1}[g] == 1
 
 
+# paths, trees, stars and two one-member lists (the 4-cycle, the triangle)
+TABLE_FAMILIES = [parse_family(spec) for spec in
+                  ("P4", "P5", "P6", "Trees:4", "Star:3", "Star:4", "List:Cl", "List:Bw")]
+
+
+class TestLegalRows:
+    @pytest.mark.parametrize("family", TABLE_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_upper_half_of_the_freeness_oracle_table(self, family, data):
+        g = data.draw(free_graphs(family, max_n=10))
+        rows = families.legal_rows(g, family)
+        assert all(row & ((2 << u) - 1) == 0 for u, row in enumerate(rows))
+        oracle = [0] * g.n
+        for u, v in g.absent_edges():
+            if is_free(g.add_edge(u, v), family):
+                oracle[u] |= 1 << v
+        assert list(rows) == oracle
+
+    @pytest.mark.parametrize("family", TABLE_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_creates_forbidden_reads_either_orientation(self, family, data):
+        g = data.draw(free_graphs(family, max_n=10))
+        for u, v in g.absent_edges():
+            assert creates_forbidden(g, family, (v, u)) == creates_forbidden(g, family, (u, v))
+
+
 def oracle_moves(g, family):
     """Legal moves by whole-graph freeness, sharing no code with `legal_moves`."""
     return [e for e in g.absent_edges() if is_free(g.add_edge(*e), family)]
@@ -384,7 +412,7 @@ def assert_same_as_parentless(child, family, other):
         (r.members, label_component(r)) for r in fv.records]
     assert child.canonical_key() == fresh.canonical_key()
     for fam in (family, other):
-        assert families._legal_table(child, fam) == families._legal_table(fresh, fam)
+        assert families.legal_rows(child, fam) == families.legal_rows(fresh, fam)
     assert legal_moves(child, family) == legal_moves(fresh, family)
 
 

@@ -11,10 +11,12 @@ from satgame.families import (
     TreeFamily,
     family_name,
     is_free,
+    legal_moves,
+    legal_rows,
     max_saturated_edges,
     parse_family,
 )
-from satgame.graph import Graph
+from satgame.graph import Graph, least_twins
 from satgame.solver import (
     BudgetExceeded,
     CapExceeded,
@@ -247,6 +249,27 @@ class TestMovePruning:
             assert res.score == expected
         assert res.positions_expanded == positions
 
+    @pytest.mark.parametrize("spec", ["P4", "P5", "Trees:4", "Star:3", "List:Cl"])
+    def test_actions_keep_the_lex_first_edge_of_each_twin_class(self, spec):
+        family = parse_family(spec)
+        search = _Search(6, family, Variant.STANDARD, Player.PROLONGER, {},
+                         n_cap=6, node_cap=None, time_cap=None)
+        passing = _Search(6, family, Variant.PROLONGER_MAY_PASS, Player.PROLONGER, {},
+                          n_cap=6, node_cap=None, time_cap=None)
+        scripted = _Search(6, family, Variant.STANDARD, Player.PROLONGER, {}, n_cap=6,
+                           node_cap=None, time_cap=None, fixed=make_strategy("greedy-min"),
+                           fixed_side=Player.SHORTENER)
+        for g in free_graphs(6, family):
+            moves, rows = legal_moves(g, family), legal_rows(g, family)
+            least = least_twins(g.adj)
+            pair = [sorted((least[u], least[v])) for u, v in moves]
+            firsts = [e for i, e in enumerate(moves) if pair[i] not in pair[:i]]
+            assert search._actions(g, Player.SHORTENER, rows) == firsts
+            assert passing._actions(g, Player.PROLONGER, rows) == [*firsts, None]
+            assert passing._actions(g, Player.SHORTENER, rows) == firsts
+            # a script sees labels: the free side's children are every edge
+            assert scripted._actions(g, Player.PROLONGER, rows) == moves
+
 
 def position_key(n, family, variant):
     """The table key that the solver gives positions of this game."""
@@ -396,6 +419,25 @@ class TestPrincipalVariation:
         for action in res.principal_variation:
             state = apply_action(state, action)
         assert is_terminal(state) and state.graph.m == res.score
+
+
+class TestKFarAboveN:
+    """A path or tree family whose k exceeds n + 1 plays as k = n + 1: no
+    value reaches either. 2**40 is chosen so that a table of k entries
+    would be 8 TB, which the allocator refuses at once."""
+
+    @pytest.mark.parametrize("family, same", [(PathFamily(2**40), PathFamily(6)),
+                                              (TreeFamily(2**40), TreeFamily(6))],
+                             ids=["Pk", "Trees"])
+    def test_scores_lines_and_moves_of_k_six(self, family, same):
+        for first in BOTH:
+            got, want = solve(5, family, first_mover=first), solve(5, same, first_mover=first)
+            assert (got.score, got.principal_variation) == (want.score, want.principal_variation)
+            g = Graph.empty(5)
+            for action in want.principal_variation:
+                assert legal_moves(g, family) == legal_moves(g, same)
+                g = g.add_edge(*action.edge)
+            assert legal_moves(g, family) == legal_moves(g, same) == []
 
 
 class TestCaps:
