@@ -26,6 +26,9 @@ The new edge's ends are placed first and the search never reads an edge
 between placed positions, so legality reads g's own adjacency: no child
 graph is built.
 
+`move_reach(g, family, u, v)` bounds what a move can change: a legal edge
+of g with both ends outside the reach of uv stays legal in g + uv.
+
 `creates_forbidden(g, family, e)` reads one bit of the table; for an
 explicit family it searches through e alone. `legal_moves` lists the
 table's edges (`graph.row_edges`), and `is_saturated` asks whether there is
@@ -384,6 +387,25 @@ def legal_rows(g: Graph, family: ForbiddenFamily) -> tuple[int, ...]:
     if table is None:
         table = g.memo[key] = tuple(_legal_masks(g, family))
     return table
+
+
+def move_reach(g: Graph, family: ForbiddenFamily, u: int, v: int) -> int:
+    """The vertex mask whose legal edges the legal move uv may spoil: every
+    legal edge of the family-free graph `g` with both ends outside it is
+    still legal in g + uv.
+
+    Under Star:k legality reads degrees only, and uv raises just those of u
+    and v, so the reach is {u, v}. Every other family forbids connected
+    graphs only: paths, trees and stars are connected, and `ExplicitFamily`
+    checks its members. A copy in g + uv + f that neither g + uv nor g + f
+    holds uses both uv and f, and a shortest path inside it from {u, v} to
+    an end of f is a path of g. So f meets the component of u or of v in g,
+    and the reach is the union of the two.
+    """
+    if isinstance(family, StarFamily):
+        return 1 << u | 1 << v
+    mask_of = g.components().mask_of
+    return mask_of[u] | mask_of[v]
 
 
 def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:

@@ -37,6 +37,17 @@ so m is a function of the key and the bound max_edges - m stays admissible
 for every graph that shares an entry. Move order, twin pruning and `best`
 still walk labelled graphs, so values and principal variations are those of
 the canonical key.
+
+A child tested at threshold one only asks whether it is still open, and
+one that provably is gets the bound 1 without being built. A move uv can
+spoil only legal edges that meet its reach (`families.move_reach`): {u, v}
+under Star:k, whose legality reads degrees only, and otherwise the
+components of u and v, since every forbidden graph is connected and a new
+copy through a legal edge f of g + uv uses both uv and f. So if g's rows
+hold a legal edge with both ends outside the reach, g + uv keeps it. (A
+pass child is never tested at threshold one: the loop runs only for
+gamma >= 2.) The bound is fail-soft, so entries stay sound; searching
+fewer children changes position counts, never a value or line.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ from .families import (
     family_name,
     legal_rows,
     max_saturated_edges,
+    move_reach,
 )
 from .graph import MAX_VERTICES, Graph, least_twins, row_edges
 
@@ -103,6 +115,11 @@ def _check_depth(n: int, family: ForbiddenFamily, variant: Variant, max_edges: i
     if frames + 3 + plies + 2 * MAX_VERTICES > limit:
         raise CapExceeded(f"n={n} {family_name(family)} may nest {plies} plies, "
                           f"too deep for the recursion limit {limit}")
+
+
+def _keeps_an_edge(rows: tuple[int, ...], reach: int) -> bool:
+    """Do the legality rows hold an edge with both ends outside `reach`?"""
+    return any(row & ~reach for x, row in enumerate(rows) if not reach >> x & 1)
 
 
 class _Search:
@@ -211,7 +228,10 @@ class _Search:
         v = -1 if prolonger else self.max_edges + 1
         for e in self._actions(g, mover, rows):
             step = e is not None
-            w = step + self.bounded(g.add_edge(*e) if step else g, other, gamma - step)
+            if step and gamma == 2 and _keeps_an_edge(rows, move_reach(g, self.family, *e)):
+                w = 2  # the child is open, so it scores at least 1 and is not built
+            else:
+                w = step + self.bounded(g.add_edge(*e) if step else g, other, gamma - step)
             v = max(v, w) if prolonger else min(v, w)
             if (v >= gamma) is prolonger:
                 break

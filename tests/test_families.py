@@ -367,6 +367,27 @@ class TestLegalMovesAgainstOracle:
         assert legal_moves(g, family) == expected
 
 
+# paths, trees, stars and explicit lists of one and two members
+REACH_FAMILIES = [parse_family(spec) for spec in ("P4", "P5", "P6", "Trees:4", "Trees:5", "Star:3",
+                                                  "Star:4", "List:Cl", "List:Bw", "List:Bw,Cl")]
+
+
+class TestMoveReach:
+    @pytest.mark.parametrize("family", REACH_FAMILIES, ids=family_name)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_legal_edges_outside_the_reach_stay_legal(self, family, data):
+        # legality by whole-graph freeness alone: no legality table is read
+        g = data.draw(free_graphs(family, max_n=9))
+        legal = oracle_moves(g, family)
+        for u, v in legal:
+            reach, child = families.move_reach(g, family, u, v), g.add_edge(u, v)
+            assert reach >> u & 1 and reach >> v & 1
+            for x, y in legal:
+                if not (reach >> x | reach >> y) & 1:
+                    assert is_free(child.add_edge(x, y), family), (g.edges(), (u, v), (x, y))
+
+
 class TestSaturation:
     @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
     @given(data=st.data())

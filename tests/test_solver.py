@@ -230,16 +230,18 @@ class TestConsistency:
 
 
 class TestMovePruning:
-    """Twin pruning skips only children that would have been table hits."""
+    """Twin pruning skips only children that would have been table hits. The
+    pinned counts are of positions left once children at threshold one are
+    settled from their parent's legality rows."""
 
-    @pytest.mark.parametrize("n, family, positions", [(10, P5, 211), (9, StarFamily(3), 27)])
+    @pytest.mark.parametrize("n, family, positions", [(10, P5, 210), (9, StarFamily(3), 27)])
     def test_search_size_is_pinned(self, n, family, positions):
         table = {}
         res = solve(n, family, table=table)
         assert res.positions_expanded == positions
         assert len(table) == positions
 
-    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 403)])
+    @pytest.mark.parametrize("family, name, positions", [(P4, "s-p4", 730), (P5, "p-p5", 229)])
     def test_scripted_search_matches_labelled_minimax(self, family, name, positions):
         # a script sees labels, so every labelled position is expanded
         script = make_strategy(name)
@@ -322,6 +324,47 @@ def pv_digest(res) -> str:
     return hashlib.sha256(" ".join(map(str, res.principal_variation)).encode()).hexdigest()
 
 
+# the best response to each one-sided script at small n, which no change to
+# the search's cutoffs may move:
+# (script, family, variant): {n: (score, first 16 hex digits of pv_digest)}
+BEST_RESPONSE_PINS = {
+    ("p-p4", "P4", Variant.STANDARD): {
+        3: (3, "1891798d86dd0c10"), 4: (2, "fb7ba0093f554312"), 5: (4, "dfe9ff4f9eb072bc"),
+        6: (4, "604e8ad62f970aeb"), 7: (5, "fb701bf062c13227"), 8: (6, "ec04693b9cc3f043"),
+    },
+    ("s-p4", "P4", Variant.STANDARD): {
+        3: (3, "1891798d86dd0c10"), 4: (2, "fb7ba0093f554312"), 5: (4, "5dc422e2531d4de0"),
+        6: (4, "604e8ad62f970aeb"), 7: (6, "77e6ec7795bf13cf"), 8: (7, "8d1d994e4272318c"),
+    },
+    ("p-p5", "P5", Variant.STANDARD): {
+        3: (3, "1891798d86dd0c10"), 4: (6, "19f1f5b2d849fd6e"), 5: (4, "dfe9ff4f9eb072bc"),
+        6: (6, "e10b1a29342c7326"), 7: (6, "66c55b7df1c3e844"), 8: (7, "d9ace0083f75cfa1"),
+    },
+    ("s-p5", "P5", Variant.STANDARD): {
+        3: (3, "1891798d86dd0c10"), 4: (6, "ff694a1daca66a45"), 5: (5, "785b00b5441ef079"),
+        6: (7, "6122506ffbcf9f9f"), 7: (9, "05a474610dc4f074"), 8: (8, "3e42c2810f5e09c7"),
+    },
+    ("traceable", "P4", Variant.PROLONGER_MAY_PASS): {
+        4: (2, "683f3fd325216554"), 5: (4, "514b7055082513f1"), 6: (3, "a542062575593a90"),
+        7: (5, "d4b7a328cf92b3e9"),
+    },
+    ("traceable", "P5", Variant.PROLONGER_MAY_PASS): {
+        4: (6, "f1a99f88cc6ce7c9"), 5: (4, "514b7055082513f1"), 6: (6, "1dc3f3641091f897"),
+        7: (9, "927dcc8c81a8168f"),
+    },
+    ("p-star", "Star:3", Variant.STANDARD): {
+        2: (1, "389f7fbc8e058d61"), 3: (3, "1891798d86dd0c10"), 4: (4, "ee81ce77e65ad109"),
+        5: (4, "33369422632f25f7"), 6: (5, "78347a2603684d09"), 7: (6, "566381378ab0c2bd"),
+        8: (7, "2f942c6f46f1147c"), 9: (8, "87b61413bf74ff14"),
+    },
+    ("p-star", "Star:4", Variant.STANDARD): {
+        2: (1, "389f7fbc8e058d61"), 3: (3, "1891798d86dd0c10"), 4: (6, "f38706c2816642a7"),
+        5: (7, "1b71c32eb9f958ef"), 6: (8, "a0aa5281c490141e"), 7: (9, "9bb9473e1eaca8df"),
+        8: (11, "5da3d4e64bef01cb"),
+    },
+}
+
+
 class TestPinnedPrincipalVariations:
     """The principal variations at the benchmark sizes, which a change to the
     search order or its cutoffs must leave alone."""
@@ -354,6 +397,15 @@ class TestPinnedPrincipalVariations:
         script = make_strategy("p-p5")
         res = best_response(8, P5, Variant.STANDARD, script, script.side)
         assert pv_digest(res) == "d9ace0083f75cfa1240a8f3ab1b0a06ef389f3be3e422891b19e9034d5b623d6"
+
+    @pytest.mark.parametrize("name, spec, variant", BEST_RESPONSE_PINS)
+    def test_best_responses_at_small_n(self, name, spec, variant):
+        script, family = make_strategy(name), parse_family(spec)
+        got = {}
+        for n in BEST_RESPONSE_PINS[name, spec, variant]:
+            res = best_response(n, family, variant, script, script.side)
+            got[n] = (res.score, pv_digest(res)[:16])
+        assert got == BEST_RESPONSE_PINS[name, spec, variant]
 
     @pytest.mark.parametrize("name, n, variant, digest", [
         # a scripted Prolonger that passes
@@ -513,6 +565,21 @@ class TestTableEntries:
             for g in by_key[key]:
                 assert 0 <= lo <= hi <= max_saturated_edges(family, n) - g.m
                 assert lo <= oracle(g, mover, spec, variant) <= hi
+
+    @pytest.mark.parametrize("spec, name", [("P4", "s-p4"), ("P5", "p-p5"), ("Star:3", "p-star")])
+    def test_every_scripted_entry_brackets_the_labelled_value(self, spec, name):
+        # children at threshold one that are settled from the parent's rows
+        # are never built, so their parent's entry is a fail-soft bound
+        n, family, script = 6, parse_family(spec), make_strategy(name)
+        table = {}
+        _Search(n, family, Variant.STANDARD, Player.PROLONGER, table, n_cap=n, node_cap=None,
+                time_cap=None, fixed=script, fixed_side=script.side).result()
+        assert table
+        for (_, adj, mover), (lo, hi) in table.items():
+            g = Graph(n, adj, sum(row.bit_count() for row in adj) // 2)
+            assert is_free(g, family)
+            assert 0 <= lo <= hi <= max_saturated_edges(family, n) - g.m
+            assert lo <= labelled_value(g, mover, family, script, script.side) <= hi
 
     @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
     def test_exact_entries_alone_reproduce_the_solve(self, spec):
