@@ -8,6 +8,14 @@ only free graphs are built and canonicalised. `families.is_free` is not used
 here; it stays the independent oracle that the tests and `verify` check this
 enumeration with.
 
+Saturated graphs on n vertices are the same search from the free graphs on
+n-1, with saturation tested before canonicalisation. Saturation does not
+change under isomorphism, so dropping unsaturated graphs before the dedup
+keeps the same representatives in the same order. A graph that the search
+extends further has a legal edge at w, so only the search's leaves are
+tested, and only saturated ones are keyed; the n-vertex free graphs are
+never built.
+
 All bound arithmetic is exact rational; verdicts never go through floats.
 """
 
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .engine import GameRecord, Player, Variant
 from .families import (
@@ -117,16 +125,21 @@ def _check_n(name: str, n: int, cap: int) -> None:
         raise CapExceeded(f"{name} capped at n <= {cap}")
 
 
-def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
+def _extensions(
+    g: Graph, family: Optional[ForbiddenFamily], leaf: Optional[Callable[[Graph], bool]] = None
+) -> list[Graph]:
     """g + w, where w = g.n is a new vertex, for one neighbourhood of w per
     twin class of g, in increasing order of the neighbourhood as an integer.
-    With `family` given, g is free and only free g + w are made.
+    With `family` given, g is free and only free g + w are made. With `leaf`
+    given, only the leaves of the search that `leaf` accepts are returned.
 
     g + w with w isolated is free, as every forbidden graph is connected and
     has an edge. A depth-first search then adds edges v-w in increasing order
     of v while `creates_forbidden` allows them. Freeness survives deleting
     edges, so each free neighbourhood is reached once, through its members in
     increasing order, and each other one is cut at its first illegal edge.
+    A graph that the search extends further has a legal edge at w, so it is
+    not saturated: only the leaves can be.
 
     v joins the neighbourhood only when the members of its twin class
     (`least_twins`) below v are in it already, so that within each class the
@@ -135,9 +148,11 @@ def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
     one of the same class, so the graph `_augment` keeps of each class is
     still made.
 
-    The components of g + w with w isolated are found once, and each child
-    derives its own from its parent's, so only the components that meet w
-    are rebuilt.
+    Without `leaf` every graph made is keyed, so the components of g + w
+    with w isolated are found once and each child derives its own from its
+    parent's: only the components that meet w are rebuilt. With `leaf` few
+    are keyed, and components are found only where a path or tree table or
+    a key asks for them.
     """
     w = g.n
     least = least_twins(g.adj)
@@ -145,23 +160,30 @@ def _extensions(g: Graph, family: Optional[ForbiddenFamily]) -> list[Graph]:
     found: dict[int, Graph] = {}
 
     def grow(h: Graph, subset: int, start: int) -> None:
-        found[subset] = h
-        h.components()  # for the children to derive theirs from
+        if leaf is None:  # every graph is keyed: let its children derive theirs
+            h.components()
+        extended = False
         for v in range(start, w):
             if below[v] & ~subset == 0 and (
                 family is None or not creates_forbidden(h, family, (v, w))
             ):
                 grow(h.add_edge(v, w), subset | 1 << v, v + 1)
+                extended = True
+        if leaf is None or not extended and leaf(h):
+            found[subset] = h
 
     grow(Graph(w + 1, g.adj + (0,), g.m), 0, 0)
     return [found[s] for s in sorted(found)]
 
 
 def _augment(
-    smaller: tuple[Graph, ...], family: Optional[ForbiddenFamily]
+    smaller: tuple[Graph, ...],
+    family: Optional[ForbiddenFamily],
+    leaf: Optional[Callable[[Graph], bool]] = None,
 ) -> tuple[Graph, ...]:
     """One vertex more on each graph of `smaller`, up to isomorphism: the
-    free graphs for `family`, or all graphs when it is None.
+    free graphs for `family`, or all graphs when it is None; with `leaf`
+    given, only those that `_extensions` returns for it.
 
     The first graph that `_extensions` makes in each class is its
     representative, and the classes come out sorted by canonical key. Each
@@ -169,7 +191,7 @@ def _augment(
     """
     seen: dict[bytes, Graph] = {}
     for g in smaller:
-        for h in _extensions(g, family):
+        for h in _extensions(g, family, leaf):
             key = h.canonical_key()
             if key not in seen:
                 seen[key] = Graph(h.n, h.adj, h.m)
@@ -203,8 +225,22 @@ def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
 
 
 def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
-    """All family-saturated graphs on n vertices up to isomorphism."""
-    return tuple(g for g in free_graphs(n, family) if is_saturated(g, family))
+    """All family-saturated graphs on n vertices up to isomorphism, sorted by
+    canonical key: the saturated graphs of `free_graphs(n, family)`, with the
+    same representatives in the same order.
+
+    The free graphs on n - 1 vertices are extended as `free_graphs` does, but
+    saturation is tested before the canonical key. Saturation does not change
+    under isomorphism, so a class holds only saturated graphs or none, and the
+    first saturated graph met in a saturated class is the first graph met in
+    it. Only the leaves of the extension search are tested (the others have a
+    legal edge at the new vertex), and only saturated ones are keyed. The
+    n-vertex level is never built or cached.
+    """
+    _check_n("saturated_graphs", n, SATURATED_CAP)
+    if n == 1:
+        return (Graph.empty(1),)  # no absent edge
+    return _augment(free_graphs(n - 1, family), family, lambda h: is_saturated(h, family))
 
 
 # --- score bounds ---------------------------------------------------------------

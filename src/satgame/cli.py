@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Callable, Optional
 
-from .analysis import component_labels, saturated_graphs
+from .analysis import SATURATED_CAP, component_labels, saturated_graphs
 from .engine import IllegalStrategyActionError, Player, Variant, play
 from .families import ForbiddenFamily, family_name, parse_family
 from .graph import MAX_VERTICES, to_graph6
@@ -198,6 +198,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.n[-1] > SATURATED_CAP:  # before any n of the range is enumerated
+        raise CapExceeded(f"enumerate: saturated_graphs capped at n <= {SATURATED_CAP}, "
+                          f"got n={args.n[-1]}")
     graphs = [g for n in args.n for g in saturated_graphs(n, args.family)]
     lines = [
         f"{to_graph6(g)}\t{'+'.join(lab.display() for lab in component_labels(g))}"

@@ -21,7 +21,9 @@ from satgame.analysis import (
     window,
 )
 from satgame.engine import Player, Variant, play
-from satgame.families import PathFamily, StarFamily, TreeFamily, is_free, parse_family
+from satgame.families import (
+    PathFamily, StarFamily, TreeFamily, is_free, is_saturated, parse_family,
+)
 from satgame.graph import Graph, bits, to_graph6
 from satgame.strategies import make_strategy
 
@@ -191,6 +193,83 @@ class TestFreeGraphs:
                     digest.update("".join(to_graph6(g) + "\n" for g in graphs).encode() + b"|")
         assert digest.hexdigest() == (
             "361dab0512a6e9d924d363f37458dcc6c9588607d9efe55da930b4255550d192"
+        )
+
+
+class TestSaturatedGraphs:
+    @pytest.mark.parametrize("saturated_first", [True, False])
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_matches_filtered_free_graphs(self, spec, saturated_first):
+        # saturation tested before the key keeps the same representatives in
+        # the same order, whichever side fills the caches first
+        family = parse_family(spec)
+
+        def saturated(n):
+            return [to_graph6(g) for g in saturated_graphs(n, family)]
+
+        def filtered(n):
+            return [to_graph6(g) for g in free_graphs(n, family) if is_saturated(g, family)]
+
+        for n in range(1, 8):
+            sides = []
+            for side in (saturated, filtered) if saturated_first else (filtered, saturated):
+                free_graphs.cache_clear()
+                all_graphs.cache_clear()
+                sides.append(side(n))
+            assert sides[0] == sides[1], (spec, n)
+
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_extended_candidates_have_a_legal_edge(self, spec):
+        # only the leaves of the extension search are tested for saturation:
+        # every other candidate must stay free after some absent edge, by
+        # whole-graph is_free, which reads no legality table
+        family = parse_family(spec)
+        for n in range(1, 7):
+            for g in free_graphs(n, family):
+                leaves = []
+
+                def leaf(h):
+                    leaves.append(h.adj)
+                    return False
+
+                assert _extensions(g, family, leaf) == []
+                made = _extensions(g, family)
+                inner = [h for h in made if h.adj not in leaves]
+                assert len(inner) + len(leaves) == len(made)
+                for h in inner:
+                    assert any(is_free(h.add_edge(*e), family) for e in h.absent_edges()), (
+                        spec, to_graph6(h))
+
+    @pytest.mark.parametrize("spec, n, tested, keyed", [
+        ("List:Cl", 8, 1414, 93), ("P5", 9, 346, 42),
+    ])
+    def test_pinned_top_level_counts(self, spec, n, tested, keyed):
+        # saturation tests and keyed candidates at the top level: a lost
+        # prune fails here, not only in a timing
+        family = parse_family(spec)
+        leaves = []
+
+        def leaf(h):
+            leaves.append(h)
+            return is_saturated(h, family)
+
+        made = sum(len(_extensions(g, family, leaf)) for g in free_graphs(n - 1, family))
+        assert (len(leaves), made) == (tested, keyed)
+
+    def test_golden_graph6(self):
+        # every saturated representative to n=9 (n=8 for the slower
+        # families), hashed from the enumerator that filtered free_graphs(n)
+        digest = hashlib.sha256()
+        for specs, n_max in ((("P3", "P4", "P5", "Trees:3", "Trees:4", "Star:2", "Star:3",
+                               "List:Bw"), 9),
+                             (("P6", "Trees:5", "Star:4", "List:Cl", "List:Bw,Cl"), 8)):
+            for spec in specs:
+                family = parse_family(spec)
+                for n in range(1, n_max + 1):
+                    graphs = saturated_graphs(n, family)
+                    digest.update("".join(to_graph6(g) + "\n" for g in graphs).encode() + b"|")
+        assert digest.hexdigest() == (
+            "451ee20d22e7c5d642be0a9aa63729c1fe8c389726a72ea20f3bf09107abbb7a"
         )
 
 

@@ -6,8 +6,10 @@ import json
 import pytest
 
 from satgame import cli
+from satgame.analysis import SATURATED_CAP, CapExceeded, saturated_graphs
 from satgame.cli import main
 from satgame.engine import Action
+from satgame.families import PathFamily
 from satgame.graph import Graph, to_graph6
 from satgame.strategies import Strategy
 
@@ -279,6 +281,19 @@ class TestEnumerateCommand:
     def test_cap(self, capsys):
         code, _ = run(capsys, "enumerate", "--family", "P4", "--n", "12")
         assert code == 3
+
+    def test_range_over_the_cap_is_refused_before_any_work(self, capsys, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(cli, "saturated_graphs", lambda n, family: enumerated.append(n) or ())
+        code = main(["enumerate", "--family", "P4", "--n", "8..12"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and enumerated == []
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "enumerate" in err and "saturated_graphs" in err
+
+    def test_saturated_graphs_checks_its_own_cap(self):
+        with pytest.raises(CapExceeded, match="saturated_graphs"):
+            saturated_graphs(SATURATED_CAP + 1, PathFamily(4))
 
     def test_range_enumerates_each_n_in_turn(self, capsys):
         code, out = run(capsys, "enumerate", "--family", "P4", "--n", "4..6")
