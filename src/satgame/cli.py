@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from typing import Callable, Optional
@@ -156,21 +157,17 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     firsts = [args.first] if args.first else [Player.PROLONGER, Player.SHORTENER]
-    cells = sorted(
-        (n, first.value, pname, sname)
-        for n in args.n
-        for first in firsts
-        for pname in args.prolonger.split(",")
-        for sname in args.shortener.split(",")
-    )
+    pnames, snames = args.prolonger.split(","), args.shortener.split(",")
+    # every name is resolved and seated, so a bad one refused, before any game
+    seated = {(name, seat): _seated(name, seat, args.seed)
+              for names, seat in ((pnames, Player.PROLONGER), (snames, Player.SHORTENER))
+              for name in names}
+    cells = sorted(itertools.product(args.n, [first.value for first in firsts], pnames, snames))
 
     rows = []
     for n, first, pname, sname in cells:
-        record = play(
-            n, args.family, args.variant, Player(first),
-            _seated(pname, Player.PROLONGER, args.seed),
-            _seated(sname, Player.SHORTENER, args.seed),
-        )
+        record = play(n, args.family, args.variant, Player(first),
+                      seated[pname, Player.PROLONGER], seated[sname, Player.SHORTENER])
         rows.append({
             "family": family_name(args.family),
             "variant": args.variant.value,

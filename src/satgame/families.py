@@ -38,12 +38,10 @@ The table is kept on its graph (`Graph.memo`) per family. The P_k rows of a
 component are kept on its record (`graph.Component`), which a child
 position shares with its parent unless the move touched that component, so
 a move costs at most one new set of rows. Behind the records, one bounded
-process-wide cache holds the rows in local bits, keyed by k and the
-component's relabelled adjacency, of which they are a function. Behind that
-cache, a second one holds the search of each shape: the adjacency sorted by
-(degree, sorted neighbour degrees). Components that differ only in their
-labels mostly share a shape, so they share one search, whose answer is
-mapped back to each component's labels.
+process-wide cache holds the search of each k and isomorphism class, keyed
+by the size and encoding of the record's canonical form (`Component.canon`)
+and run on the adjacency that the encoding spells; the form's order maps
+the answer back, so one relabelling serves the position keys and P_k rows.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .graph import (Component, Graph, _local_adj, bits, from_graph6, norm_edge, row_edges,
+from .graph import (Component, Graph, _decode, bits, from_graph6, norm_edge, row_edges,
                     to_graph6, vertex_mask)
 
 Move = tuple[int, int]
@@ -156,31 +154,16 @@ def _longest_path_from(adj: tuple[int, ...], x: int, k: int, avoid: int = 0) -> 
 
 
 @lru_cache(maxsize=1 << 16)
-def _path_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`_shape_record` of `adj`, searched on its shape: adj relabelled by the
-    stable order of (degree, sorted neighbour degrees). The record is a
-    function of the graph, so relabelling it relabels the record; components
-    that differ only in their labels mostly share a shape, and one search.
-    """
-    deg = [row.bit_count() for row in adj]
-    order = sorted(range(len(adj)), key=lambda x: (deg[x], sorted(deg[y] for y in bits(adj[x]))))
-    pos = [0] * len(adj)
-    for i, x in enumerate(order):
-        pos[x] = i
-    ends, inner = _shape_record(k, tuple(_local_adj(adj, order)))
-    return tuple(ends[i] for i in pos), tuple(_local_adj(inner, pos))
-
-
-@lru_cache(maxsize=1 << 16)
-def _shape_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """P_k legality of the connected graph with adjacency `adj` on 0..s-1.
+def _shape_record(k: int, s: int, enc: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """P_k legality of the connected graph on 0..s-1 that `enc` spells
+    (`graph._decode`); `_path_rows` asks once per k and isomorphism class.
 
     Returns (ends, inner): ends[x] is L(x) capped at k, and bit y of inner[x]
     is set iff the absent edge xy keeps the component free of P_k. A new P_k
     through xy is a path ending at x followed by a disjoint one starting at
     y, so each path from x is tried against every y not yet known to fail.
     """
-    s = len(adj)
+    adj = _decode(s, enc)
     ends = tuple(_longest_path_from(adj, x, min(k, s)) for x in range(s))
     inner = [((1 << s) - 1) & ~adj[x] & ~(1 << x) for x in range(s)]
     if s < k:
@@ -206,14 +189,15 @@ def _shape_record(k: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
 
 
 def _path_rows(rec: Component, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`_path_record` of the component with its inner rows in global bits,
-    built once per record."""
+    """`_shape_record` of the record's class, inner rows in global bits, built
+    once per record. Both are in canonical order: entry i is rec.members[order[i]]."""
     if rec.paths is None:
         rec.paths = {}
     rows = rec.paths.get(k)
     if rows is None:
-        ends, inner = _path_record(k, rec.local)
-        bit = [1 << x for x in rec.members]  # local bit j -> global bit
+        enc, order = rec.canon
+        ends, inner = _shape_record(k, len(order), enc)
+        bit = [1 << rec.members[j] for j in order]  # canonical bit i -> global bit
         glob = []
         for row in inner:
             mask = 0
@@ -369,9 +353,8 @@ def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
         value, inner = [1] * n, [0] * n  # an isolated vertex: L = 1 and no inner edge
         for rec in cv.records:
             if len(rec.members) > 1:
-                ends, rows = _path_rows(rec, family.k)
-                for x, end, row in zip(rec.members, ends, rows):
-                    value[x], inner[x] = end, row
+                for j, end, row in zip(rec.canon[1], *_path_rows(rec, family.k)):
+                    value[rec.members[j]], inner[rec.members[j]] = end, row
     k = min(family.k, n + 1)
     upto = _by_room(value, k)
     return [(inner[x] | upto[max(k - 1 - value[x], 0)] & ~comp[x]) & -(2 << x) for x in range(n)]

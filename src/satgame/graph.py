@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -53,16 +54,17 @@ class Component:
 
     `members` lists its vertices in increasing order and `local[i]` is the
     neighbourhood of members[i] with members[j] as bit j. The rest is
-    derived from (mask, local) on first use: `encoding`, the canonical form,
+    derived from (mask, local) on first use: `canon`, the canonical form
+    (encoding, order) in which local vertex order[i] is canonical vertex i,
     `shape`, the label that `shapes.label_component` keeps here,
     `traceability`, the pair (everywhere traceable, lex-least Hamiltonian
     path or None) that `everywhere_traceable` and `hamiltonian_path` read,
     and `paths[k]`, the P_k legality rows that `families` keeps in global
-    bits (`shape`, `traceability` and `paths` are None until asked for). A
-    record is never changed once built, only filled in.
+    bits (all but `canon` are None until asked for). A record is never
+    changed once built, only filled in.
     """
 
-    __slots__ = ("mask", "members", "local", "shape", "traceability", "paths", "_encoding")
+    __slots__ = ("mask", "members", "local", "shape", "traceability", "paths", "_canon")
 
     def __init__(self, mask: int, members: tuple[int, ...], local: tuple[int, ...]):
         self.mask = mask
@@ -71,13 +73,13 @@ class Component:
         self.shape = None
         self.traceability: Optional[tuple[bool, Optional[tuple[int, ...]]]] = None
         self.paths: Optional[dict[int, tuple]] = None
-        self._encoding: Optional[bytes] = None
+        self._canon: Optional[tuple[bytes, tuple[int, ...]]] = None
 
     @property
-    def encoding(self) -> bytes:
-        if self._encoding is None:
-            self._encoding = _canon_component(self.local)
-        return self._encoding
+    def canon(self) -> tuple[bytes, tuple[int, ...]]:
+        if self._canon is None:
+            self._canon = _canon_component(self.local)
+        return self._canon
 
 
 class ComponentView:
@@ -261,7 +263,7 @@ class Graph:
 
     def canonical_key(self) -> bytes:
         """Isomorphism-invariant key: equal keys iff the graphs are isomorphic."""
-        return _join_key(self.n, ((len(r.members), r.encoding) for r in self.components().records))
+        return _join_key(self.n, ((len(r.members), r.canon[0]) for r in self.components().records))
 
     def residual_key(self, cap: int) -> bytes:
         """Key of the residual below degree `cap`: the subgraph induced on the
@@ -271,7 +273,7 @@ class Graph:
         spare = [cap - a.bit_count() for a in self.adj]
         live = vertex_mask(v for v, s in enumerate(spare) if s > 0)
         return _join_key(self.n, (
-            (len(r.members), _canon_component(r.local, tuple(spare[v] for v in r.members)))
+            (len(r.members), _canon_component(r.local, tuple(spare[v] for v in r.members))[0])
             for r in ComponentView.of(self.adj, live).records))
 
 
@@ -394,12 +396,12 @@ def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
 # colours. Without a colouring the search starts from one cell and the
 # encoding has no prefix. `Graph.residual_key` colours by spare degree.
 #
-# Each component's encoding is kept on its record (`Component`), and the
-# search behind it is memoised by the relabelled adjacency that the record
-# carries. A move touches at most two components, so a child position
-# derived from its parent's records (`ComponentView.plus_edge`) shares every
-# other record, encoding included, and only the merged or grown one needs a
-# search.
+# Each component's canonical form (the encoding and the vertex order of the
+# best leaf) is kept on its record (`Component`), and the search behind it
+# is memoised by the relabelled adjacency that the record carries. A move
+# touches at most two components, so a child position derived from its
+# parent's records (`ComponentView.plus_edge`) shares every other record,
+# canonical form included, and only the merged or grown one needs a search.
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], split: Sequence[int]) -> list[list[int]]:
@@ -476,14 +478,29 @@ def _encode_order(adj: Sequence[int], order: list[int]) -> int:
     return code
 
 
+def _decode(size: int, enc: bytes) -> tuple[int, ...]:
+    """The adjacency on 0..size-1 whose `_encode_order` in the order
+    0..size-1 is the uncoloured encoding `enc`."""
+    code, adj = int.from_bytes(enc, "big"), [0] * size
+    for t, (i, j) in enumerate(reversed(list(combinations(range(size), 2)))):
+        if code >> t & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
 @lru_cache(maxsize=1 << 16)
-def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = None) -> bytes:
-    """Encoding of the connected graph with adjacency `adj` on 0..s-1, in
-    which vertex i has colour colours[i] (a byte); uncoloured when None.
+def _canon_component(adj: tuple[int, ...],
+                     colours: Optional[tuple[int, ...]] = None) -> tuple[bytes, tuple[int, ...]]:
+    """Canonical form (encoding, order) of the connected graph with
+    adjacency `adj` on 0..s-1, in which vertex i has colour colours[i] (a
+    byte); uncoloured when None. `order` lists the vertices of the first
+    best leaf: the encoding is the colour prefix, then `_encode_order(adj,
+    order)`, and `adj` relabelled by order[i] -> i is `_decode` of it.
 
     A cell of twins (`least_twins`) is split into singletons at once, in any
     order, as an automorphism permutes it freely."""
-    best: Optional[int] = None
+    best: Optional[tuple[int, list[int]]] = None  # (code, order) of the best leaf
     least = least_twins(adj)
 
     def search(cells: list[list[int]], split: Sequence[int]) -> None:
@@ -492,9 +509,10 @@ def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = 
             cells = _refine(adj, cells, split)
             target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
             if target is None:
-                code = _encode_order(adj, [c[0] for c in cells])
-                if best is None or code < best:
-                    best = code
+                order = [c[0] for c in cells]
+                code = _encode_order(adj, order)
+                if best is None or code < best[0]:
+                    best = code, order
                 return
             cell = cells[target]
             if len({least[v] for v in cell}) == 1:
@@ -514,8 +532,9 @@ def _canon_component(adj: tuple[int, ...], colours: Optional[tuple[int, ...]] = 
         cells = [[v for v in range(s) if colours[v] == c] for c in sorted(set(colours))]
     search(cells, range(len(cells)))
     assert best is not None
+    code, order = best
     nbytes = (s * (s - 1) // 2 + 7) // 8
-    return prefix + best.to_bytes(nbytes, "big")
+    return prefix + code.to_bytes(nbytes, "big"), tuple(order)
 
 
 # --- graph6 I/O -------------------------------------------------------------

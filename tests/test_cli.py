@@ -261,6 +261,27 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(out1)))
         assert len(rows) == 3 * 2 * 2  # n values x first movers x prolonger names
 
+    @pytest.mark.parametrize("prolonger, shortener, named", [
+        ("p-p4,s-p4", "s-p4", "s-p4"),
+        ("p-p4,zzz", "s-p4", "zzz"),
+        ("p-p4,random:x", "s-p4", "random:x"),
+        ("p-p4", "s-p4,p-p4", "p-p4"),
+        ("p-p4", "s-p4,zzz", "zzz"),
+        ("p-p4", "s-p4,random:x", "random:x"),
+    ])
+    def test_bad_name_is_refused_before_any_game(self, capsys, monkeypatch, prolonger,
+                                                 shortener, named):
+        games = []
+        monkeypatch.setattr(cli, "play", lambda *args: games.append(args))
+        code = main(["sweep", "--family", "P4", "--n", "6", "--first", "P",
+                     "--prolonger", prolonger, "--shortener", shortener])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert games == []
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert named in line
+
 
 class TestEnumerateCommand:
     def test_p4_classes(self, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from satgame.analysis import all_graphs
 from satgame.engine import GameState, Player, is_terminal
-from satgame import families
+from satgame import families, graph
 from satgame.families import (
     ExplicitFamily,
     PathFamily,
@@ -23,7 +23,7 @@ from satgame.families import (
     max_saturated_edges,
     parse_family,
 )
-from satgame.graph import Graph
+from satgame.graph import Graph, bits
 from satgame.shapes import label_component
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -493,38 +493,56 @@ class TestDerivedChildren:
 
 
 class TestPathShapes:
-    """`_path_record` searches each component on its degree-sorted shape and
-    maps the answer back to the component's own labels."""
+    """`_path_rows` searches each component on its canonical encoding, once
+    per k and isomorphism class, and maps the answer back to the record's
+    members through the canonical order."""
+
+    search = staticmethod(families._shape_record.__wrapped__)  # the search, uncached
+
+    @staticmethod
+    def by_vertex(rec, ends, rows):
+        """Rows listed in the order of `rec.canon`, keyed by global vertex."""
+        return {rec.members[j]: (end, row) for j, end, row in zip(rec.canon[1], ends, rows)}
+
+    def own_rows(self, rec, k):
+        """The search on the record's own labels (its encoding in the order
+        0..s-1), keyed by global vertex, its rows in global bits."""
+        s = len(rec.members)
+        code = graph._encode_order(rec.local, list(range(s)))
+        own = code.to_bytes((s * (s - 1) // 2 + 7) // 8, "big")
+        assert graph._decode(s, own) == rec.local
+        ends, inner = self.search(k, s, own)
+        return {x: (end, sum(1 << rec.members[j] for j in bits(row)))
+                for x, end, row in zip(rec.members, ends, inner)}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_record_matches_the_search_on_the_given_labels(self, n):
-        search = families._shape_record.__wrapped__  # the search, uncached
         rng = random.Random(n)
         for g in all_graphs(n):
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                adj = g.relabel(perm).adj
-                for k in range(2, 8):
-                    assert families._path_record(k, adj) == search(k, adj)
+                for rec in g.relabel(perm).components().records:
+                    for k in range(2, 8):
+                        rows = self.by_vertex(rec, *families._path_rows(rec, k))
+                        assert rows == self.own_rows(rec, k)
 
     @pytest.mark.parametrize("leaves", [2, 3, 5])
     def test_a_star_costs_one_search_per_k(self, leaves, monkeypatch):
         searches = []
-        search = families._shape_record.__wrapped__
 
-        def counted(k, adj):
+        def counted(k, s, enc):
             searches.append(k)
-            return search(k, adj)
+            return self.search(k, s, enc)
 
-        # fresh caches, so that earlier calls cannot answer for these
+        # a fresh cache, so that earlier calls cannot answer for these
         monkeypatch.setattr(families, "_shape_record", functools.lru_cache(counted))
-        monkeypatch.setattr(families, "_path_record",
-                            functools.lru_cache(families._path_record.__wrapped__))
+        stars = [Graph.from_edges(leaves + 1, [(centre, v) for v in range(leaves + 1)
+                                              if v != centre])
+                 for centre in range(leaves + 1)]
+        records = [rec for star in stars for rec in star.components().records]
+        assert len(records) == leaves + 1
         for k in range(2, 8):
-            for centre in range(leaves + 1):
-                star = Graph.from_edges(leaves + 1, [(centre, v) for v in range(leaves + 1)
-                                                     if v != centre])
-                assert families._path_record(k, star.adj) == search(k, star.adj)
+            for rec in records:
+                assert self.by_vertex(rec, *families._path_rows(rec, k)) == self.own_rows(rec, k)
         assert searches == list(range(2, 8))
-        assert families._path_record.cache_info().currsize == 6 * (leaves + 1)

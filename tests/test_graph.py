@@ -400,6 +400,42 @@ class TestCanonicalKey:
                 )
 
 
+class TestCanonicalLabelling:
+    """`_canon_component` hands out the vertex order of its best leaf, which
+    relabels every relabelling of a graph onto one canonical adjacency."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_order_reproduces_the_encoding(self, n):
+        rng = random.Random(n)
+        for g in all_graphs(n):
+            forms = set()
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabelled = []
+                for rec in g.relabel(perm).components().records:
+                    enc, order = rec.canon
+                    s, local = len(rec.members), rec.local
+                    assert sorted(order) == list(range(s))
+                    assert graph._encode_order(local, list(order)) == int.from_bytes(enc, "big")
+                    # a colouring: the order lists the colours ascending, and
+                    # encodes the graph after the colour prefix
+                    colours = tuple(rng.randint(1, 3) for _ in range(s))
+                    cenc, corder = graph._canon_component(local, colours)
+                    assert cenc[:s] == bytes(sorted(colours))
+                    assert [colours[v] for v in corder] == sorted(colours)
+                    assert (graph._encode_order(local, list(corder))
+                            == int.from_bytes(cenc[s:], "big"))
+                    # relabelled by its order, order[i] -> i, the component
+                    # is the canonical adjacency that its encoding spells
+                    canon = tuple(sum((local[v] >> w & 1) << j for j, w in enumerate(order))
+                                  for v in order)
+                    assert graph._decode(s, enc) == canon
+                    relabelled.append(canon)
+                forms.add(tuple(sorted(relabelled)))
+            assert len(forms) == 1  # every relabelling, one canonical adjacency
+
+
 def whole(g: Graph):
     """The record of connected g's one component."""
     (rec,) = g.components().records
