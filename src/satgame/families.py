@@ -18,13 +18,15 @@ absent edge is legal for trees, and for P_k its record says which are. For
 an explicit family, each pattern is searched with one of its edges mapped
 onto the new edge, and the table is that search on every absent edge.
 
-The subgraph search reads a pattern only through its plans, built once per
-pattern and start: for each position of an order of its vertices, the
-earlier positions adjacent to it. `contains_subgraph` and the search
-through a new edge run the same backtracking loop over a host adjacency.
-The new edge's ends are placed first and the search never reads an edge
-between placed positions, so legality reads g's own adjacency: no child
-graph is built.
+The subgraph search reads a pattern only through a plan: for each
+position of an order of its vertices, the earlier positions adjacent to it.
+`contains_subgraph` and the search through a new edge run the same
+backtracking loop over a host adjacency. An explicit family compiles its
+plans once (`ExplicitFamily.anchored`): one flat tuple of (member size,
+plan) pairs, one plan per orbit of anchor edges of each member, which the
+search through uv reads with u and v placed first. The search never reads
+an edge between placed positions, so legality reads g's own adjacency: no
+child graph is built.
 
 `move_reach(g, family, u, v)` bounds what a move can change: a legal edge
 of g with both ends outside the reach of uv stays legal in g + uv.
@@ -32,7 +34,8 @@ of g with both ends outside the reach of uv stays legal in g + uv.
 `creates_forbidden(g, family, e)` reads one bit of the table; for an
 explicit family it searches through e alone. `legal_moves` lists the
 table's edges (`graph.row_edges`), and `is_saturated` asks whether there is
-one, stopping at the first legal edge of an explicit family.
+one. For an explicit family it builds no table and no list: it walks the
+absent pairs in lex order and stops at the first legal one.
 
 The table is kept on its graph (`Graph.memo`) per family. The P_k rows of a
 component are kept on its record (`graph.Component`), which a child
@@ -47,7 +50,7 @@ the answer back, so one relabelling serves the position keys and P_k rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 from .graph import (Component, Graph, _decode, bits, from_graph6, norm_edge, row_edges,
@@ -95,6 +98,14 @@ class ExplicitFamily:
                 raise ValueError("explicit family members need at least one edge")
             if len(h.components()) != 1:
                 raise ValueError("explicit family members must be connected")
+
+    @cached_property
+    def anchored(self) -> tuple[tuple[int, Plan], ...]:
+        """The (member size, plan) pairs that the search through a new edge
+        tries, compiled once per family: each member's anchored plans
+        (`_anchors`), members in order, each pair once. Not a field, so
+        equality, hashing and repr see only the members."""
+        return tuple(dict.fromkeys((h.n, plan) for h in self.members for plan in _anchors(h)))
 
 
 ForbiddenFamily = Union[PathFamily, TreeFamily, StarFamily, ExplicitFamily]
@@ -237,17 +248,17 @@ def _plan(h: Graph, first: tuple[int, ...]) -> Plan:
                  for i, v in enumerate(order))
 
 
-def _embeds(adj: Sequence[int], plan: Plan, placed: list[int]) -> bool:
-    """Can the images `placed` of the plan's first positions extend to an
-    injective map that sends every edge of the pattern into the host with
-    adjacency `adj`? Backtracking in one loop: position i goes to an unused
-    vertex adjacent to the images of the earlier positions in plan[i], least
-    first, and returns to its untried candidates when the later positions
-    fail. Edges among the placed positions are not checked."""
+def _embeds(adj: Sequence[int], plan: Plan, placed: list[int], used: int) -> bool:
+    """Can the images `placed` of the plan's first positions, whose vertex
+    mask is `used`, extend to an injective map that sends every edge of the
+    pattern into the host with adjacency `adj`? Backtracking in one loop:
+    position i goes to an unused vertex adjacent to the images of the
+    earlier positions in plan[i], least first, and returns to its untried
+    candidates when the later positions fail. Edges among the placed
+    positions are not checked."""
     size, base = len(plan), len(placed)
     image = placed + [0] * (size - base)
     untried = [0] * size  # untried[i]: candidates for position i not yet tried
-    used = vertex_mask(placed)
     free = (1 << len(adj)) - 1
     i = base
     while i < size:
@@ -278,7 +289,7 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     if len(h.components()) != 1:
         raise ValueError("pattern must be connected")
     start = max(range(h.n), key=lambda v: h.degree(v))
-    return _embeds(g.adj, _plan(h, (start,)), [])
+    return _embeds(g.adj, _plan(h, (start,)), [], 0)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -288,16 +299,9 @@ def _anchors(h: Graph) -> tuple[Plan, ...]:
     reps: list[tuple[int, int]] = []
     for edge in h.edges():
         for a, b in (edge, edge[::-1]):
-            if not any(_embeds(h.adj, _plan(h, rep), [a, b]) for rep in reps):
+            if not any(_embeds(h.adj, _plan(h, rep), [a, b], 1 << a | 1 << b) for rep in reps):
                 reps.append((a, b))
     return tuple(_plan(h, rep) for rep in reps)
-
-
-def _contains_through(adj: Sequence[int], h: Graph, u: int, v: int) -> bool:
-    """Does h embed into the host with adjacency `adj` with some edge of h
-    mapped onto uv? The edge uv need not be in `adj`: the search places its
-    ends first and never reads an edge between placed positions."""
-    return any(_embeds(adj, plan, [u, v]) for plan in _anchors(h))
 
 
 # --- freeness and legality --------------------------------------------------
@@ -327,9 +331,16 @@ def _by_room(values: list[int], k: int) -> list[int]:
 
 
 def _explicit_creates(g: Graph, family: ExplicitFamily, u: int, v: int) -> bool:
-    """Does some member embed into g + uv with one of its edges on uv? Read
-    off g's own adjacency (see `_contains_through`), so no child is built."""
-    return any(h.n <= g.n and _contains_through(g.adj, h, u, v) for h in family.members)
+    """Does some member embed into g + uv with one of its edges on uv? Each
+    compiled plan (`ExplicitFamily.anchored`) of a member no larger than g
+    is searched with its anchor edge placed on u and v. The edge uv need not
+    be in g: the search never reads an edge between placed positions, so it
+    reads g's own adjacency and no child is built."""
+    n, adj, placed, used = g.n, g.adj, [u, v], 1 << u | 1 << v
+    for size, plan in family.anchored:
+        if size <= n and _embeds(adj, plan, placed, used):
+            return True
+    return False
 
 
 def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
@@ -423,7 +434,17 @@ def is_saturated(g: Graph, family: ForbiddenFamily) -> bool:
     `legal_rows`.
     """
     if isinstance(family, ExplicitFamily):
-        return all(_explicit_creates(g, family, u, v) for u, v in g.absent_edges())
+        # the absent pairs in lex order, as `absent_edges` lists them
+        n, adj = g.n, g.adj
+        full = (1 << n) - 1
+        for u in range(n):
+            row = full & ~adj[u] & -(2 << u)
+            while row:
+                low = row & -row
+                if not _explicit_creates(g, family, u, low.bit_length() - 1):
+                    return False
+                row ^= low
+        return True
     return not any(legal_rows(g, family))
 
 

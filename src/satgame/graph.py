@@ -397,8 +397,13 @@ def hamiltonian_path(rec: Component) -> Optional[tuple[int, ...]]:
 # encoding has no prefix. `Graph.residual_key` colours by spare degree.
 #
 # Each component's canonical form (the encoding and the vertex order of the
-# best leaf) is kept on its record (`Component`), and the search behind it
-# is memoised by the relabelled adjacency that the record carries. A move
+# best leaf) is kept on its record (`Component`). Two bounded caches stand
+# behind it. The first is keyed by the labelled adjacency (and colours) that
+# the record carries. On a miss the vertices are sorted stably by (colour,
+# degree, sorted neighbour degrees), and the second, keyed by the sorted
+# adjacency and colours, holds the search itself, so relabellings that sort
+# alike share one search. The encoding does not depend on labels, and the
+# search's order composed with the sort still spells it. A move
 # touches at most two components, so a child position derived from its
 # parent's records (`ComponentView.plus_edge`) shares every other record,
 # canonical form included, and only the merged or grown one needs a search.
@@ -494,9 +499,28 @@ def _canon_component(adj: tuple[int, ...],
                      colours: Optional[tuple[int, ...]] = None) -> tuple[bytes, tuple[int, ...]]:
     """Canonical form (encoding, order) of the connected graph with
     adjacency `adj` on 0..s-1, in which vertex i has colour colours[i] (a
-    byte); uncoloured when None. `order` lists the vertices of the first
-    best leaf: the encoding is the colour prefix, then `_encode_order(adj,
-    order)`, and `adj` relabelled by order[i] -> i is `_decode` of it.
+    byte); uncoloured when None. The encoding is the colour prefix, then
+    `_encode_order(adj, order)`, and `adj` relabelled by order[i] -> i is
+    `_decode` of it.
+
+    The vertices are sorted stably by (colour, degree, sorted neighbour
+    degrees), and `_canon_search` runs on the sorted copy; its order is
+    mapped back through the sort."""
+    deg = [a.bit_count() for a in adj]
+    colour = colours or (0,) * len(adj)
+    pre = sorted(range(len(adj)),
+                 key=lambda v: (colour[v], deg[v], sorted([deg[w] for w in bits(adj[v])])))
+    enc, order = _canon_search(tuple(_local_adj(adj, pre)),
+                               None if colours is None else tuple(colours[v] for v in pre))
+    return enc, tuple(pre[i] for i in order)
+
+
+@lru_cache(maxsize=1 << 16)
+def _canon_search(adj: tuple[int, ...],
+                  colours: Optional[tuple[int, ...]] = None) -> tuple[bytes, tuple[int, ...]]:
+    """`_canon_component` of the same input, found by the
+    individualisation/refinement search: `order` lists the vertices of the
+    first best leaf.
 
     A cell of twins (`least_twins`) is split into singletons at once, in any
     order, as an automorphism permutes it freely."""

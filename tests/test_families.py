@@ -409,6 +409,31 @@ class TestSaturation:
         assert calls == [(0, 1)]
 
 
+class TestCompiledPlans:
+    """The search through a new edge reads each family's compiled plans
+    (`ExplicitFamily.anchored`); whole-graph freeness is the oracle."""
+
+    @pytest.mark.parametrize("spec", ["List:Cl,Dhc", "List:Bw,Dhc", "List:Bw,Bw", "List:Cl,Cl"])
+    def test_matches_whole_graph_freeness(self, spec):
+        # Dhc, on 5 vertices, is larger than the hosts on 3 and 4
+        family = parse_family(spec)
+        for n in range(3, 6):
+            for g in all_graphs(n):
+                if not is_free(g, family):
+                    continue
+                legal = [e for e in g.absent_edges() if is_free(g.add_edge(*e), family)]
+                for e in g.absent_edges():
+                    assert creates_forbidden(g, family, e) == (e not in legal), (spec, g.edges(), e)
+                assert is_saturated(g, family) == (not legal), (spec, g.edges())
+
+    def test_compiled_once_and_outside_equality(self):
+        twice, once = parse_family("List:Cl,Cl"), parse_family("List:Cl")
+        fresh = parse_family("List:Cl,Cl")
+        assert twice.anchored == once.anchored  # a repeated member adds no plan
+        assert twice.anchored is twice.anchored
+        assert twice == fresh and hash(twice) == hash(fresh) and repr(twice) == repr(fresh)
+
+
 class TestMaxSaturatedEdges:
     @pytest.mark.parametrize("spec", ["P3", "P5", "P30", "Star:2", "Star:4", "Star:300",
                                       "Trees:3", "Trees:5", "Trees:30", "List:Cl"])
@@ -523,6 +548,42 @@ class TestPathShapes:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for rec in g.relabel(perm).components().records:
+                    for k in range(2, 8):
+                        rows = self.by_vertex(rec, *families._path_rows(rec, k))
+                        assert rows == self.own_rows(rec, k)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sorted_search_matches_the_search_on_the_input(self, n):
+        # cold canonical caches, so every record's form goes through the
+        # degree sort and the composed order
+        graph._canon_component.cache_clear()
+        graph._canon_search.cache_clear()
+        uncached = graph._canon_search.__wrapped__
+        rng = random.Random(100 + n)
+        for g in all_graphs(n):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = g.relabel(perm)
+                # the records of h, uncoloured, then of its residual below a
+                # random cap, coloured by spare degree as `residual_key` does
+                cap = rng.randint(1, n + 1)
+                spare = [cap - a.bit_count() for a in h.adj]
+                live = graph.vertex_mask(v for v, c in enumerate(spare) if c > 0)
+                forms = [(rec, None) for rec in h.components().records]
+                forms += [(rec, tuple(spare[v] for v in rec.members))
+                          for rec in graph.ComponentView.of(h.adj, live).records]
+                for rec, colours in forms:
+                    s, local = len(rec.members), rec.local
+                    enc, order = graph._canon_component(local, colours)
+                    assert enc == uncached(local, colours)[0]
+                    prefix = 0 if colours is None else s
+                    if colours is not None:
+                        assert [colours[v] for v in order] == sorted(colours)
+                    canon = tuple(sum((local[v] >> w & 1) << j for j, w in enumerate(order))
+                                  for v in order)
+                    assert graph._decode(s, enc[prefix:]) == canon
+                for rec in h.components().records:
                     for k in range(2, 8):
                         rows = self.by_vertex(rec, *families._path_rows(rec, k))
                         assert rows == self.own_rows(rec, k)

@@ -34,6 +34,12 @@ def brute_canonical(g: Graph) -> int:
     return best
 
 
+def clear_canonical_caches() -> None:
+    """Empty both canonical caches, the labelled one and the sorted one."""
+    graph._canon_component.cache_clear()
+    graph._canon_search.cache_clear()
+
+
 def dfs_hamiltonian_path(g: Graph, members) -> tuple[int, ...] | None:
     """Lexicographically least Hamiltonian path by unpruned ordered DFS."""
     verts = sorted(members)
@@ -301,14 +307,14 @@ class TestCanonicalKey:
         for seed in (1, 2):
             order = list(range(len(corpus)))
             random.Random(seed).shuffle(order)
-            graph._canon_component.cache_clear()
+            clear_canonical_caches()
             keys = {i: corpus[i].canonical_key() for i in order}
             runs.append([keys[i] for i in range(len(corpus))])
         assert runs[0] == runs[1]
         # children derived from their parents' component records, keyed
         # before or after their parents, key as the graphs built from scratch
         for children_first in (True, False):
-            graph._canon_component.cache_clear()
+            clear_canonical_caches()
             parents = [Graph(corpus[i].n, corpus[i].adj, corpus[i].m) for i, _ in moves]
             for p in parents:
                 p.components()
