@@ -177,9 +177,20 @@ class GameRecord:
     @staticmethod
     def from_json(line: str) -> "GameRecord":
         """The record on `line`, whose actions are replayed once and kept
-        as its states; raises ValueError if they do not end the game, or
-        end it at another graph or score than the line records."""
+        as its states; raises ValueError if the line is malformed, or if
+        they do not end the game, or end it at another graph or score than
+        the line records."""
         obj = json.loads(line)
+        if type(obj) is not dict:
+            raise ValueError(f"a record is a JSON object, not {type(obj).__name__}")
+        for name, kind in (("n", int), ("family", str), ("variant", str), ("first", str),
+                           ("actions", list), ("score", int), ("terminal_graph6", str)):
+            if type(obj.get(name)) is not kind:
+                raise ValueError(f"record field {name!r} is missing or not {kind.__name__}")
+        for a in obj["actions"]:
+            if type(a) is not dict or type(a.get("player")) is not str \
+                    or type(a.get("move")) is not str:
+                raise ValueError(f"action {a!r} lacks a string 'player' or 'move'")
         record = GameRecord(
             n=obj["n"],
             family=parse_family(obj["family"]),

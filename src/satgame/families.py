@@ -30,12 +30,13 @@ child graph is built.
 
 `move_reach(g, family, u, v)` bounds what a move can change: a legal edge
 of g with both ends outside the reach of uv stays legal in g + uv.
+`position_key(family, n)` keys a game's positions and says why it is exact.
 
 `creates_forbidden(g, family, e)` reads one bit of the table; for an
 explicit family it searches through e alone. `legal_moves` lists the
 table's edges (`graph.row_edges`), and `is_saturated` asks whether there is
-one. For an explicit family it builds no table and no list: it walks the
-absent pairs in lex order and stops at the first legal one.
+one. An explicit family's table folds one lazy walk of the absent pairs in
+lex order (`_explicit_legal`), and `is_saturated` stops at its first item.
 
 The table is kept on its graph (`Graph.memo`) per family. The P_k rows of a
 component are kept on its record (`graph.Component`), which a child
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .graph import (Component, Graph, _decode, bits, from_graph6, norm_edge, row_edges,
                     to_graph6, vertex_mask)
@@ -343,14 +344,22 @@ def _explicit_creates(g: Graph, family: ExplicitFamily, u: int, v: int) -> bool:
     return False
 
 
+def _explicit_legal(g: Graph, family: ExplicitFamily) -> Iterator[Move]:
+    """The legal edges u < v of g in lex order, each searched when reached."""
+    full = (1 << g.n) - 1
+    for u, row in enumerate(g.adj):
+        for v in bits(full & ~row & -(2 << u)):
+            if not _explicit_creates(g, family, u, v):
+                yield u, v
+
+
 def _legal_masks(g: Graph, family: ForbiddenFamily) -> list[int]:
     """The upper rows of the legality table (see the module docstring)."""
     n, adj = g.n, g.adj
     if isinstance(family, ExplicitFamily):
         legal = [0] * n
-        for u, v in g.absent_edges():
-            if not _explicit_creates(g, family, u, v):
-                legal[u] |= 1 << v
+        for u, v in _explicit_legal(g, family):
+            legal[u] |= 1 << v
         return legal
     if isinstance(family, StarFamily):
         low = vertex_mask(x for x in range(n) if adj[x].bit_count() < family.leaves - 1)
@@ -402,6 +411,28 @@ def move_reach(g: Graph, family: ForbiddenFamily, u: int, v: int) -> int:
     return mask_of[u] | mask_of[v]
 
 
+def position_key(family: ForbiddenFamily, n: int) -> Callable[[Graph], bytes]:
+    """The key of this family's positions on n vertices: family-free graphs
+    with equal keys have equal remaining scores in every variant and for
+    either side to move. Each key starts with n and fixes the edge count m,
+    so max_saturated_edges - m is one admissible bound per key.
+
+    The key is canonical (`Graph.canonical_key`), except in a star game.
+    Under Star:k an absent edge uv of a free graph is legal iff u and v
+    have degree below k-1 (`_legal_masks`), so a vertex of degree k-1 never
+    gains an edge again, and neither its edges nor its presence change
+    which moves are legal later. The remaining score is therefore a
+    function of n and the residual: the subgraph induced on the vertices of
+    degree below c = min(k-1, n), each coloured by its spare degree c-deg
+    (`Graph.residual_key`). A cap of n or more never binds, so n stands for
+    all of them and every spare fits a byte. And 2m = nc - (sum of spares).
+    """
+    if isinstance(family, StarFamily):
+        cap = min(family.leaves - 1, n)
+        return lambda g: g.residual_key(cap)
+    return Graph.canonical_key
+
+
 def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
     """Would adding `edge` to the family-free graph `g` break freeness?
 
@@ -434,17 +465,7 @@ def is_saturated(g: Graph, family: ForbiddenFamily) -> bool:
     `legal_rows`.
     """
     if isinstance(family, ExplicitFamily):
-        # the absent pairs in lex order, as `absent_edges` lists them
-        n, adj = g.n, g.adj
-        full = (1 << n) - 1
-        for u in range(n):
-            row = full & ~adj[u] & -(2 << u)
-            while row:
-                low = row & -row
-                if not _explicit_creates(g, family, u, low.bit_length() - 1):
-                    return False
-                row ^= low
-        return True
+        return next(_explicit_legal(g, family), None) is None
     return not any(legal_rows(g, family))
 
 

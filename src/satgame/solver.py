@@ -22,32 +22,18 @@ first guess is the upper end of the theorem window that covers the game.
 The guess steers only the search, never a value. Entries are keyed by the
 game as well as the position, so one table may serve many games.
 
-A position's key is its canonical key, except in two cases. A scripted side
-sees labels, so a best response keys by the labelled adjacency. A star game
-is solved in its residual quotient. Under Star:k a free graph has maximum
-degree at most k-1, and an absent edge uv is legal iff both u and v have
-degree below k-1. So a vertex of degree k-1 never gains an edge again, and
-neither its edges nor its presence change which moves are legal later. The
-remaining score is therefore a function of the residual: the subgraph
-induced on the vertices of degree below k-1, each coloured by its spare
-degree k-1-deg. Such a position is keyed by n followed by the sorted
-(size, coloured encoding) of the residual's components
-(`Graph.residual_key`). With n fixed, 2m = n(k-1) - (sum of spare degrees),
-so m is a function of the key and the bound max_edges - m stays admissible
-for every graph that shares an entry. Move order, twin pruning and `best`
-still walk labelled graphs, so values and principal variations are those of
-the canonical key.
+A position's key is `families.position_key` of its game, or the labelled
+adjacency when a side is scripted, since a script sees labels. Move order,
+twin pruning and `best` walk labelled graphs, so values and principal
+variations do not depend on the key.
 
 A child tested at threshold one only asks whether it is still open, and
-one that provably is gets the bound 1 without being built. A move uv can
-spoil only legal edges that meet its reach (`families.move_reach`): {u, v}
-under Star:k, whose legality reads degrees only, and otherwise the
-components of u and v, since every forbidden graph is connected and a new
-copy through a legal edge f of g + uv uses both uv and f. So if g's rows
-hold a legal edge with both ends outside the reach, g + uv keeps it. (A
-pass child is never tested at threshold one: the loop runs only for
-gamma >= 2.) The bound is fail-soft, so entries stay sound; searching
-fewer children changes position counts, never a value or line.
+one that provably is gets the bound 1 without being built: if g's rows
+hold a legal edge with both ends outside the move's reach
+(`families.move_reach`), g + uv keeps it. (A pass child is never tested at
+threshold one: the loop runs only for gamma >= 2.) The bound is
+fail-soft, so entries stay sound; searching fewer children changes
+position counts, never a value or line.
 """
 
 from __future__ import annotations
@@ -63,11 +49,11 @@ from .engine import Action, GameState, Player, Variant
 from .families import (
     ForbiddenFamily,
     Move,
-    StarFamily,
     family_name,
     legal_rows,
     max_saturated_edges,
     move_reach,
+    position_key,
 )
 from .graph import MAX_VERTICES, Graph, least_twins, row_edges
 
@@ -89,9 +75,9 @@ class SolveResult:
 
 # (family name, variant): a table shared between games keeps them apart
 Game = tuple[str, Variant]
-# position key is the canonical key, the residual key for a star game, or the
-# labelled adjacency when one side is scripted; each encodes n. The value is
-# a (lower, upper) bound on the remaining score, exact when the two are equal.
+# position key is the game's `position_key`, or the labelled adjacency when
+# one side is scripted; each encodes n. The value is a (lower, upper) bound
+# on the remaining score, exact when the two are equal.
 PositionTable = dict[tuple[Game, object, Player], tuple[int, int]]
 DEFAULT_N_CAP = 10
 
@@ -126,11 +112,10 @@ class _Search:
     """Null-window tests of one game on n vertices over a table of bounds,
     each at one threshold over the children that `_actions` gives.
 
-    `key` maps a position to its table key: the canonical key, or for a
-    star game the residual key (see the module docstring). With `fixed`
-    given, `fixed_side` plays `fixed(state)` and the other side's exact
-    optimum is searched; the script sees labelled positions, so the table
-    is keyed by the adjacency instead.
+    `key` maps a position to its table key, the game's `position_key`.
+    With `fixed` given, `fixed_side` plays `fixed(state)` and the other
+    side's exact optimum is searched; the script sees labelled positions,
+    so the table is keyed by the adjacency instead.
     """
 
     def __init__(
@@ -161,16 +146,8 @@ class _Search:
         self.deadline = None if time_cap is None else time.monotonic() + time_cap
         self.nodes = 0
         self.fixed, self.fixed_side = fixed, fixed_side
-        self.key: Callable[[Graph], object]
-        if fixed is not None:
-            self.key = lambda g: g.adj
-        elif isinstance(family, StarFamily):
-            # a cap of n or more never binds, so n stands for all of them and
-            # every spare degree fits in a byte of the key
-            cap = min(family.leaves - 1, n)
-            self.key = lambda g: g.residual_key(cap)
-        else:
-            self.key = Graph.canonical_key
+        self.key: Callable[[Graph], object] = (
+            position_key(family, n) if fixed is None else lambda g: g.adj)
 
     def _actions(self, g: Graph, mover: Player, rows: tuple[int, ...]) -> list[Optional[Move]]:
         """The children of `g` in search order, given its `legal_rows`, with

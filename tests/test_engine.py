@@ -150,6 +150,23 @@ class TestRecordSerialisation:
         with pytest.raises(ValueError):
             GameRecord.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda obj: {"n": 4}, "'family'"),
+        (lambda obj: [], "JSON object"),
+        (lambda obj: {**obj, "n": "6"}, "'n'"),
+        (lambda obj: {**obj, "actions": 5}, "'actions'"),
+        (lambda obj: {**obj, "actions": [{"move": "0-1"}, *obj["actions"][1:]]}, "'player'"),
+        (lambda obj: {**obj, "actions": ["0-1", *obj["actions"][1:]]}, "'player'"),
+        (lambda obj: {**obj, "family": 7}, "'family'"),
+        (lambda obj: {**obj, "terminal_graph6": 5}, "'terminal_graph6'"),
+    ], ids=["only-n", "array", "string-n", "integer-actions", "action-without-player",
+            "action-not-object", "integer-family", "integer-graph6"])
+    def test_malformed_line_raises_value_error(self, tamper, message):
+        rec = play(6, P4, strategy_p=make_strategy("p-p4"), strategy_s=make_strategy("s-p4"))
+        line = json.dumps(tamper(json.loads(rec.to_json())))
+        with pytest.raises(ValueError, match=message):
+            GameRecord.from_json(line)
+
     def test_unfinished_game_rejected(self):
         rec = play(6, P4, strategy_p=make_strategy("p-p4"), strategy_s=make_strategy("s-p4"))
         assert rec.score == 4

@@ -15,6 +15,7 @@ from satgame.families import (
     legal_rows,
     max_saturated_edges,
     parse_family,
+    position_key,
 )
 from satgame.graph import Graph, least_twins
 from satgame.solver import (
@@ -273,35 +274,42 @@ class TestMovePruning:
             assert scripted._actions(g, Player.PROLONGER, rows) == moves
 
 
-def position_key(n, family, variant):
-    """The table key that the solver gives positions of this game."""
-    return _Search(n, family, variant, Player.PROLONGER, {},
-                   n_cap=n, node_cap=None, time_cap=None).key
+# the games whose keys are checked against the oracle; the star keys merge
+# positions that are not isomorphic, the others are canonical
+KEY_FAMILIES = ["P4", "P5", "Trees:4", "List:Cl", "Star:2", "Star:3", "Star:4", "Star:5"]
 
 
-class TestStarResidual:
-    """Under Star:k a vertex of degree k-1 never gains an edge again, so a
-    position's value depends only on n and its residual: the subgraph on the
-    other vertices, each coloured by its spare degree."""
+class TestPositionKey:
+    """`families.position_key` keys a game's positions: on the free graphs on
+    n vertices, equal keys give equal values and edge counts, so an entry
+    holds one bound, and every key starts with n, so keys of different n
+    never meet in a shared table."""
 
-    @pytest.mark.parametrize("leaves", [2, 3, 4, 5])
-    def test_equal_residual_keys_have_equal_values(self, leaves):
-        family = StarFamily(leaves)
+    @pytest.mark.parametrize("spec", KEY_FAMILIES)
+    def test_equal_keys_have_equal_values(self, spec):
+        family = parse_family(spec)
         shared = 0  # graphs that share their key with an earlier one
         for n in range(2, 8):
             graphs = free_graphs(n, family)
+            key = position_key(family, n)
             for variant in Variant:
-                key = position_key(n, family, variant)
                 memo: dict = {}
                 for mover in BOTH:
-                    value_of: dict = {}
+                    seen: dict = {}
                     for g in graphs:
+                        k = key(g)
+                        assert k[0] == n
                         value = oracle_value(g, mover, family, variant, memo, Graph.canonical_key)
-                        seen = value_of.setdefault(key(g), value)
-                        assert seen == value, (n, variant, mover, g.edges())
-                    shared += len(graphs) - len(value_of)
-        # free graphs under Star:2 are matchings, whose residuals all differ
-        assert shared > 0 or leaves == 2
+                        assert seen.setdefault(k, (value, g.m)) == (value, g.m), \
+                            (n, variant, mover, g.edges())
+                    shared += len(graphs) - len(seen)
+        # free graphs are listed up to isomorphism; under Star:2 they are
+        # matchings, whose residuals all differ
+        assert (shared > 0) is (spec.startswith("Star") and spec != "Star:2")
+
+
+class TestStarResidual:
+    """Star games are solved in their residual quotient (`position_key`)."""
 
     def test_star_too_large_to_bind(self):
         # spare degrees of 256 and more do not fit a byte of the key
@@ -554,7 +562,7 @@ class TestTableEntries:
         n, family = 6, parse_family(spec)
         table = {}
         solve(n, family, variant, table=table)
-        position = position_key(n, family, variant)
+        position = position_key(family, n)
         by_key: dict = {}
         for g in free_graphs(n, family):
             by_key.setdefault(position(g), []).append(g)
