@@ -21,7 +21,6 @@ All bound arithmetic is exact rational; verdicts never go through floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -36,16 +35,21 @@ from .families import (
     creates_forbidden,
     is_saturated,
 )
-from .graph import Graph, least_twins, vertex_mask
+from .graph import Frozen, Graph, least_twins, vertex_mask
 from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
 
 
 # --- saturated-graph classifiers ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SaturatedClass:
+class SaturatedClass(Frozen):
     labels: tuple[ComponentLabel, ...]
+
+    def __init__(self, labels: tuple[ComponentLabel, ...]) -> None:
+        self.__dict__["labels"] = labels
+
+    def _key(self) -> tuple:
+        return (self.labels,)
 
     def display(self) -> str:
         return "+".join(lab.display() for lab in self.labels)
@@ -246,16 +250,24 @@ def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
 # --- score bounds ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     theorem: str
     n: int
     k: Optional[int]
     lower: Fraction
     upper: Fraction
-    observed: Optional[int] = None
-    exact: bool = False
-    note: str = ""
+    observed: Optional[int]
+    exact: bool
+    note: str
+
+    def __init__(self, theorem: str, n: int, k: Optional[int], lower: Fraction, upper: Fraction,
+                 observed: Optional[int] = None, exact: bool = False, note: str = "") -> None:
+        self.__dict__.update(theorem=theorem, n=n, k=k, lower=lower, upper=upper,
+                             observed=observed, exact=exact, note=note)
+
+    def _key(self) -> tuple:
+        return (self.theorem, self.n, self.k, self.lower, self.upper, self.observed, self.exact,
+                self.note)
 
     @property
     def holds(self) -> Optional[bool]:
@@ -380,17 +392,28 @@ def f_closed(n: int, k: int, i: int) -> Fraction:
 # --- trace statistics -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdStat:
+class ThresholdStat(Frozen):
     t: int  # first time the minimum degree reaches the threshold, right after
     g: int  # the minimising player's move; excess degree sum and count there
     lam: int
 
+    def __init__(self, t: int, g: int, lam: int) -> None:
+        self.__dict__.update(t=t, g=g, lam=lam)
 
-@dataclass(frozen=True)
-class TraceStats:
+    def _key(self) -> tuple:
+        return (self.t, self.g, self.lam)
+
+
+class TraceStats(Frozen):
     thresholds: tuple[Optional[ThresholdStat], ...]  # index i = degree threshold
     new_vertex_usage: tuple[int, ...]  # isolated vertices consumed per action
+
+    def __init__(self, thresholds: tuple[Optional[ThresholdStat], ...],
+                 new_vertex_usage: tuple[int, ...]) -> None:
+        self.__dict__.update(thresholds=thresholds, new_vertex_usage=new_vertex_usage)
+
+    def _key(self) -> tuple:
+        return (self.thresholds, self.new_vertex_usage)
 
     def usage_pairs(self, actions: Sequence[tuple[Player, object]]) -> list[int]:
         """Total consumption of each Shortener-then-Prolonger move pair."""

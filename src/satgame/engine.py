@@ -12,7 +12,6 @@ the number of moves).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol
 
@@ -24,7 +23,7 @@ from .families import (
     is_saturated,
     parse_family,
 )
-from .graph import Graph, from_graph6, norm_edge, to_graph6
+from .graph import Frozen, Graph, from_graph6, norm_edge, to_graph6
 
 
 class Player(Enum):
@@ -41,9 +40,14 @@ class Variant(Enum):
     PROLONGER_MAY_PASS = "pass"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Frozen):
     edge: Optional[Move]  # None means pass
+
+    def __init__(self, edge: Optional[Move]) -> None:
+        self.__dict__["edge"] = edge
+
+    def _key(self) -> tuple:
+        return (self.edge,)
 
     @property
     def is_pass(self) -> bool:
@@ -67,13 +71,21 @@ class Action:
 PASS = Action(None)
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(Frozen):
     graph: Graph
     to_move: Player
     family: ForbiddenFamily
-    variant: Variant = Variant.STANDARD
-    first_mover: Player = Player.PROLONGER
+    variant: Variant
+    first_mover: Player
+
+    def __init__(self, graph: Graph, to_move: Player, family: ForbiddenFamily,
+                 variant: Variant = Variant.STANDARD,
+                 first_mover: Player = Player.PROLONGER) -> None:
+        self.__dict__.update(graph=graph, to_move=to_move, family=family, variant=variant,
+                             first_mover=first_mover)
+
+    def _key(self) -> tuple:
+        return (self.graph, self.to_move, self.family, self.variant, self.first_mover)
 
 
 def initial_state(
@@ -118,7 +130,6 @@ def apply_action(state: GameState, action: Action) -> GameState:
             graph = graph.add_edge(u, v)
         except ValueError as exc:  # self-loop, duplicate edge, vertex out of range
             raise IllegalMoveError(str(exc)) from exc
-    # built directly: `dataclasses.replace` would cost more than adding the edge
     return GameState(graph, state.to_move.other, state.family, state.variant, state.first_mover)
 
 
@@ -128,8 +139,7 @@ class StrategyLike(Protocol):
     def __call__(self, state: GameState) -> Action: ...
 
 
-@dataclass(frozen=True)
-class GameRecord:
+class GameRecord(Frozen):
     n: int
     family: ForbiddenFamily
     variant: Variant
@@ -138,13 +148,23 @@ class GameRecord:
     terminal: Graph
     score: int
 
+    def __init__(self, n: int, family: ForbiddenFamily, variant: Variant, first_mover: Player,
+                 actions: tuple[tuple[Player, Action], ...], terminal: Graph,
+                 score: int) -> None:
+        self.__dict__.update(n=n, family=family, variant=variant, first_mover=first_mover,
+                             actions=actions, terminal=terminal, score=score)
+
+    def _key(self) -> tuple:
+        return (self.n, self.family, self.variant, self.first_mover, self.actions,
+                self.terminal, self.score)
+
     def replay(self) -> list[GameState]:
         """All states G_0..G_T; raises if any recorded action is illegal.
 
         A record returned by `play` keeps the states it walked, each checked
         by `apply_action`, outside its fields; this is a new list of them.
-        `from_json` keeps them the same way; a record from `replace` is
-        replayed from its actions.
+        `from_json` keeps them the same way; a record built by its
+        constructor is replayed from its actions.
         """
         kept = self.__dict__.get("states")
         if kept is not None:

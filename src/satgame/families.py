@@ -50,55 +50,66 @@ the answer back, so one relabelling serves the position keys and P_k rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence, Union
 
-from .graph import (Component, Graph, _decode, bits, from_graph6, norm_edge, row_edges,
-                    to_graph6, vertex_mask)
+from .graph import (Component, Frozen, Graph, _decode, bits, from_graph6, norm_edge,
+                    row_edges, to_graph6, vertex_mask)
 
 Move = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(Frozen):
     k: int  # forbid the path on k vertices
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int) -> None:
+        if k < 2:
             raise ValueError("path family needs k >= 2")
+        self.__dict__["k"] = k
+
+    def _key(self) -> tuple:
+        return (self.k,)
 
 
-@dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(Frozen):
     k: int  # forbid every tree on k vertices
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int) -> None:
+        if k < 2:
             raise ValueError("tree family needs k >= 2")
+        self.__dict__["k"] = k
+
+    def _key(self) -> tuple:
+        return (self.k,)
 
 
-@dataclass(frozen=True)
-class StarFamily:
+class StarFamily(Frozen):
     leaves: int  # forbid K_{1,leaves}
 
-    def __post_init__(self) -> None:
-        if self.leaves < 2:
+    def __init__(self, leaves: int) -> None:
+        if leaves < 2:
             raise ValueError("star family needs at least 2 leaves")
+        self.__dict__["leaves"] = leaves
+
+    def _key(self) -> tuple:
+        return (self.leaves,)
 
 
-@dataclass(frozen=True)
-class ExplicitFamily:
+class ExplicitFamily(Frozen):
     members: tuple[Graph, ...]
 
-    def __post_init__(self) -> None:
-        if not self.members:
+    def __init__(self, members: tuple[Graph, ...]) -> None:
+        if not members:
             raise ValueError("explicit family needs at least one member")
-        for h in self.members:
+        for h in members:
             if h.n < 2 or h.m < 1:
                 raise ValueError("explicit family members need at least one edge")
             if len(h.components()) != 1:
                 raise ValueError("explicit family members must be connected")
+        self.__dict__["members"] = members
+
+    def _key(self) -> tuple:
+        return (self.members,)
 
     @cached_property
     def anchored(self) -> tuple[tuple[int, Plan], ...]:

@@ -7,7 +7,6 @@ keeps game-tree branching free of aliasing bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -46,6 +45,32 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+class Frozen:
+    """Base of the immutable value types. A subclass annotates its fields,
+    writes them into `__dict__` in `__init__` and returns them in the same
+    order from `_key`: two values of one class are equal when their keys
+    are, a value hashes as its key and shows as `Name(field=value, ...)`.
+    Assigning or deleting an attribute raises AttributeError, but
+    `cached_property` still fills `__dict__`."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = zip(type(self).__annotations__, self._key())
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class Component:
@@ -156,8 +181,7 @@ class ComponentView:
         )
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph; `adj[v]` is the neighbour bitset of v.
 
     `memo` caches values derived from this graph alone, and a link to the
@@ -168,6 +192,12 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     m: int
+
+    def __init__(self, n: int, adj: tuple[int, ...], m: int) -> None:
+        self.__dict__.update(n=n, adj=adj, m=m)
+
+    def _key(self) -> tuple:
+        return (self.n, self.adj, self.m)
 
     @cached_property
     def memo(self) -> dict:

@@ -12,16 +12,19 @@ labels only the component that its move grew or merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Component, bits
+from .graph import Component, Frozen, bits
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(Frozen):
     kind: str  # "clique" | "star" | "tpend" | "dstar" | "other"
-    a: int = 0
-    b: int = 0
+    a: int
+    b: int
+
+    def __init__(self, kind: str, a: int = 0, b: int = 0) -> None:
+        self.__dict__.update(kind=kind, a=a, b=b)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.a, self.b)
 
     def display(self) -> str:
         if self.kind == "clique":

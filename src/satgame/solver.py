@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import CapExceeded, window
@@ -66,11 +65,27 @@ class BudgetExceeded(RuntimeError):
         self.kind = kind  # "nodes" | "time"
 
 
-@dataclass
 class SolveResult:
-    score: int
-    principal_variation: list[Action]
-    positions_expanded: int
+    """A solved game's score, principal variation and positions expanded.
+    Mutable, so it does not hash."""
+
+    def __init__(self, score: int, principal_variation: list[Action],
+                 positions_expanded: int) -> None:
+        self.score = score
+        self.principal_variation = principal_variation
+        self.positions_expanded = positions_expanded
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.score, self.principal_variation, self.positions_expanded)
+                == (other.score, other.principal_variation, other.positions_expanded))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"SolveResult(score={self.score!r}, principal_variation="
+                f"{self.principal_variation!r}, positions_expanded={self.positions_expanded!r})")
 
 
 # (family name, variant): a table shared between games keeps them apart

@@ -24,23 +24,29 @@ value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .engine import PASS, Action, GameState, Player, Variant
 from .families import Move, TreeFamily, _by_room, legal_rows
-from .graph import Component, Graph, bits, everywhere_traceable, hamiltonian_path, norm_edge
+from .graph import (Component, Frozen, Graph, bits, everywhere_traceable, hamiltonian_path,
+                    norm_edge)
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
 from .solver import best_action
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Frozen):
     name: str
     decide: Callable[[GameState], Action]
-    side: Optional[Player] = None  # None: usable by either player
+    side: Optional[Player]  # None: usable by either player
+
+    def __init__(self, name: str, decide: Callable[[GameState], Action],
+                 side: Optional[Player] = None) -> None:
+        self.__dict__.update(name=name, decide=decide, side=side)
+
+    def _key(self) -> tuple:
+        return (self.name, self.decide, self.side)
 
     def __call__(self, state: GameState) -> Action:
         return self.decide(state)

@@ -11,10 +11,8 @@ suite parameters and seed, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -38,7 +36,7 @@ from .families import (
     is_free,
     is_saturated,
 )
-from .graph import MAX_VERTICES, Graph, everywhere_traceable
+from .graph import MAX_VERTICES, Frozen, Graph, everywhere_traceable
 from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
 from .solver import BudgetExceeded, best_response, solve
 from .strategies import Strategy, make_strategy
@@ -46,12 +44,17 @@ from .strategies import Strategy, make_strategy
 BOTH_PLAYERS = (Player.PROLONGER, Player.SHORTENER)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     suite: str
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str) -> None:
+        self.__dict__.update(suite=suite, name=name, passed=passed, detail=detail)
+
+    def _key(self) -> tuple:
+        return (self.suite, self.name, self.passed, self.detail)
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -501,6 +504,7 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         suite = SUITES[name]
-        takes = inspect.signature(suite).parameters
+        code = suite.__code__
+        takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
         checks += suite(**{k: v for k, v in given.items() if v is not None and k in takes})
     return checks

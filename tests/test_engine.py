@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -237,7 +236,8 @@ class TestKeptStates:
             rec.actions[:i] + ((player, illegal_at(state)),) + rec.actions[i + 1:],
             rec.actions[:i] + ((player.other, action),) + rec.actions[i + 1:],
         ):
-            bad = replace(rec, actions=tampered)
+            bad = GameRecord(rec.n, rec.family, rec.variant, rec.first_mover, tampered,
+                             rec.terminal, rec.score)
             with pytest.raises(IllegalMoveError):
                 bad.replay()
             with pytest.raises(IllegalMoveError):
