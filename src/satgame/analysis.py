@@ -48,9 +48,6 @@ class SaturatedClass(Frozen):
     def __init__(self, labels: tuple[ComponentLabel, ...]) -> None:
         self.__dict__["labels"] = labels
 
-    def _key(self) -> tuple:
-        return (self.labels,)
-
     def display(self) -> str:
         return "+".join(lab.display() for lab in self.labels)
 
@@ -265,10 +262,6 @@ class BoundReport(Frozen):
         self.__dict__.update(theorem=theorem, n=n, k=k, lower=lower, upper=upper,
                              observed=observed, exact=exact, note=note)
 
-    def _key(self) -> tuple:
-        return (self.theorem, self.n, self.k, self.lower, self.upper, self.observed, self.exact,
-                self.note)
-
     @property
     def holds(self) -> Optional[bool]:
         if self.observed is None:
@@ -400,9 +393,6 @@ class ThresholdStat(Frozen):
     def __init__(self, t: int, g: int, lam: int) -> None:
         self.__dict__.update(t=t, g=g, lam=lam)
 
-    def _key(self) -> tuple:
-        return (self.t, self.g, self.lam)
-
 
 class TraceStats(Frozen):
     thresholds: tuple[Optional[ThresholdStat], ...]  # index i = degree threshold
@@ -411,9 +401,6 @@ class TraceStats(Frozen):
     def __init__(self, thresholds: tuple[Optional[ThresholdStat], ...],
                  new_vertex_usage: tuple[int, ...]) -> None:
         self.__dict__.update(thresholds=thresholds, new_vertex_usage=new_vertex_usage)
-
-    def _key(self) -> tuple:
-        return (self.thresholds, self.new_vertex_usage)
 
     def usage_pairs(self, actions: Sequence[tuple[Player, object]]) -> list[int]:
         """Total consumption of each Shortener-then-Prolonger move pair."""

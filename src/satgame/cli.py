@@ -156,7 +156,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    firsts = [args.first] if args.first else [Player.PROLONGER, Player.SHORTENER]
+    firsts = [args.first] if args.first else BOTH_PLAYERS
     pnames, snames = args.prolonger.split(","), args.shortener.split(",")
     # every name is resolved and seated, so a bad one refused, before any game
     seated = {(name, seat): _seated(name, seat, args.seed)

@@ -46,9 +46,6 @@ class Action(Frozen):
     def __init__(self, edge: Optional[Move]) -> None:
         self.__dict__["edge"] = edge
 
-    def _key(self) -> tuple:
-        return (self.edge,)
-
     @property
     def is_pass(self) -> bool:
         return self.edge is None
@@ -83,9 +80,6 @@ class GameState(Frozen):
                  first_mover: Player = Player.PROLONGER) -> None:
         self.__dict__.update(graph=graph, to_move=to_move, family=family, variant=variant,
                              first_mover=first_mover)
-
-    def _key(self) -> tuple:
-        return (self.graph, self.to_move, self.family, self.variant, self.first_mover)
 
 
 def initial_state(
@@ -154,10 +148,6 @@ class GameRecord(Frozen):
         self.__dict__.update(n=n, family=family, variant=variant, first_mover=first_mover,
                              actions=actions, terminal=terminal, score=score)
 
-    def _key(self) -> tuple:
-        return (self.n, self.family, self.variant, self.first_mover, self.actions,
-                self.terminal, self.score)
-
     def replay(self) -> list[GameState]:
         """All states G_0..G_T; raises if any recorded action is illegal.
 
@@ -197,9 +187,10 @@ class GameRecord(Frozen):
     @staticmethod
     def from_json(line: str) -> "GameRecord":
         """The record on `line`, whose actions are replayed once and kept
-        as its states; raises ValueError if the line is malformed, or if
-        they do not end the game, or end it at another graph or score than
-        the line records."""
+        as its states. Raises IllegalMoveError, which is not a ValueError, if
+        an action is illegal or out of turn; ValueError if the line is
+        malformed, or if the actions do not end the game, or end it at
+        another graph or score than the line records."""
         obj = json.loads(line)
         if type(obj) is not dict:
             raise ValueError(f"a record is a JSON object, not {type(obj).__name__}")

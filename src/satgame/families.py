@@ -67,9 +67,6 @@ class PathFamily(Frozen):
             raise ValueError("path family needs k >= 2")
         self.__dict__["k"] = k
 
-    def _key(self) -> tuple:
-        return (self.k,)
-
 
 class TreeFamily(Frozen):
     k: int  # forbid every tree on k vertices
@@ -79,9 +76,6 @@ class TreeFamily(Frozen):
             raise ValueError("tree family needs k >= 2")
         self.__dict__["k"] = k
 
-    def _key(self) -> tuple:
-        return (self.k,)
-
 
 class StarFamily(Frozen):
     leaves: int  # forbid K_{1,leaves}
@@ -90,9 +84,6 @@ class StarFamily(Frozen):
         if leaves < 2:
             raise ValueError("star family needs at least 2 leaves")
         self.__dict__["leaves"] = leaves
-
-    def _key(self) -> tuple:
-        return (self.leaves,)
 
 
 class ExplicitFamily(Frozen):
@@ -107,9 +98,6 @@ class ExplicitFamily(Frozen):
             if len(h.components()) != 1:
                 raise ValueError("explicit family members must be connected")
         self.__dict__["members"] = members
-
-    def _key(self) -> tuple:
-        return (self.members,)
 
     @cached_property
     def anchored(self) -> tuple[tuple[int, Plan], ...]:
@@ -133,21 +121,24 @@ def family_name(family: ForbiddenFamily) -> str:
     return "List:" + ",".join(to_graph6(h) for h in family.members)
 
 
+_SIZED = {"Pk": PathFamily, "Trees": TreeFamily, "Star": StarFamily}
+
+
 def parse_family(text: str) -> ForbiddenFamily:
     """Parse "P4", "Pk:7", "Trees:5", "Star:4" or "List:<graph6>,<graph6>"."""
     text = text.strip()
     head, _, tail = text.partition(":")
-    if head == "Pk":
-        return PathFamily(int(tail))
-    if head == "Trees":
-        return TreeFamily(int(tail))
-    if head == "Star":
-        return StarFamily(int(tail))
     if head == "List":
         return ExplicitFamily(tuple(from_graph6(p) for p in tail.split(",")))
     if text.startswith("P") and text[1:].isdigit():
-        return PathFamily(int(text[1:]))
-    raise ValueError(f"unrecognised family spec {text!r}")
+        head, tail = "Pk", text[1:]
+    if head not in _SIZED:
+        raise ValueError(f"unrecognised family spec {text!r}")
+    try:
+        size = int(tail)
+    except ValueError:
+        raise ValueError(f"bad size {tail!r} in family spec {text!r}: want an integer") from None
+    return _SIZED[head](size)
 
 
 # --- path records -------------------------------------------------------------

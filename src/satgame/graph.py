@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -48,23 +49,28 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 
 class Frozen:
-    """Base of the immutable value types. A subclass annotates its fields,
-    writes them into `__dict__` in `__init__` and returns them in the same
-    order from `_key`: two values of one class are equal when their keys
-    are, a value hashes as its key and shows as `Name(field=value, ...)`.
-    Assigning or deleting an attribute raises AttributeError, but
-    `cached_property` still fills `__dict__`."""
+    """Base of the immutable value types. A subclass annotates its fields and
+    writes them into `__dict__` in `__init__`; `_key` is then the tuple of
+    their values in annotation order. Two values of one class are equal when
+    their keys are, a value hashes as its key and shows as
+    `Name(field=value, ...)`. Assigning or deleting an attribute raises
+    AttributeError, but `cached_property` still fills `__dict__`."""
+
+    def __init_subclass__(cls) -> None:
+        # attrgetter, not a loop over the names: `play` compares ComponentLabels hot
+        get = attrgetter(*cls.__annotations__)
+        cls._key = property(get if len(cls.__annotations__) > 1 else lambda v: (get(v),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        fields = zip(type(self).__annotations__, self._key())
+        fields = zip(type(self).__annotations__, self._key)
         return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
 
     def __setattr__(self, name: str, *value: object) -> None:
@@ -195,9 +201,6 @@ class Graph(Frozen):
 
     def __init__(self, n: int, adj: tuple[int, ...], m: int) -> None:
         self.__dict__.update(n=n, adj=adj, m=m)
-
-    def _key(self) -> tuple:
-        return (self.n, self.adj, self.m)
 
     @cached_property
     def memo(self) -> dict:

@@ -23,9 +23,6 @@ class ComponentLabel(Frozen):
     def __init__(self, kind: str, a: int = 0, b: int = 0) -> None:
         self.__dict__.update(kind=kind, a=a, b=b)
 
-    def _key(self) -> tuple:
-        return (self.kind, self.a, self.b)
-
     def display(self) -> str:
         if self.kind == "clique":
             return f"K{self.a}"

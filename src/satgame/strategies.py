@@ -45,9 +45,6 @@ class Strategy(Frozen):
                  side: Optional[Player] = None) -> None:
         self.__dict__.update(name=name, decide=decide, side=side)
 
-    def _key(self) -> tuple:
-        return (self.name, self.decide, self.side)
-
     def __call__(self, state: GameState) -> Action:
         return self.decide(state)
 

@@ -53,9 +53,6 @@ class Check(Frozen):
     def __init__(self, suite: str, name: str, passed: bool, detail: str) -> None:
         self.__dict__.update(suite=suite, name=name, passed=passed, detail=detail)
 
-    def _key(self) -> tuple:
-        return (self.suite, self.name, self.passed, self.detail)
-
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.suite}/{self.name}: {self.detail}"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,9 @@ class TestParse:
     def test_bad_specs(self):
         with pytest.raises(ValueError):
             parse_family("Q4")
+        for spec in ["Pk:x", "Trees:", "Star:1.5"]:
+            with pytest.raises(ValueError, match=f"family spec '{re.escape(spec)}'"):
+                parse_family(spec)
         with pytest.raises(ValueError):
             PathFamily(1)
         with pytest.raises(ValueError):

@@ -89,6 +89,9 @@ def test_frozen_value_refuses_assignment_and_deletion(i):
 
 
 def test_hash_is_the_hash_of_the_field_tuple():
+    for value, _ in values():
+        fields = tuple(getattr(value, f) for f in type(value).__annotations__)
+        assert value._key == fields and hash(value) == hash(fields), value
     assert hash(Graph(2, (2, 1), 1)) == hash((2, (2, 1), 1))
     assert hash(PathFamily(4)) == hash((4,))
     assert hash(ComponentLabel("star", 2)) == hash(("star", 2, 0))
