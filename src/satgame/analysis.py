@@ -34,9 +34,10 @@ from .families import (
     TreeFamily,
     creates_forbidden,
     is_saturated,
+    max_saturated_edges,
 )
 from .graph import Frozen, Graph, least_twins, vertex_mask
-from .shapes import CLIQUE1, CLIQUE2, TRIANGLE, ComponentLabel, label_component
+from .shapes import CLIQUE1, CLIQUE2, CLIQUE4, TRIANGLE, ComponentLabel, label_component
 
 
 # --- saturated-graph classifiers ----------------------------------------------
@@ -104,7 +105,7 @@ def classify_p5_saturated(g: Graph) -> Optional[SaturatedClass]:
         if k2 <= 1 and all(core_ok(lab) for lab in others):
             return SaturatedClass(labels)
         return None
-    if isolated == 1 and k2 == 0 and all(lab == ComponentLabel("clique", 4) for lab in others):
+    if isolated == 1 and k2 == 0 and all(lab == CLIQUE4 for lab in others):
         return SaturatedClass(labels)
     return None
 
@@ -262,11 +263,16 @@ class BoundReport(Frozen):
         self.__dict__.update(theorem=theorem, n=n, k=k, lower=lower, upper=upper,
                              observed=observed, exact=exact, note=note)
 
+    def admits(self, score: int, side: Optional[Player] = None) -> bool:
+        """The one test of a score against the window: both ends, or for a
+        scripted `side` only the end it guarantees (Shortener at most the
+        upper end, Prolonger at least the lower end)."""
+        return ((side is Player.SHORTENER or self.lower <= score)
+                and (side is Player.PROLONGER or score <= self.upper))
+
     @property
     def holds(self) -> Optional[bool]:
-        if self.observed is None:
-            return None
-        return self.lower <= self.observed <= self.upper
+        return None if self.observed is None else self.admits(self.observed)
 
 
 def bound(
@@ -283,46 +289,32 @@ def bound(
 
     Out-of-domain parameters raise rather than silently extrapolate.
     """
+    if theorem in ("2.1", "2.4", "2.5") and (k is None or k < 2):
+        raise ValueError(f"{theorem} needs k >= 2")
+    if theorem in ("2.2", "2.3") and n < 1:
+        raise ValueError(f"{theorem} needs n >= 1")
+    exact, note = False, ""
     if theorem == "2.1":
-        if k is None or k < 2:
-            raise ValueError("2.1 needs k >= 2")
         if n < k:
             raise ValueError(f"2.1 needs n >= k, got n={n} k={k}")
-        return BoundReport(
-            theorem, n, k, Fraction(n * (k - 2), 4), Fraction(n * (k - 1), 2), observed
-        )
-    if theorem == "2.2":
-        if n < 1:
-            raise ValueError("2.2 needs n >= 1")
-        return BoundReport(
-            theorem, n, 4,
-            Fraction(4 * n, 5) - Fraction(8, 5), Fraction(4 * n, 5) + 1, observed,
-        )
-    if theorem == "2.3":
-        if n < 1:
-            raise ValueError("2.3 needs n >= 1")
-        return BoundReport(theorem, n, 5, Fraction(n - 1), Fraction(n + 2), observed)
-    if theorem == "2.4":
-        if k is None or k < 2:
-            raise ValueError("2.4 needs k >= 2")
+        lower, upper = Fraction(n * (k - 2), 4), Fraction(n * (k - 1), 2)
+    elif theorem == "2.2":
+        k, lower, upper = 4, Fraction(4 * n, 5) - Fraction(8, 5), Fraction(4 * n, 5) + 1
+    elif theorem == "2.3":
+        k, lower, upper = 5, Fraction(n - 1), Fraction(n + 2)
+    elif theorem == "2.4":
         value = tree_score_formula(n, k)
-        if isinstance(value, int):
-            return BoundReport(
-                theorem, n, k, Fraction(value), Fraction(value), observed, exact=True
-            )
-        lower, upper = value
-        note = "printed interval exceeds the k=3 game value" if k == 3 else ""
-        return BoundReport(theorem, n, k, lower, upper, observed, note=note)
-    if theorem == "2.5":
-        if k is None or k < 2:
-            raise ValueError("2.5 needs k >= 2")
+        exact = isinstance(value, int)
+        lower, upper = (Fraction(value), Fraction(value)) if exact else value
+        if k == 3 and not exact:
+            note = "printed interval exceeds the k=3 game value"
+    elif theorem == "2.5":
         if n < (3 * k + 1) * (k - 2):
             raise ValueError(f"2.5 needs n >= (3k+1)(k-2) = {(3 * k + 1) * (k - 2)}")
-        return BoundReport(
-            theorem, n, k,
-            Fraction(k * n - 2 * (k - 1), 2), Fraction(k * n, 2), observed,
-        )
-    raise ValueError(f"unknown theorem id {theorem!r}")
+        lower, upper = Fraction(k * n - 2 * (k - 1), 2), Fraction(k * n, 2)
+    else:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    return BoundReport(theorem, n, k, lower, upper, observed, exact, note)
 
 
 def window(family: ForbiddenFamily, variant: Variant, n: int) -> Optional[BoundReport]:
@@ -356,11 +348,8 @@ def tree_score_formula(n: int, k: int) -> Union[int, tuple[Fraction, Fraction]]:
     printed two-sided window (exact rational endpoints)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    if k == 2:
-        return 0
-    full = n // (k - 1)
     if n % (k - 1) != 1:
-        return full * comb(k - 1, 2) + comb(n - (k - 1) * full, 2)
+        return max_saturated_edges(TreeFamily(k), n)
     top = Fraction(n, k - 1) * comb(k - 1, 2)
     return (top - (k - 3), top)
 

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Callable, Optional
 
-from .analysis import SATURATED_CAP, component_labels, saturated_graphs
+from .analysis import SATURATED_CAP, SaturatedClass, component_labels, saturated_graphs
 from .engine import IllegalStrategyActionError, Player, Variant, play
 from .families import ForbiddenFamily, family_name, parse_family
 from .graph import MAX_VERTICES, to_graph6
@@ -118,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             # the column reports the printed window; a noted window is a single
             # non-integer point that no score meets, which the verdict excuses
             row.update(lower=str(rep.lower), upper=str(rep.upper), note=rep.note,
-                       holds=str(holds and not rep.note).lower())
+                       holds=str(rep.admits(score)).lower())
         rows.append(row)
         verdicts.append(holds)
     columns = ["family", "variant", "first", "n", "status", "score",
@@ -199,10 +199,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise CapExceeded(f"enumerate: saturated_graphs capped at n <= {SATURATED_CAP}, "
                           f"got n={args.n[-1]}")
     graphs = [g for n in args.n for g in saturated_graphs(n, args.family)]
-    lines = [
-        f"{to_graph6(g)}\t{'+'.join(lab.display() for lab in component_labels(g))}"
-        for g in graphs
-    ]
+    lines = [f"{to_graph6(g)}\t{SaturatedClass(component_labels(g)).display()}" for g in graphs]
     _write("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK
 

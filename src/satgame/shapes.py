@@ -38,6 +38,12 @@ class ComponentLabel(Frozen):
 CLIQUE1 = ComponentLabel("clique", 1)
 CLIQUE2 = ComponentLabel("clique", 2)
 TRIANGLE = ComponentLabel("clique", 3)
+CLIQUE4 = ComponentLabel("clique", 4)
+CHERRY = ComponentLabel("star", 2)  # the 3-vertex path
+CLAW = ComponentLabel("star", 3)
+PATH4 = ComponentLabel("dstar", 1, 1)  # the 4-vertex path
+T1 = ComponentLabel("tpend", 1)
+D12 = ComponentLabel("dstar", 1, 2)
 
 
 def has_triangle(rec: Component) -> bool:

@@ -331,8 +331,10 @@ def best_response(
     first_mover: Player = Player.PROLONGER,
     *,
     n_cap: int = DEFAULT_N_CAP,
+    node_cap: Optional[int] = None,
+    time_cap: Optional[float] = None,
 ) -> SolveResult:
     """Exact optimum for the free side while `fixed_side` plays its script."""
-    return _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=None,
-                   time_cap=None, fixed=fixed, fixed_side=fixed_side).result()
+    return _Search(n, family, variant, first_mover, {}, n_cap=n_cap, node_cap=node_cap,
+                   time_cap=time_cap, fixed=fixed, fixed_side=fixed_side).result()
 

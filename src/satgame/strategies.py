@@ -32,7 +32,8 @@ from .engine import PASS, Action, GameState, Player, Variant
 from .families import Move, TreeFamily, _by_room, legal_rows
 from .graph import (Component, Frozen, Graph, bits, everywhere_traceable, hamiltonian_path,
                     norm_edge)
-from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component, star_centres
+from .shapes import (CHERRY, CLAW, CLIQUE2, D12, PATH4, T1, ComponentLabel, has_triangle,
+                     label_component, star_centres)
 from .solver import best_action
 
 
@@ -98,9 +99,6 @@ def _decide_traceable(state: GameState) -> Action:
 # --- rule tables of the 4-path and 5-path games -----------------------------
 
 
-_P3 = ComponentLabel("star", 2)  # the 3-vertex path, a cherry
-
-
 class _View:
     """The position as the rules see it, built once per decision."""
 
@@ -156,7 +154,7 @@ def _join_edges(v: _View) -> list[Move]:
 
 def _close_cherry(v: _View) -> list[Move]:
     """Close a 3-vertex path into a triangle."""
-    return [norm_edge(*v.leaves(rec.members)) for rec in v.shaped(_P3)]
+    return [norm_edge(*v.leaves(rec.members)) for rec in v.shaped(CHERRY)]
 
 
 def _grow_star(v: _View) -> list[Move]:
@@ -167,7 +165,7 @@ def _grow_star(v: _View) -> list[Move]:
 
 def _cherry_to_star(v: _View) -> list[Move]:
     """Grow a 3-vertex path into a 3-leaf star."""
-    return [norm_edge(c, w) for rec in v.shaped(_P3) for c in star_centres(rec) for w in v.iso]
+    return [norm_edge(c, w) for rec in v.shaped(CHERRY) for c in star_centres(rec) for w in v.iso]
 
 
 def _join_edges_when_no_spare(v: _View) -> list[Move]:
@@ -181,11 +179,11 @@ def _grow_four_to_five(v: _View) -> list[Move]:
     out = []
     for rec, lab in v.comps:
         ms = rec.members
-        if lab == ComponentLabel("dstar", 1, 1):  # 4-vertex path
+        if lab == PATH4:
             spots = [a for a in ms if v.deg(a) == 2]
-        elif lab == ComponentLabel("star", 3):
+        elif lab == CLAW:
             spots = v.leaves(ms)
-        elif lab == ComponentLabel("tpend", 1):
+        elif lab == T1:
             spots = [max(ms, key=v.deg)]
         else:
             continue
@@ -203,7 +201,7 @@ def _attach_to_large(v: _View) -> list[Move]:
 
 def _join_cherry_centres(v: _View) -> list[Move]:
     """Join two 3-vertex paths centre to centre."""
-    centres = [star_centres(rec)[0] for rec in v.shaped(_P3)]
+    centres = [star_centres(rec)[0] for rec in v.shaped(CHERRY)]
     return [norm_edge(a, b) for i, a in enumerate(centres) for b in centres[i + 1 :]]
 
 
@@ -214,12 +212,12 @@ def _close_dangerous(v: _View) -> list[Move]:
     out = []
     for rec, lab in v.comps:
         ms = rec.members
-        if lab == ComponentLabel("dstar", 1, 2):
+        if lab == D12:
             lone = next(a for a in ms
                         if v.deg(a) == 1 and v.deg(v.g.adj[a].bit_length() - 1) == 2)
             far = next(c for c in ms if v.deg(c) >= 2 and not v.g.has_edge(lone, c))
             out.append(norm_edge(lone, far))
-        elif lab == ComponentLabel("star", 3):
+        elif lab == CLAW:
             leaves = v.leaves(ms)
             out += [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1 :]]
     return out

@@ -37,7 +37,7 @@ from .families import (
     is_saturated,
 )
 from .graph import MAX_VERTICES, Frozen, Graph, everywhere_traceable
-from .shapes import CLIQUE2, ComponentLabel, has_triangle, label_component
+from .shapes import CHERRY, CLIQUE2, has_triangle, label_component
 from .solver import BudgetExceeded, best_response, solve
 from .strategies import Strategy, make_strategy
 
@@ -100,11 +100,13 @@ def window_rows(
 
     The score is the exact solve, or with `script` the free side's best
     response to that one-sided strategy; `caps` go to the solver. The window
-    is `analysis.window` of the game, and `holds` is the one verdict on the
-    score. A solve stopped by a cap or budget is an unsolved row: its score
-    is the reason and it does not hold.
+    is `analysis.window` of the game, and `holds` is its `admits` verdict on
+    the score, for the script's side only its own end. A solve stopped by a
+    cap or budget is an unsolved row: its score is the reason and it does
+    not hold.
     """
     strategy = make_strategy(script) if script else None
+    side = strategy.side if strategy else None
     for n in ns:
         rep = window(family, variant, n)
         for first in firsts:
@@ -112,21 +114,13 @@ def window_rows(
                 if strategy is None:
                     score = solve(n, family, variant, first, **caps).score
                 else:
-                    score = best_response(n, family, variant, strategy, strategy.side,
-                                          first, **caps).score
+                    score = best_response(n, family, variant, strategy, side, first,
+                                          **caps).score
             except (CapExceeded, BudgetExceeded) as exc:
                 yield n, first, str(exc), rep, False
                 continue
-            if rep is None:
-                holds = None
-            elif rep.note:  # the k=3 tree residue: the printed window is off
-                holds = True
-            elif strategy is None:
-                holds = rep.lower <= score <= rep.upper
-            elif strategy.side is Player.SHORTENER:  # a script keeps only its own end
-                holds = score <= rep.upper
-            else:
-                holds = score >= rep.lower
+            # a noted window (the k=3 tree residue) is off as printed: excused
+            holds = None if rep is None else (bool(rep.note) or rep.admits(score, side))
             yield n, first, score, rep, holds
 
 
@@ -326,9 +320,8 @@ def _untraceable(rec: GameRecord) -> int:
 def _two_cherries(rec: GameRecord) -> int:
     """Against the 4-path shortener: at most one 3-vertex-path component after
     each opposing move."""
-    p3 = ComponentLabel("star", 2)
     return sum(1 for g in _after_prolonger(rec)
-               if sum(1 for comp in g.components().records if label_component(comp) == p3) > 1)
+               if sum(1 for comp in g.components().records if label_component(comp) == CHERRY) > 1)
 
 
 def _fresh_vertex_excess(rec: GameRecord) -> int:

@@ -1,6 +1,8 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -292,12 +294,44 @@ class TestBounds:
         assert bound("2.3", 8).holds is None
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bound("2.1", 3, 6)  # needs n >= k
-        with pytest.raises(ValueError):
-            bound("2.5", 9, 3)  # needs n >= (3k+1)(k-2) = 10
-        with pytest.raises(ValueError):
-            bound("9.9", 5)
+        for args, message in [
+            (("2.1", 5), "2.1 needs k >= 2"),
+            (("2.1", 5, 1), "2.1 needs k >= 2"),
+            (("2.1", 3, 6), "2.1 needs n >= k, got n=3 k=6"),
+            (("2.2", 0), "2.2 needs n >= 1"),
+            (("2.3", 0), "2.3 needs n >= 1"),
+            (("2.4", 5), "2.4 needs k >= 2"),
+            (("2.4", 5, 1), "2.4 needs k >= 2"),
+            (("2.5", 10), "2.5 needs k >= 2"),
+            (("2.5", 9, 3), "2.5 needs n >= (3k+1)(k-2) = 10"),
+            (("9.9", 5), "unknown theorem id '9.9'"),
+            (("9.9", 5, 1), "unknown theorem id '9.9'"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                bound(*args)
+
+    # (score, two-sided, Shortener's end, Prolonger's end) around each end
+    @pytest.mark.parametrize("rep, rows", [
+        (bound("2.2", 7), [(3, False, True, False), (4, True, True, True),
+                           (6, True, True, True), (7, False, False, True)]),
+        (bound("2.5", 10, 3), [(12, False, True, False), (13, True, True, True),
+                               (15, True, True, True), (16, False, False, True)]),
+    ], ids=["2.2", "2.5"])
+    def test_admits_checks_the_ends_a_side_guarantees(self, rep, rows):
+        for score, both, shortener, prolonger in rows:
+            assert rep.admits(score) is both
+            assert rep.admits(score, Player.SHORTENER) is shortener
+            assert rep.admits(score, Player.PROLONGER) is prolonger
+
+    @pytest.mark.parametrize("args", [
+        ("2.1", 6, 4), ("2.2", 10), ("2.3", 8), ("2.4", 6, 4), ("2.4", 7, 3), ("2.4", 9, 5),
+        ("2.5", 10, 3),
+    ], ids=["2.1", "2.2", "2.3", "2.4-exact", "2.4-noted", "2.4-residue", "2.5"])
+    def test_holds_is_admits_of_the_observed_score(self, args):
+        rep = bound(*args)
+        for observed in range(int(rep.lower) - 1, int(rep.upper) + 3):
+            assert bound(*args, observed=observed).holds is rep.admits(observed)
+        assert rep.holds is None
 
     def test_tree_bound_exact_case_matches_formula(self):
         rep = bound("2.4", 6, 4)
@@ -334,7 +368,20 @@ class TestWindow:
         assert window(parse_family(family), variant, n) is None
 
 
+def _densest_clique_packing(n, k):
+    """The closed form the tree formula had off the residue: as many
+    (k-1)-cliques as fit, and a clique on the rest."""
+    full = n // (k - 1)
+    return full * comb(k - 1, 2) + comb(n - (k - 1) * full, 2)
+
+
 class TestTreeFormula:
+    def test_matches_the_closed_form_off_the_residue(self):
+        for k in range(2, 11):
+            for n in range(1, 61):
+                if k == 2 or n % (k - 1) != 1:
+                    assert tree_score_formula(n, k) == _densest_clique_packing(n, k)
+
     def test_exact_cases(self):
         assert tree_score_formula(11, 4) == 10
         assert tree_score_formula(4, 3) == 2

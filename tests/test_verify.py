@@ -170,6 +170,18 @@ def test_capped_row_is_unsolved_and_fails():
     assert not check.passed and check.detail == "unsolved: node cap 1 exceeded"
 
 
+def test_capped_script_row_is_unsolved_and_fails():
+    [row] = window_rows(PathFamily(4), Variant.STANDARD, [5], (P,), "s-p4", node_cap=1)
+    n, first, score, rep, holds = row
+    assert score == "node cap 1 exceeded" and holds is False
+    assert rep == window(PathFamily(4), Variant.STANDARD, 5)
+
+
+def test_script_rows_take_a_time_cap():
+    rows = list(window_rows(PathFamily(4), Variant.STANDARD, [5], script="s-p4", time_cap=5.0))
+    assert [(score, holds) for _, _, score, _, holds in rows] == [(4, True), (4, True)]
+
+
 @pytest.mark.parametrize("checks", [
     lambda: solve_checks("p4", window_rows(PathFamily(4), Variant.STANDARD, [5, 6])),
     lambda: response_checks(4, 5),
