@@ -52,7 +52,6 @@ from .analysis import (
     BoundReport,
     SaturatedClass,
     TraceStats,
-    all_graphs,
     bound,
     classify_p4_saturated,
     classify_p5_saturated,

@@ -5,8 +5,8 @@ Free graphs are enumerated by vertex augmentation: each free graph on n-1
 vertices gains a vertex w whose free neighbourhoods, one per twin class, a
 depth-first search grows one legal edge at a time with `creates_forbidden`, so
 only free graphs are built and canonicalised. `families.is_free` is not used
-here; it stays the independent oracle that the tests and `verify` check this
-enumeration with.
+here; it stays the independent oracle of this enumeration in the tests, and
+of saturation in `verify`'s classifier checks over these free graphs.
 
 Saturated graphs on n vertices are the same search from the free graphs on
 n-1, with saturation tested before canonicalisation. Saturation does not
@@ -112,7 +112,6 @@ def classify_p5_saturated(g: Graph) -> Optional[SaturatedClass]:
 
 # --- exhaustive enumeration up to isomorphism -----------------------------------
 
-ALL_GRAPHS_CAP = 8
 SATURATED_CAP = 9
 
 
@@ -120,20 +119,20 @@ class CapExceeded(RuntimeError):
     """The requested instance is larger than the configured vertex cap."""
 
 
-def _check_n(name: str, n: int, cap: int) -> None:
+def _check_n(name: str, n: int) -> None:
     if n < 1:
         raise ValueError(f"{name} needs n >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"{name} capped at n <= {cap}")
+    if n > SATURATED_CAP:
+        raise CapExceeded(f"{name} capped at n <= {SATURATED_CAP}")
 
 
 def _extensions(
-    g: Graph, family: Optional[ForbiddenFamily], leaf: Optional[Callable[[Graph], bool]] = None
+    g: Graph, family: ForbiddenFamily, leaf: Optional[Callable[[Graph], bool]] = None
 ) -> list[Graph]:
-    """g + w, where w = g.n is a new vertex, for one neighbourhood of w per
-    twin class of g, in increasing order of the neighbourhood as an integer.
-    With `family` given, g is free and only free g + w are made. With `leaf`
-    given, only the leaves of the search that `leaf` accepts are returned.
+    """g + w, where w = g.n is a new vertex, for one free neighbourhood of w
+    per twin class of the free graph g, in increasing order of the
+    neighbourhood as an integer. With `leaf` given, only the leaves of the
+    search that `leaf` accepts are returned.
 
     g + w with w isolated is free, as every forbidden graph is connected and
     has an edge. A depth-first search then adds edges v-w in increasing order
@@ -166,9 +165,7 @@ def _extensions(
             h.components()
         extended = False
         for v in range(start, w):
-            if below[v] & ~subset == 0 and (
-                family is None or not creates_forbidden(h, family, (v, w))
-            ):
+            if below[v] & ~subset == 0 and not creates_forbidden(h, family, (v, w)):
                 grow(h.add_edge(v, w), subset | 1 << v, v + 1)
                 extended = True
         if leaf is None or not extended and leaf(h):
@@ -180,12 +177,12 @@ def _extensions(
 
 def _augment(
     smaller: tuple[Graph, ...],
-    family: Optional[ForbiddenFamily],
+    family: ForbiddenFamily,
     leaf: Optional[Callable[[Graph], bool]] = None,
 ) -> tuple[Graph, ...]:
-    """One vertex more on each graph of `smaller`, up to isomorphism: the
-    free graphs for `family`, or all graphs when it is None; with `leaf`
-    given, only those that `_extensions` returns for it.
+    """One vertex more on each free graph of `smaller`, up to isomorphism:
+    the free graphs for `family`, or with `leaf` given only those that
+    `_extensions` returns for it.
 
     The first graph that `_extensions` makes in each class is its
     representative, and the classes come out sorted by canonical key. Each
@@ -201,17 +198,6 @@ def _augment(
 
 
 @lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """Every graph on n vertices up to isomorphism (vertex augmentation by
-    one neighbourhood per twin class, with canonical deduplication), sorted
-    by canonical key."""
-    _check_n("all_graphs", n, ALL_GRAPHS_CAP)
-    if n == 1:
-        return (Graph.empty(1),)
-    return _augment(all_graphs(n - 1), None)
-
-
-@lru_cache(maxsize=None)
 def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     """Every family-free graph on n vertices up to isomorphism.
 
@@ -220,7 +206,7 @@ def free_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     graphs are built and canonicalised; `is_free` is never called here and
     stays an independent oracle for this enumeration.
     """
-    _check_n("free_graphs", n, SATURATED_CAP)
+    _check_n("free_graphs", n)
     if n == 1:
         return (Graph.empty(1),)
     return _augment(free_graphs(n - 1, family), family)
@@ -239,7 +225,7 @@ def saturated_graphs(n: int, family: ForbiddenFamily) -> tuple[Graph, ...]:
     legal edge at the new vertex), and only saturated ones are keyed. The
     n-vertex level is never built or cached.
     """
-    _check_n("saturated_graphs", n, SATURATED_CAP)
+    _check_n("saturated_graphs", n)
     if n == 1:
         return (Graph.empty(1),)  # no absent edge
     return _augment(free_graphs(n - 1, family), family, lambda h: is_saturated(h, family))

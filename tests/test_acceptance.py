@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` (or `satgame verify`).
 The fuzzed-claims criterion plays ten thousand games and dominates the runtime.
 """
 
-from satgame.analysis import classify_p4_saturated, classify_p5_saturated
+from satgame.analysis import SATURATED_CAP, classify_p4_saturated, classify_p5_saturated
 from satgame.cli import main as cli_main
 from satgame.engine import Variant
 from satgame.families import PathFamily
@@ -58,10 +58,10 @@ def test_criterion_5_one_sided_guarantees():
     report("criterion 5: one-sided strategy guarantees", checks)
 
 
-def test_criterion_6_classifier_oracle_equivalence():
-    checks = classifier_checks("p4", PathFamily(4), classify_p4_saturated, 7)
-    checks += classifier_checks("p5", PathFamily(5), classify_p5_saturated, 8)
-    report("criterion 6: classifier equals empty-legal-move oracle", checks)
+def test_criterion_6_classifier_equals_whole_graph_oracle():
+    checks = classifier_checks("p4", PathFamily(4), classify_p4_saturated, SATURATED_CAP)
+    checks += classifier_checks("p5", PathFamily(5), classify_p5_saturated, SATURATED_CAP)
+    report("criterion 6: classifier equals the whole-graph is_free oracle", checks)
 
 
 def test_criterion_7_claim_invariants_fuzzed():

@@ -6,11 +6,12 @@ from math import comb
 
 import pytest
 
+from helpers import EVERY_GRAPH, all_graphs
 from satgame.analysis import (
+    SATURATED_CAP,
     CapExceeded,
     _augment,
     _extensions,
-    all_graphs,
     bound,
     classify_p4_saturated,
     classify_p5_saturated,
@@ -24,7 +25,7 @@ from satgame.analysis import (
 )
 from satgame.engine import Player, Variant, play
 from satgame.families import (
-    PathFamily, StarFamily, TreeFamily, is_free, is_saturated, parse_family,
+    PathFamily, StarFamily, TreeFamily, is_free, is_saturated, legal_moves, parse_family,
 )
 from satgame.graph import Graph, bits, to_graph6
 from satgame.strategies import make_strategy
@@ -107,19 +108,18 @@ class TestEnumeration:
         assert len(free_graphs(6, PathFamily(4))) <= len(free_graphs(6, PathFamily(5)))
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
-            all_graphs(9)
-        with pytest.raises(CapExceeded):
-            free_graphs(10, PathFamily(4))
+        # one cap, SATURATED_CAP, for both enumerations
+        for enumerate_graphs in (free_graphs, saturated_graphs):
+            with pytest.raises(CapExceeded, match=f"n <= {SATURATED_CAP}"):
+                enumerate_graphs(SATURATED_CAP + 1, PathFamily(4))
 
     def test_class_counts_match_known_sequence(self):
-        # graphs up to isomorphism on 1..7 vertices
-        assert [len(all_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+        # graphs up to isomorphism on 1..8 vertices
+        assert [len(all_graphs(n)) for n in range(1, 9)] == [
+            1, 2, 4, 11, 34, 156, 1044, 12346]
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_vertices_rejected(self, n):
-        with pytest.raises(ValueError):
-            all_graphs(n)
         with pytest.raises(ValueError):
             free_graphs(n, PathFamily(5))
         with pytest.raises(ValueError):
@@ -136,6 +136,8 @@ ORACLE_FAMILIES = [
     "P3", "P4", "P5", "P6", "Trees:3", "Trees:4", "Trees:5",
     "Star:2", "Star:3", "Star:4", "List:Cl", "List:Bw,Cl",
 ]
+# the family of the all-graphs oracle, which every graph here is free of
+EVERY_GRAPH_SPEC = f"Star:{EVERY_GRAPH.leaves}"
 
 
 class TestFreeGraphs:
@@ -147,32 +149,31 @@ class TestFreeGraphs:
             want = [g.canonical_key() for g in all_graphs(n) if is_free(g, family)]
             assert got == want, (spec, n)
 
-    @pytest.mark.parametrize("spec", [*ORACLE_FAMILIES, None])
+    @pytest.mark.parametrize("spec", [*ORACLE_FAMILIES, EVERY_GRAPH_SPEC])
     def test_extensions_match_every_free_neighbourhood(self, spec):
         # one neighbourhood per twin class against all 2^n neighbourhoods
-        # filtered by whole-graph is_free (every one when spec is None): the
-        # same classes, and the same first graph met in each
-        family = parse_family(spec) if spec else None
+        # filtered by whole-graph is_free (every one for the all-graphs
+        # family): the same classes, and the same first graph met in each
+        family = parse_family(spec)
         for n in range(1, 7):
-            for g in free_graphs(n, family) if family else all_graphs(n):
+            for g in free_graphs(n, family):
                 want: dict = {}
                 for h in (with_vertex(g, s) for s in range(1 << n)):
-                    if family is None or is_free(h, family):
+                    if is_free(h, family):
                         want.setdefault(h.canonical_key(), h)
                 got: dict = {}
                 for h in _extensions(g, family):
                     got.setdefault(h.canonical_key(), h)
                 assert got == want, (spec, to_graph6(g))
 
-    @pytest.mark.parametrize("spec", [*ORACLE_FAMILIES, None])
+    @pytest.mark.parametrize("spec", [*ORACLE_FAMILIES, EVERY_GRAPH_SPEC])
     def test_kept_representatives_carry_no_memo(self, spec):
         # the levels are cached for good, and no later level reads the
         # components or tables that a representative's search filled
-        family = parse_family(spec) if spec else None
-        smaller = free_graphs(5, family) if family else all_graphs(5)
-        kept = _augment(smaller, family)
+        family = parse_family(spec)
+        kept = _augment(free_graphs(5, family), family)
         assert kept and all("memo" not in g.__dict__ for g in kept)
-        assert kept == (free_graphs(6, family) if family else all_graphs(6))
+        assert kept == free_graphs(6, family)
 
     @pytest.mark.parametrize("spec, n, candidates", [("List:Cl", 8, 3264), ("P5", 9, 1415)])
     def test_pinned_candidate_counts(self, spec, n, candidates):
@@ -216,7 +217,6 @@ class TestSaturatedGraphs:
             sides = []
             for side in (saturated, filtered) if saturated_first else (filtered, saturated):
                 free_graphs.cache_clear()
-                all_graphs.cache_clear()
                 sides.append(side(n))
             assert sides[0] == sides[1], (spec, n)
 
@@ -481,19 +481,17 @@ class TestTerminalStructure:
 
 
 class TestClassifierOracle:
-    @pytest.mark.parametrize("n", range(1, 7))
+    # every graph, free or not: a classifier that accepts a graph that is
+    # not free fails here, which the free-graph oracle of `verify` cannot see
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_p4_small(self, n):
-        from satgame.families import legal_moves
-
         fam = PathFamily(4)
         for g in all_graphs(n):
             saturated = is_free(g, fam) and not legal_moves(g, fam)
             assert (classify_p4_saturated(g) is not None) == saturated
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_p5_small(self, n):
-        from satgame.families import legal_moves
-
         fam = PathFamily(5)
         for g in all_graphs(n):
             saturated = is_free(g, fam) and not legal_moves(g, fam)

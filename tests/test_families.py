@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satgame.analysis import all_graphs
+from helpers import all_graphs
 from satgame.engine import GameState, Player, is_terminal
 from satgame import families, graph
 from satgame.families import (

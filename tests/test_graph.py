@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import all_graphs
 from satgame import graph
-from satgame.analysis import all_graphs
 from satgame.graph import (
     Graph,
     bits,

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from satgame.analysis import all_graphs
+from helpers import all_graphs
+from satgame.analysis import classify_p4_saturated, classify_p5_saturated
+from satgame.families import PathFamily, is_free
 from satgame.graph import Graph
 from satgame.shapes import ComponentLabel, has_triangle, label_component, star_centres
 
@@ -10,9 +12,9 @@ from satgame.shapes import ComponentLabel, has_triangle, label_component, star_c
 MAX_N = 7
 
 
-def reference_shapes(n: int) -> dict[bytes, ComponentLabel]:
-    """Canonical key of each named shape on n vertices, built from its
-    definition: K_n, K_{1,m} (m >= 2), T_j (j >= 1) and D_{k,l} (1 <= k <= l)."""
+def reference_graphs(n: int) -> dict[Graph, ComponentLabel]:
+    """Each named shape on n vertices, built from its definition: K_n,
+    K_{1,m} (m >= 2), T_j (j >= 1) and D_{k,l} (1 <= k <= l)."""
     refs = {Graph.from_edges(n, itertools.combinations(range(n), 2)): ComponentLabel("clique", n)}
     if n >= 3:
         refs[Graph.from_edges(n, [(0, v) for v in range(1, n)])] = ComponentLabel("star", n - 1)
@@ -22,7 +24,7 @@ def reference_shapes(n: int) -> dict[bytes, ComponentLabel]:
     for k in range(1, (n - 2) // 2 + 1):
         dstar = [(0, 1)] + [(0, v) for v in range(2, 2 + k)] + [(1, v) for v in range(2 + k, n)]
         refs[Graph.from_edges(n, dstar)] = ComponentLabel("dstar", k, n - 2 - k)
-    return {h.canonical_key(): label for h, label in refs.items()}
+    return refs
 
 
 def connected_graphs():
@@ -34,7 +36,8 @@ def connected_graphs():
 
 
 def test_labels_match_the_reference_shapes():
-    refs = {n: reference_shapes(n) for n in range(1, MAX_N + 1)}
+    refs = {n: {h.canonical_key(): label for h, label in reference_graphs(n).items()}
+            for n in range(1, MAX_N + 1)}
     seen = set()
     for g, rec in connected_graphs():
         want = refs[g.n].get(g.canonical_key(), ComponentLabel("other"))
@@ -43,6 +46,25 @@ def test_labels_match_the_reference_shapes():
     # every reference shape was reached, so each branch was compared
     assert seen == {label for ref in refs.values() for label in ref.values()} | {
         ComponentLabel("other")}
+
+
+@pytest.mark.parametrize("k, classifier", [(4, classify_p4_saturated),
+                                           (5, classify_p5_saturated)])
+def test_classifier_rejects_every_shape_that_holds_the_path(k, classifier):
+    # the classifiers read component labels only, so a shape that contains
+    # P_k must be refused wherever it appears: alone, beside a K_1 and
+    # beside a K_2; the verify oracle walks free graphs and never meets one
+    refused = set()
+    for n in range(1, 10):
+        for h, label in reference_graphs(n).items():
+            if is_free(h, PathFamily(k)):
+                continue
+            edges = h.edges()
+            for g in (h, Graph.from_edges(n + 1, edges),
+                      Graph.from_edges(n + 2, edges + [(n, n + 1)])):
+                assert classifier(g) is None, (k, label, g.edges())
+            refused.add(label.kind)
+    assert refused == ({"clique", "tpend", "dstar"} if k == 4 else {"clique"})
 
 
 def test_label_is_kept_on_the_record():

@@ -4,10 +4,11 @@ import re
 import pytest
 
 from satgame import verify
-from satgame.analysis import CapExceeded, window
+from satgame.analysis import SATURATED_CAP, CapExceeded, classify_p4_saturated, window
 from satgame.engine import Player, Variant
 from satgame.families import PathFamily, TreeFamily, parse_family
 from satgame.verify import (
+    classifier_checks,
     render_report,
     response_checks,
     solve_checks,
@@ -23,7 +24,7 @@ from satgame.verify import (
 
 # sha256 of one report over small runs of every suite (83 lines). A change to
 # a window, a claim check or the order of the seeded draws changes it.
-REPORT_SHA256 = "bee589a196764f7dfb41c9fa7c1226d6fd09c649afbab12d2102e928ac651442"
+REPORT_SHA256 = "4cd2236967563effd1bfba927a5a47b677a3d6a1c9fbad7d4d2296e08a000e02"
 
 
 def test_report_digest_unchanged():
@@ -39,6 +40,17 @@ def test_report_digest_unchanged():
     text = render_report(checks)
     assert len(text.splitlines()) == 83
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+@pytest.mark.parametrize("family, classifier", [
+    (PathFamily(4), lambda g: g),  # accepts every graph
+    (PathFamily(4), lambda g: None),  # rejects every graph
+    (PathFamily(5), classify_p4_saturated),  # the other game's grammar
+], ids=["accept-all", "reject-all", "p4-grammar-for-p5"])
+def test_classifier_oracle_reports_a_wrong_classifier(family, classifier):
+    (check,) = classifier_checks("p", family, classifier, SATURATED_CAP)
+    mismatches = int(re.fullmatch(r"\d+ free graphs, (\d+) mismatches", check.detail)[1])
+    assert not check.passed and mismatches > 0
 
 
 def test_claims_below_the_large_star_domain_play_only_the_small_star():
