@@ -46,9 +46,6 @@ from .shapes import CLIQUE1, CLIQUE2, CLIQUE4, TRIANGLE, ComponentLabel, label_c
 class SaturatedClass(Frozen):
     labels: tuple[ComponentLabel, ...]
 
-    def __init__(self, labels: tuple[ComponentLabel, ...]) -> None:
-        self.__dict__["labels"] = labels
-
     def display(self) -> str:
         return "+".join(lab.display() for lab in self.labels)
 
@@ -240,14 +237,9 @@ class BoundReport(Frozen):
     k: Optional[int]
     lower: Fraction
     upper: Fraction
-    observed: Optional[int]
-    exact: bool
-    note: str
-
-    def __init__(self, theorem: str, n: int, k: Optional[int], lower: Fraction, upper: Fraction,
-                 observed: Optional[int] = None, exact: bool = False, note: str = "") -> None:
-        self.__dict__.update(theorem=theorem, n=n, k=k, lower=lower, upper=upper,
-                             observed=observed, exact=exact, note=note)
+    observed: Optional[int] = None
+    exact: bool = False
+    note: str = ""
 
     def admits(self, score: int, side: Optional[Player] = None) -> bool:
         """The one test of a score against the window: both ends, or for a
@@ -365,17 +357,10 @@ class ThresholdStat(Frozen):
     g: int  # the minimising player's move; excess degree sum and count there
     lam: int
 
-    def __init__(self, t: int, g: int, lam: int) -> None:
-        self.__dict__.update(t=t, g=g, lam=lam)
-
 
 class TraceStats(Frozen):
     thresholds: tuple[Optional[ThresholdStat], ...]  # index i = degree threshold
     new_vertex_usage: tuple[int, ...]  # isolated vertices consumed per action
-
-    def __init__(self, thresholds: tuple[Optional[ThresholdStat], ...],
-                 new_vertex_usage: tuple[int, ...]) -> None:
-        self.__dict__.update(thresholds=thresholds, new_vertex_usage=new_vertex_usage)
 
     def usage_pairs(self, actions: Sequence[tuple[Player, object]]) -> list[int]:
         """Total consumption of each Shortener-then-Prolonger move pair."""

@@ -43,9 +43,6 @@ class Variant(Enum):
 class Action(Frozen):
     edge: Optional[Move]  # None means pass
 
-    def __init__(self, edge: Optional[Move]) -> None:
-        self.__dict__["edge"] = edge
-
     @property
     def is_pass(self) -> bool:
         return self.edge is None
@@ -72,14 +69,8 @@ class GameState(Frozen):
     graph: Graph
     to_move: Player
     family: ForbiddenFamily
-    variant: Variant
-    first_mover: Player
-
-    def __init__(self, graph: Graph, to_move: Player, family: ForbiddenFamily,
-                 variant: Variant = Variant.STANDARD,
-                 first_mover: Player = Player.PROLONGER) -> None:
-        self.__dict__.update(graph=graph, to_move=to_move, family=family, variant=variant,
-                             first_mover=first_mover)
+    variant: Variant = Variant.STANDARD
+    first_mover: Player = Player.PROLONGER
 
 
 def initial_state(
@@ -142,12 +133,6 @@ class GameRecord(Frozen):
     terminal: Graph
     score: int
 
-    def __init__(self, n: int, family: ForbiddenFamily, variant: Variant, first_mover: Player,
-                 actions: tuple[tuple[Player, Action], ...], terminal: Graph,
-                 score: int) -> None:
-        self.__dict__.update(n=n, family=family, variant=variant, first_mover=first_mover,
-                             actions=actions, terminal=terminal, score=score)
-
     def replay(self) -> list[GameState]:
         """All states G_0..G_T; raises if any recorded action is illegal.
 
@@ -191,7 +176,10 @@ class GameRecord(Frozen):
         an action is illegal or out of turn; ValueError if the line is
         malformed, or if the actions do not end the game, or end it at
         another graph or score than the line records."""
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except RecursionError:
+            raise ValueError("the line nests too deeply to decode as JSON") from None
         if type(obj) is not dict:
             raise ValueError(f"a record is a JSON object, not {type(obj).__name__}")
         for name, kind in (("n", int), ("family", str), ("variant", str), ("first", str),

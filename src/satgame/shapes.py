@@ -17,11 +17,8 @@ from .graph import Component, Frozen, bits
 
 class ComponentLabel(Frozen):
     kind: str  # "clique" | "star" | "tpend" | "dstar" | "other"
-    a: int
-    b: int
-
-    def __init__(self, kind: str, a: int = 0, b: int = 0) -> None:
-        self.__dict__.update(kind=kind, a=a, b=b)
+    a: int = 0
+    b: int = 0
 
     def display(self) -> str:
         if self.kind == "clique":

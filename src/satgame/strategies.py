@@ -40,11 +40,7 @@ from .solver import best_action
 class Strategy(Frozen):
     name: str
     decide: Callable[[GameState], Action]
-    side: Optional[Player]  # None: usable by either player
-
-    def __init__(self, name: str, decide: Callable[[GameState], Action],
-                 side: Optional[Player] = None) -> None:
-        self.__dict__.update(name=name, decide=decide, side=side)
+    side: Optional[Player] = None  # None: usable by either player
 
     def __call__(self, state: GameState) -> Action:
         return self.decide(state)

@@ -50,9 +50,6 @@ class Check(Frozen):
     passed: bool
     detail: str
 
-    def __init__(self, suite: str, name: str, passed: bool, detail: str) -> None:
-        self.__dict__.update(suite=suite, name=name, passed=passed, detail=detail)
-
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.suite}/{self.name}: {self.detail}"
@@ -107,6 +104,7 @@ def window_rows(
     """
     strategy = make_strategy(script) if script else None
     side = strategy.side if strategy else None
+    firsts = tuple(firsts)  # read again for every n
     for n in ns:
         rep = window(family, variant, n)
         for first in firsts:

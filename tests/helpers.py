@@ -1,5 +1,7 @@
 """The all-graphs oracle that the test modules share."""
 
+from functools import cache
+
 from satgame.analysis import SATURATED_CAP, free_graphs
 from satgame.families import StarFamily
 
@@ -8,6 +10,8 @@ from satgame.families import StarFamily
 EVERY_GRAPH = StarFamily(SATURATED_CAP)
 
 
+@cache
 def all_graphs(n: int):
-    """Every graph on n vertices up to isomorphism, sorted by canonical key."""
+    """Every graph on n vertices up to isomorphism, sorted by canonical key.
+    Kept apart from the cache of `free_graphs`, which some tests empty."""
     return free_graphs(n, EVERY_GRAPH)

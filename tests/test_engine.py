@@ -166,6 +166,11 @@ class TestRecordSerialisation:
         with pytest.raises(ValueError, match=message):
             GameRecord.from_json(line)
 
+    def test_deeply_nested_line_raises_value_error(self):
+        # the JSON decoder itself runs out of stack on this line
+        with pytest.raises(ValueError, match="nests too deeply"):
+            GameRecord.from_json("[" * 100000)
+
     def test_unfinished_game_rejected(self):
         rec = play(6, P4, strategy_p=make_strategy("p-p4"), strategy_s=make_strategy("s-p4"))
         assert rec.score == 4

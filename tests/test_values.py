@@ -2,6 +2,7 @@
 and immutability, and a package import that loads neither `dataclasses` nor
 `inspect`."""
 
+import inspect
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from satgame.analysis import BoundReport, SaturatedClass, ThresholdStat, TraceStats
 from satgame.engine import Action, GameRecord, GameState, Player, Variant, play
 from satgame.families import ExplicitFamily, PathFamily, StarFamily, TreeFamily
-from satgame.graph import Graph
+from satgame.graph import Frozen, Graph
 from satgame.shapes import ComponentLabel
 from satgame.solver import SolveResult
 from satgame.strategies import Strategy, make_strategy
@@ -63,6 +64,67 @@ def values():
          "TraceStats(thresholds=(None, ThresholdStat(t=1, g=2, lam=3)), new_vertex_usage=(2, 1))"),
         (Check("p4", "x", True, "d"), "Check(suite='p4', name='x', passed=True, detail='d')"),
     ]
+
+
+# the plain constructors that `Frozen` compiles: each type's parameters in
+# order, and the defaults among them
+CONSTRUCTORS = [
+    (Graph, ["n", "adj", "m"], {}),
+    (Action, ["edge"], {}),
+    (GameState, ["graph", "to_move", "family", "variant", "first_mover"],
+     {"variant": Variant.STANDARD, "first_mover": Player.PROLONGER}),
+    (GameRecord, ["n", "family", "variant", "first_mover", "actions", "terminal", "score"], {}),
+    (Strategy, ["name", "decide", "side"], {"side": None}),
+    (ComponentLabel, ["kind", "a", "b"], {"a": 0, "b": 0}),
+    (SaturatedClass, ["labels"], {}),
+    (BoundReport, ["theorem", "n", "k", "lower", "upper", "observed", "exact", "note"],
+     {"observed": None, "exact": False, "note": ""}),
+    (ThresholdStat, ["t", "g", "lam"], {}),
+    (TraceStats, ["thresholds", "new_vertex_usage"], {}),
+    (Check, ["suite", "name", "passed", "detail"], {}),
+]
+CONSTRUCTOR_IDS = [cls.__name__ for cls, *_ in CONSTRUCTORS]
+
+
+@pytest.mark.parametrize("cls, names, defaults", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
+def test_constructor_parameters_and_defaults(cls, names, defaults):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == names
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("cls, names, defaults", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
+def test_keyword_construction_and_each_default(cls, names, defaults):
+    given = {name: f"<{name}>" for name in names}  # the constructors check no field
+    value = cls(**given)
+    assert value._key == tuple(given.values()) and value == cls(*given.values())
+    bare = cls(**{name: given[name] for name in names if name not in defaults})
+    assert bare._key == tuple(defaults.get(name, given[name]) for name in names)
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: Graph(1, (0,)), "Graph.__init__() missing 1 required positional argument: 'm'"),
+    (lambda: GameState(1, 2, 3, 4, 5, 6),
+     "GameState.__init__() takes from 4 to 6 positional arguments but 7 were given"),
+    (lambda: GameState(1, 2, 3, colour=4),
+     "GameState.__init__() got an unexpected keyword argument 'colour'"),
+], ids=["missing", "too-many", "unknown-keyword"])
+def test_constructor_type_errors_name_the_class(make, text):
+    with pytest.raises(TypeError) as err:
+        make()
+    assert str(err.value) == text
+
+
+def test_a_new_subclass_gets_the_plain_constructor():
+    class Pair(Frozen):
+        x: int
+        y: int = 2
+
+    assert Pair(1) == Pair(x=1, y=2) and repr(Pair(1, y=3)) == "Pair(x=1, y=3)"
+    assert Pair.__init__.__qualname__.endswith("<locals>.Pair.__init__")
 
 
 @pytest.mark.parametrize("i", range(len(values())))

@@ -168,6 +168,11 @@ def test_noted_tree_residue_row_holds():
         assert holds is True
 
 
+def test_one_shot_first_movers_give_rows_for_every_n():
+    rows = list(window_rows(PathFamily(4), Variant.STANDARD, [4, 5], iter((P, S))))
+    assert [(n, first) for n, first, *_ in rows] == [(4, P), (4, S), (5, P), (5, S)]
+
+
 def test_row_with_no_window_has_no_verdict():
     rows = list(window_rows(parse_family("List:Cl"), Variant.STANDARD, [5]))
     assert [(rep, holds) for *_, rep, holds in rows] == [(None, None)] * 2
