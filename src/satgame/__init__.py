@@ -21,7 +21,6 @@ from .families import (
     family_name,
     is_free,
     is_saturated,
-    legal_moves,
     legal_rows,
     parse_family,
 )

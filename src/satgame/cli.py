@@ -29,54 +29,39 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 
 
-def _family(text: str) -> ForbiddenFamily:
-    try:
-        return parse_family(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(parse: Callable[[str], object], message: str) -> Callable[[str], object]:
+    """An argparse type: `parse(text)`, with the usage error `message`
+    (formatted with `text` and the ValueError `exc`) where it raises
+    ValueError."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(message.format(text=text, exc=exc))
+
+    return convert
 
 
 def _n_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
-    try:
-        a = int(lo)
-        b = int(hi) if sep else a
-        if not 1 <= a <= b <= MAX_VERTICES:
-            raise ValueError
-        return list(range(a, b + 1))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad n or n-range {text!r}; use e.g. 6 or 4..8, with n >= 1 and n <= {MAX_VERTICES}"
-        )
+    a = int(lo)
+    b = int(hi) if sep else a
+    if not 1 <= a <= b <= MAX_VERTICES:
+        raise ValueError
+    return list(range(a, b + 1))
 
 
-def _positive(kind: type) -> Callable[[str], float]:
+def _positive(kind: type) -> Callable[[str], object]:
     """An argparse type for a cap: a `kind` number above 0."""
 
     def parse(text: str):
-        try:
-            value = kind(text)
-            if not value > 0:
-                raise ValueError
-            return value
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad cap {text!r}; want {kind.__name__} > 0")
+        value = kind(text)
+        if not value > 0:
+            raise ValueError
+        return value
 
-    return parse
-
-
-def _first(text: str) -> Player:
-    try:
-        return Player(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("first mover must be P or S")
-
-
-def _variant(text: str) -> Variant:
-    try:
-        return Variant(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("variant must be standard or pass")
+    return _arg(parse, f"bad cap {{text!r}}; want {kind.__name__} > 0")
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -212,11 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     options = {
-        "--family": dict(type=_family, required=True,
+        "--family": dict(type=_arg(parse_family, "{exc}"), required=True,
                          help="P4, P5, Pk:7, Trees:5, Star:4 or List:<graph6>,..."),
-        "--n": dict(type=_n_range, default=[6], help="n or inclusive range a..b"),
-        "--variant": dict(type=_variant, default=Variant.STANDARD),
-        "--first": dict(type=_first, default=None, help="P or S"),
+        "--n": dict(type=_arg(_n_range, "bad n or n-range {text!r}; use e.g. 6 or 4..8, "
+                              f"with n >= 1 and n <= {MAX_VERTICES}"),
+                    default=[6], help="n or inclusive range a..b"),
+        "--variant": dict(type=_arg(Variant, "variant must be standard or pass"),
+                          default=Variant.STANDARD),
+        "--first": dict(type=_arg(Player, "first mover must be P or S"), default=None,
+                        help="P or S"),
         "--seed": dict(type=int, default=0),
         "--out": dict(default=None),
         "--format": dict(choices=("csv", "jsonl"), default="csv"),

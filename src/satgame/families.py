@@ -33,10 +33,10 @@ of g with both ends outside the reach of uv stays legal in g + uv.
 `position_key(family, n)` keys a game's positions and says why it is exact.
 
 `creates_forbidden(g, family, e)` reads one bit of the table; for an
-explicit family it searches through e alone. `legal_moves` lists the
-table's edges (`graph.row_edges`), and `is_saturated` asks whether there is
-one. An explicit family's table folds one lazy walk of the absent pairs in
-lex order (`_explicit_legal`), and `is_saturated` stops at its first item.
+explicit family it searches through e alone. `graph.row_edges` lists the
+table's edges, and `is_saturated` asks whether there is one. An explicit
+family's table folds one lazy walk of the absent pairs in lex order
+(`_explicit_legal`), and `is_saturated` stops at its first item.
 
 The table is kept on its graph (`Graph.memo`) per family. The P_k rows of a
 component are kept on its record (`graph.Component`), which a child
@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence, Union
 
 from .graph import (Component, Frozen, Graph, _decode, bits, from_graph6, norm_edge,
-                    row_edges, to_graph6, vertex_mask)
+                    to_graph6, vertex_mask)
 
 Move = tuple[int, int]
 
@@ -449,15 +449,6 @@ def creates_forbidden(g: Graph, family: ForbiddenFamily, edge: Move) -> bool:
     if isinstance(family, ExplicitFamily):
         return _explicit_creates(g, family, u, v)
     return not legal_rows(g, family)[u] >> v & 1
-
-
-def legal_moves(g: Graph, family: ForbiddenFamily) -> list[Move]:
-    """Absent edges whose addition keeps freeness, lexicographically ordered,
-    listed from `legal_rows`.
-
-    Empty exactly when the family-free graph `g` is family-saturated.
-    """
-    return row_edges(legal_rows(g, family))
 
 
 def is_saturated(g: Graph, family: ForbiddenFamily) -> bool:

@@ -54,7 +54,7 @@ from .families import (
     move_reach,
     position_key,
 )
-from .graph import MAX_VERTICES, Graph, least_twins, row_edges
+from .graph import MAX_VERTICES, Frozen, Graph, least_twins, row_edges
 
 
 class BudgetExceeded(RuntimeError):
@@ -65,27 +65,13 @@ class BudgetExceeded(RuntimeError):
         self.kind = kind  # "nodes" | "time"
 
 
-class SolveResult:
+class SolveResult(Frozen):
     """A solved game's score, principal variation and positions expanded.
-    Mutable, so it does not hash."""
+    Its principal variation is a list, so it does not hash."""
 
-    def __init__(self, score: int, principal_variation: list[Action],
-                 positions_expanded: int) -> None:
-        self.score = score
-        self.principal_variation = principal_variation
-        self.positions_expanded = positions_expanded
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.score, self.principal_variation, self.positions_expanded)
-                == (other.score, other.principal_variation, other.positions_expanded))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"SolveResult(score={self.score!r}, principal_variation="
-                f"{self.principal_variation!r}, positions_expanded={self.positions_expanded!r})")
+    score: int
+    principal_variation: list[Action]
+    positions_expanded: int
 
 
 # (family name, variant): a table shared between games keeps them apart
@@ -103,7 +89,7 @@ def _check_depth(n: int, family: ForbiddenFamily, variant: Variant, max_edges: i
 
     The bound is safe: each nested `_Search.bounded` is one frame and adds
     one of at most max_edges edges, or is a pass that Shortener must answer
-    with one. At most three frames (`result`, `best`, `_at_least`) lie
+    with one. At most three frames (of `result`, `best` and `value`) lie
     between the first of them and the frames in use now, and the deepest
     stacks at most 2 * MAX_VERTICES of its own calls: the canonical search
     nests once per vertex, nothing else more than a few.
@@ -128,9 +114,10 @@ class _Search:
     each at one threshold over the children that `_actions` gives.
 
     `key` maps a position to its table key, the game's `position_key`.
-    With `fixed` given, `fixed_side` plays `fixed(state)` and the other
-    side's exact optimum is searched; the script sees labelled positions,
-    so the table is keyed by the adjacency instead.
+    With `fixed` given, `fixed_side` (given with it or not at all) plays
+    `fixed(state)` and the other side's exact optimum is searched; the
+    script sees labelled positions, so the table is keyed by the adjacency
+    instead.
     """
 
     def __init__(
@@ -147,6 +134,8 @@ class _Search:
         fixed: Optional[Callable[[GameState], Action]] = None,
         fixed_side: Optional[Player] = None,
     ):
+        if (fixed is None) is not (fixed_side is None):
+            raise ValueError("a script needs the side it plays, and a side its script")
         if n > n_cap:
             raise CapExceeded(f"n={n} exceeds the solver cap {n_cap}")
         self.n, self.family, self.variant, self.first_mover = n, family, variant, first_mover
@@ -230,10 +219,6 @@ class _Search:
         self.table[key] = (v, hi) if v >= gamma else (lo, v)
         return v
 
-    def _at_least(self, g: Graph, mover: Player, target: int) -> bool:
-        """One null-window test: is the remaining score at least `target`?"""
-        return self.bounded(g, mover, target) >= target
-
     def value(self, g: Graph, mover: Player) -> int:
         """Exact remaining score of `g` with `mover` to move, by MTD(f): each
         null-window test moves one end of the bracket to the returned bound."""
@@ -269,8 +254,8 @@ class _Search:
         for e in self._actions(g, mover, rows):
             step = e is not None
             child, rest = (g.add_edge(*e) if step else g), target - step
-            if (self._at_least(child, mover.other, rest) if prolonger
-                    else not self._at_least(child, mover.other, rest + 1)):
+            gamma = rest if prolonger else rest + 1
+            if (self.bounded(child, mover.other, gamma) >= gamma) is prolonger:
                 return Action(e)
         raise AssertionError("no action reproduces the solved value")
 

@@ -13,12 +13,12 @@ allowed) even from states its rules were not designed around.
 
 No strategy lists the legal moves. Each reads the graph's legality table,
 `legal_rows`, whose row u holds the legal partners v > u; read row by row,
-low bit first, that is the lex order of `legal_moves`, so "least legal
-edge" is the first set bit. The random baseline draws an index below the
-number of legal edges and takes that set bit, as `random.choice` draws from
-the list. Greedy and the star strategy find their best value from one mask
-per component size or per degree, then take the lex-least edge of that
-value.
+low bit first, as `graph.row_edges` lists them, its edges come in lex
+order, so "least legal edge" is the first set bit. The random baseline
+draws an index below the number of legal edges and takes that set bit, as
+`random.choice` draws from that list. Greedy and the star strategy find
+their best value from one mask per component size or per degree, then take
+the lex-least edge of that value.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ from satgame.analysis import (
 )
 from satgame.engine import Player, Variant, play
 from satgame.families import (
-    PathFamily, StarFamily, TreeFamily, is_free, is_saturated, legal_moves, parse_family,
+    PathFamily, StarFamily, TreeFamily, is_free, is_saturated, legal_rows, parse_family,
 )
-from satgame.graph import Graph, bits, to_graph6
+from satgame.graph import Graph, bits, row_edges, to_graph6
 from satgame.strategies import make_strategy
 
 
@@ -487,12 +487,12 @@ class TestClassifierOracle:
     def test_p4_small(self, n):
         fam = PathFamily(4)
         for g in all_graphs(n):
-            saturated = is_free(g, fam) and not legal_moves(g, fam)
+            saturated = is_free(g, fam) and not row_edges(legal_rows(g, fam))
             assert (classify_p4_saturated(g) is not None) == saturated
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_p5_small(self, n):
         fam = PathFamily(5)
         for g in all_graphs(n):
-            saturated = is_free(g, fam) and not legal_moves(g, fam)
+            saturated = is_free(g, fam) and not row_edges(legal_rows(g, fam))
             assert (classify_p5_saturated(g) is not None) == saturated

@@ -22,10 +22,10 @@ from satgame.families import (
     StarFamily,
     TreeFamily,
     is_free,
-    legal_moves,
+    legal_rows,
     parse_family,
 )
-from satgame.graph import Graph, to_graph6
+from satgame.graph import Graph, row_edges, to_graph6
 from satgame.strategies import _STRATEGIES, make_strategy
 
 P4 = PathFamily(4)
@@ -94,7 +94,7 @@ class TestPlay:
         rec = play(9, PathFamily(5), strategy_p=make_strategy("greedy-max"),
                    strategy_s=make_strategy("s-p5"))
         assert is_free(rec.terminal, rec.family)
-        assert legal_moves(rec.terminal, rec.family) == []
+        assert row_edges(legal_rows(rec.terminal, rec.family)) == []
 
     def test_score_counts_edge_actions_only(self):
         rec = play(8, P4, Variant.PROLONGER_MAY_PASS, Player.PROLONGER,
@@ -194,7 +194,7 @@ def illegal_at(state) -> Action:
     completes a forbidden subgraph, else an edge already present, else a
     self-loop."""
     g = state.graph
-    legal = set(legal_moves(g, state.family))
+    legal = set(row_edges(legal_rows(g, state.family)))
     blocked = [e for e in g.absent_edges() if e not in legal]
     if blocked:
         return Action(blocked[0])

@@ -20,11 +20,11 @@ from satgame.families import (
     family_name,
     is_free,
     is_saturated,
-    legal_moves,
+    legal_rows,
     max_saturated_edges,
     parse_family,
 )
-from satgame.graph import Graph, bits
+from satgame.graph import Graph, bits, row_edges
 from satgame.shapes import label_component
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -176,7 +176,7 @@ class TestSubgraphSearchAgainstBruteForce:
                 legal = [e for e, bad in creates.items() if not bad]
                 for e, bad in creates.items():
                     assert creates_forbidden(g, family, e) == bad, (name, g.edges(), e)
-                assert legal_moves(g, family) == legal
+                assert row_edges(legal_rows(g, family)) == legal
                 assert is_saturated(g, family) == (not legal)
 
 
@@ -218,21 +218,21 @@ class TestCreatesForbidden:
 
 class TestLegalMoves:
     def test_empty_triangle_start(self):
-        assert legal_moves(Graph.empty(3), PathFamily(4)) == [(0, 1), (0, 2), (1, 2)]
+        assert row_edges(legal_rows(Graph.empty(3), PathFamily(4))) == [(0, 1), (0, 2), (1, 2)]
 
     def test_two_edges_saturated(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert legal_moves(g, PathFamily(4)) == []
+        assert row_edges(legal_rows(g, PathFamily(4))) == []
 
     def test_triangle_plus_isolated_saturated(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-        assert legal_moves(g, PathFamily(4)) == []
+        assert row_edges(legal_rows(g, PathFamily(4))) == []
 
     def test_explicit_triangle_family(self):
         fam = ExplicitFamily((K3,))
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert legal_moves(g, fam) == []  # closing the triangle forbidden
-        assert legal_moves(Graph.empty(3), fam) == [(0, 1), (0, 2), (1, 2)]
+        assert row_edges(legal_rows(g, fam)) == []  # closing the triangle forbidden
+        assert row_edges(legal_rows(Graph.empty(3), fam)) == [(0, 1), (0, 2), (1, 2)]
 
 
 # every family kind, with the sizes the games use and a two-member list
@@ -273,7 +273,7 @@ class TestLegalityProperties:
     def test_enumerator_filters_predicate(self, family, data):
         g = data.draw(free_graphs(family))
         expected = [e for e in g.absent_edges() if not creates_forbidden(g, family, e)]
-        assert legal_moves(g, family) == expected
+        assert row_edges(legal_rows(g, family)) == expected
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -282,7 +282,7 @@ class TestLegalityProperties:
         g = data.draw(free_graphs(family))
         fresh = Graph(g.n, g.adj, g.m)
         g.components()
-        legal_moves(g, family)
+        row_edges(legal_rows(g, family))
         g.canonical_key()
         assert g.memo and g.memo is not fresh.memo
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
@@ -318,7 +318,7 @@ class TestLegalRows:
 
 
 def oracle_moves(g, family):
-    """Legal moves by whole-graph freeness, sharing no code with `legal_moves`."""
+    """Legal moves by whole-graph freeness, sharing no code with `legal_rows`."""
     return [e for e in g.absent_edges() if is_free(g.add_edge(*e), family)]
 
 
@@ -328,7 +328,7 @@ class TestLegalMovesAgainstOracle:
     @settings(max_examples=30, deadline=None)
     def test_enumerator_matches_freeness_oracle(self, family, data):
         g = data.draw(free_graphs(family))
-        assert legal_moves(g, family) == oracle_moves(g, family)
+        assert row_edges(legal_rows(g, family)) == oracle_moves(g, family)
 
     @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=family_name)
     @given(data=st.data())
@@ -348,7 +348,7 @@ class TestLegalMovesAgainstOracle:
     def test_one_graph_asked_for_two_families(self, first, second, data):
         # free for `first` is free for the laxer `second`
         def check(g, family):
-            assert legal_moves(g, family) == oracle_moves(g, family)
+            assert row_edges(legal_rows(g, family)) == oracle_moves(g, family)
             for e in g.absent_edges():
                 assert creates_forbidden(g, family, e) == (not is_free(g.add_edge(*e), family))
 
@@ -365,10 +365,10 @@ class TestLegalMovesAgainstOracle:
     def test_mutating_the_result_leaves_later_calls_alone(self, family, data):
         g = data.draw(free_graphs(family))
         expected = oracle_moves(g, family)
-        moves = legal_moves(g, family)
+        moves = row_edges(legal_rows(g, family))
         moves.clear()
         moves.append((0, 0))
-        assert legal_moves(g, family) == expected
+        assert row_edges(legal_rows(g, family)) == expected
 
 
 # paths, trees, stars and explicit lists of one and two members
@@ -463,7 +463,7 @@ def assert_same_as_parentless(child, family, other):
     assert child.canonical_key() == fresh.canonical_key()
     for fam in (family, other):
         assert families.legal_rows(child, fam) == families.legal_rows(fresh, fam)
-    assert legal_moves(child, family) == legal_moves(fresh, family)
+    assert row_edges(legal_rows(child, family)) == row_edges(legal_rows(fresh, family))
 
 
 class TestDerivedChildren:
@@ -481,7 +481,7 @@ class TestDerivedChildren:
             # legality read off a copy, so that g's own components are
             # known only when `warm` says so; a warm g derived its own
             # from its parent's
-            moves = legal_moves(Graph(g.n, g.adj, g.m), family)
+            moves = row_edges(legal_rows(Graph(g.n, g.adj, g.m), family))
             if not moves:
                 break
             warm = data.draw(st.booleans(), label="warm")

@@ -11,13 +11,12 @@ from satgame.families import (
     TreeFamily,
     family_name,
     is_free,
-    legal_moves,
     legal_rows,
     max_saturated_edges,
     parse_family,
     position_key,
 )
-from satgame.graph import Graph, least_twins
+from satgame.graph import Graph, least_twins, row_edges
 from satgame.solver import (
     BudgetExceeded,
     CapExceeded,
@@ -263,7 +262,7 @@ class TestMovePruning:
                            node_cap=None, time_cap=None, fixed=make_strategy("greedy-min"),
                            fixed_side=Player.SHORTENER)
         for g in free_graphs(6, family):
-            moves, rows = legal_moves(g, family), legal_rows(g, family)
+            moves, rows = row_edges(legal_rows(g, family)), legal_rows(g, family)
             least = least_twins(g.adj)
             pair = [sorted((least[u], least[v])) for u, v in moves]
             firsts = [e for i, e in enumerate(moves) if pair[i] not in pair[:i]]
@@ -495,9 +494,9 @@ class TestKFarAboveN:
             assert (got.score, got.principal_variation) == (want.score, want.principal_variation)
             g = Graph.empty(5)
             for action in want.principal_variation:
-                assert legal_moves(g, family) == legal_moves(g, same)
+                assert row_edges(legal_rows(g, family)) == row_edges(legal_rows(g, same))
                 g = g.add_edge(*action.edge)
-            assert legal_moves(g, family) == legal_moves(g, same) == []
+            assert row_edges(legal_rows(g, family)) == row_edges(legal_rows(g, same)) == []
 
 
 class TestCaps:
@@ -528,6 +527,14 @@ class TestCaps:
         # refused before the search starts, not a RecursionError
         with pytest.raises(CapExceeded, match="recursion limit"):
             solve(n, parse_family(spec), n_cap=64, time_cap=3)
+
+
+@pytest.mark.parametrize("fixed, side", [(make_strategy("greedy-min"), None),
+                                         (None, Player.SHORTENER)], ids=["no-side", "no-script"])
+def test_a_script_and_its_side_come_together(fixed, side):
+    # the search consults a script only on its side's turns: either half alone is refused
+    with pytest.raises(ValueError, match="a script needs the side it plays"):
+        best_response(6, P4, Variant.STANDARD, fixed, side)
 
 
 class TestBestResponsePass:

@@ -15,8 +15,8 @@ from satgame.engine import (
     initial_state,
     play,
 )
-from satgame.families import PathFamily, StarFamily, TreeFamily, legal_moves, parse_family
-from satgame.graph import Graph
+from satgame.families import PathFamily, StarFamily, TreeFamily, legal_rows, parse_family
+from satgame.graph import Graph, row_edges
 from satgame.strategies import make_strategy
 
 
@@ -264,7 +264,7 @@ class TestLegalityFuzz:
                 else:
                     rec = play(n, fam, variant, Player.SHORTENER, strat, opp)
                 # play() itself validates legality; double-check the terminal state
-                assert legal_moves(rec.terminal, fam) == []
+                assert row_edges(legal_rows(rec.terminal, fam)) == []
 
 
 class TestGoldenRecords:
@@ -327,7 +327,7 @@ class TestGoldenRecords:
 
 
 def reference_greedy(state: GameState, want_max: bool) -> Action:
-    moves = legal_moves(state.graph, state.family)
+    moves = row_edges(legal_rows(state.graph, state.family))
     cv = state.graph.components()
     cur = max(mask.bit_count() for mask in cv.masks)
 
@@ -346,18 +346,18 @@ def reference_star_lex(state: GameState) -> Action:
         du, dv = sorted((deg[e[0]], deg[e[1]]))
         return (du, dv, e[0], e[1])
 
-    return Action(min(legal_moves(state.graph, state.family), key=key))
+    return Action(min(row_edges(legal_rows(state.graph, state.family)), key=key))
 
 
 def reference_random(seed: int, state: GameState) -> Action:
     g = state.graph
     edges = ",".join(f"{u}-{v}" for u, v in g.edges())
     rng = random.Random(f"{seed}|{g.n}|{state.to_move.value}|{edges}")
-    return Action(rng.choice(legal_moves(g, state.family)))
+    return Action(rng.choice(row_edges(legal_rows(g, state.family))))
 
 
 def reference_least_legal(state: GameState, exclude) -> Action:
-    moves = legal_moves(state.graph, state.family)
+    moves = row_edges(legal_rows(state.graph, state.family))
     return Action(next((e for e in moves if e not in set(exclude)), moves[0]))
 
 
@@ -372,9 +372,9 @@ def positions(draw):
     g = Graph.empty(draw(st.integers(2, 12), label="n"))
     rng = random.Random(draw(st.integers(0, 2**32), label="game seed"))
     for _ in range(draw(st.integers(0, 40), label="moves")):
-        moves = legal_moves(g, family)
+        moves = row_edges(legal_rows(g, family))
         child = g.add_edge(*rng.choice(moves))
-        if not legal_moves(child, family):
+        if not row_edges(legal_rows(child, family)):
             break
         g = child
     return GameState(g, draw(st.sampled_from(list(Player)), label="mover"), family,
@@ -397,7 +397,7 @@ class TestChoicesMatchListReferences:
     @given(positions(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_least_legal(self, state, data):
-        moves = legal_moves(state.graph, state.family)
+        moves = row_edges(legal_rows(state.graph, state.family))
         exclude = data.draw(st.lists(st.sampled_from(moves), unique=True), label="exclude")
         for skip in (exclude, moves, []):
             assert strategies._least_legal(state, skip) == reference_least_legal(state, skip)

@@ -22,48 +22,67 @@ from satgame.verify import Check
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def values():
-    """One value of each frozen type, built afresh on each call, with its
-    repr."""
-    g = Graph.from_edges(3, [(0, 1)])
-    label = ComponentLabel("star", 2)
-    stat = ThresholdStat(1, 2, 3)
-    record = GameRecord(3, PathFamily(3), Variant.STANDARD, Player.PROLONGER,
-                        ((Player.PROLONGER, Action((0, 1))),), g, 1)
-    return [
-        (PathFamily(4), "PathFamily(k=4)"),
-        (TreeFamily(5), "TreeFamily(k=5)"),
-        (StarFamily(3), "StarFamily(leaves=3)"),
-        (ExplicitFamily((Graph.from_edges(2, [(0, 1)]),)),
-         "ExplicitFamily(members=(Graph(n=2, adj=(2, 1), m=1),))"),
-        (g, "Graph(n=3, adj=(2, 1, 0), m=1)"),
-        (Action(None), "Action(edge=None)"),
-        (Action((0, 1)), "Action(edge=(0, 1))"),
-        (GameState(g, Player.SHORTENER, PathFamily(4)),
-         "GameState(graph=Graph(n=3, adj=(2, 1, 0), m=1), to_move=<Player.SHORTENER: 'S'>, "
-         "family=PathFamily(k=4), variant=<Variant.STANDARD: 'standard'>, "
-         "first_mover=<Player.PROLONGER: 'P'>)"),
-        (record,
-         "GameRecord(n=3, family=PathFamily(k=3), variant=<Variant.STANDARD: 'standard'>, "
-         "first_mover=<Player.PROLONGER: 'P'>, actions=((<Player.PROLONGER: 'P'>, "
-         "Action(edge=(0, 1))),), terminal=Graph(n=3, adj=(2, 1, 0), m=1), score=1)"),
-        (Strategy("x", len), "Strategy(name='x', decide=<built-in function len>, side=None)"),
-        (Strategy("y", len, Player.PROLONGER),
-         "Strategy(name='y', decide=<built-in function len>, side=<Player.PROLONGER: 'P'>)"),
-        (label, "ComponentLabel(kind='star', a=2, b=0)"),
-        (ComponentLabel("clique", 1), "ComponentLabel(kind='clique', a=1, b=0)"),
-        (SaturatedClass((label,)), "SaturatedClass(labels=(ComponentLabel(kind='star', a=2, b=0),))"),
-        (BoundReport("2.3", 5, None, Fraction(4), Fraction(7, 2)),
-         "BoundReport(theorem='2.3', n=5, k=None, lower=Fraction(4, 1), upper=Fraction(7, 2), "
-         "observed=None, exact=False, note='')"),
-        (BoundReport("2.4", 9, 5, Fraction(1), Fraction(2), 1, True, "n"),
-         "BoundReport(theorem='2.4', n=9, k=5, lower=Fraction(1, 1), upper=Fraction(2, 1), "
-         "observed=1, exact=True, note='n')"),
-        (stat, "ThresholdStat(t=1, g=2, lam=3)"),
-        (TraceStats((None, stat), (2, 1)),
-         "TraceStats(thresholds=(None, ThresholdStat(t=1, g=2, lam=3)), new_vertex_usage=(2, 1))"),
-        (Check("p4", "x", True, "d"), "Check(suite='p4', name='x', passed=True, detail='d')"),
-    ]
+def _graph():
+    return Graph.from_edges(3, [(0, 1)])
+
+
+def _record():
+    return GameRecord(3, PathFamily(3), Variant.STANDARD, Player.PROLONGER,
+                      ((Player.PROLONGER, Action((0, 1))),), _graph(), 1)
+
+
+# one sample of each frozen type: its type's name, how to build it and its
+# repr. A test builds only its own sample, afresh, so a fault in one
+# constructor fails the tests of the samples that build that type, and does
+# not stop the collection of this module.
+SAMPLES = [
+    ("PathFamily", lambda: PathFamily(4), "PathFamily(k=4)"),
+    ("TreeFamily", lambda: TreeFamily(5), "TreeFamily(k=5)"),
+    ("StarFamily", lambda: StarFamily(3), "StarFamily(leaves=3)"),
+    ("ExplicitFamily", lambda: ExplicitFamily((Graph.from_edges(2, [(0, 1)]),)),
+     "ExplicitFamily(members=(Graph(n=2, adj=(2, 1), m=1),))"),
+    ("Graph", _graph, "Graph(n=3, adj=(2, 1, 0), m=1)"),
+    ("Action", lambda: Action(None), "Action(edge=None)"),
+    ("Action", lambda: Action((0, 1)), "Action(edge=(0, 1))"),
+    ("GameState", lambda: GameState(_graph(), Player.SHORTENER, PathFamily(4)),
+     "GameState(graph=Graph(n=3, adj=(2, 1, 0), m=1), to_move=<Player.SHORTENER: 'S'>, "
+     "family=PathFamily(k=4), variant=<Variant.STANDARD: 'standard'>, "
+     "first_mover=<Player.PROLONGER: 'P'>)"),
+    ("GameRecord", _record,
+     "GameRecord(n=3, family=PathFamily(k=3), variant=<Variant.STANDARD: 'standard'>, "
+     "first_mover=<Player.PROLONGER: 'P'>, actions=((<Player.PROLONGER: 'P'>, "
+     "Action(edge=(0, 1))),), terminal=Graph(n=3, adj=(2, 1, 0), m=1), score=1)"),
+    ("Strategy", lambda: Strategy("x", len),
+     "Strategy(name='x', decide=<built-in function len>, side=None)"),
+    ("Strategy", lambda: Strategy("y", len, Player.PROLONGER),
+     "Strategy(name='y', decide=<built-in function len>, side=<Player.PROLONGER: 'P'>)"),
+    ("ComponentLabel", lambda: ComponentLabel("star", 2),
+     "ComponentLabel(kind='star', a=2, b=0)"),
+    ("ComponentLabel", lambda: ComponentLabel("clique", 1),
+     "ComponentLabel(kind='clique', a=1, b=0)"),
+    ("SaturatedClass", lambda: SaturatedClass((ComponentLabel("star", 2),)),
+     "SaturatedClass(labels=(ComponentLabel(kind='star', a=2, b=0),))"),
+    ("BoundReport", lambda: BoundReport("2.3", 5, None, Fraction(4), Fraction(7, 2)),
+     "BoundReport(theorem='2.3', n=5, k=None, lower=Fraction(4, 1), upper=Fraction(7, 2), "
+     "observed=None, exact=False, note='')"),
+    ("BoundReport", lambda: BoundReport("2.4", 9, 5, Fraction(1), Fraction(2), 1, True, "n"),
+     "BoundReport(theorem='2.4', n=9, k=5, lower=Fraction(1, 1), upper=Fraction(2, 1), "
+     "observed=1, exact=True, note='n')"),
+    ("ThresholdStat", lambda: ThresholdStat(1, 2, 3), "ThresholdStat(t=1, g=2, lam=3)"),
+    ("TraceStats", lambda: TraceStats((None, ThresholdStat(1, 2, 3)), (2, 1)),
+     "TraceStats(thresholds=(None, ThresholdStat(t=1, g=2, lam=3)), new_vertex_usage=(2, 1))"),
+    ("Check", lambda: Check("p4", "x", True, "d"),
+     "Check(suite='p4', name='x', passed=True, detail='d')"),
+]
+
+
+def sample(i):
+    """Sample i, built afresh, checked to be of the type its entry names,
+    with its repr."""
+    name, build, text = SAMPLES[i]
+    value = build()
+    assert type(value).__name__ == name
+    return value, text
 
 
 # the plain constructors that `Frozen` compiles: each type's parameters in
@@ -82,6 +101,7 @@ CONSTRUCTORS = [
     (ThresholdStat, ["t", "g", "lam"], {}),
     (TraceStats, ["thresholds", "new_vertex_usage"], {}),
     (Check, ["suite", "name", "passed", "detail"], {}),
+    (SolveResult, ["score", "principal_variation", "positions_expanded"], {}),
 ]
 CONSTRUCTOR_IDS = [cls.__name__ for cls, *_ in CONSTRUCTORS]
 
@@ -127,18 +147,18 @@ def test_a_new_subclass_gets_the_plain_constructor():
     assert Pair.__init__.__qualname__.endswith("<locals>.Pair.__init__")
 
 
-@pytest.mark.parametrize("i", range(len(values())))
+@pytest.mark.parametrize("i", range(len(SAMPLES)))
 def test_frozen_value_repr_equality_and_hash(i):
-    value, text = values()[i]
-    twin, _ = values()[i]
+    value, text = sample(i)
+    twin, _ = sample(i)
     assert repr(value) == text
     assert value == twin and not value != twin and hash(value) == hash(twin)
     assert value != object() and value != text
 
 
-@pytest.mark.parametrize("i", range(len(values())))
+@pytest.mark.parametrize("i", range(len(SAMPLES)))
 def test_frozen_value_refuses_assignment_and_deletion(i):
-    value, _ = values()[i]
+    value, _ = sample(i)
     name = next(iter(type(value).__annotations__))
     before = getattr(value, name)
     with pytest.raises(AttributeError):
@@ -151,7 +171,7 @@ def test_frozen_value_refuses_assignment_and_deletion(i):
 
 
 def test_hash_is_the_hash_of_the_field_tuple():
-    for value, _ in values():
+    for value, _ in map(sample, range(len(SAMPLES))):
         fields = tuple(getattr(value, f) for f in type(value).__annotations__)
         assert value._key == fields and hash(value) == hash(fields), value
     assert hash(Graph(2, (2, 1), 1)) == hash((2, (2, 1), 1))
@@ -177,14 +197,16 @@ def test_constructors_check_their_fields(make):
         make()
 
 
-def test_solve_result_is_mutable_and_unhashable():
+def test_solve_result_is_frozen_and_unhashable():
     res = SolveResult(1, [Action((0, 1))], 2)
     assert repr(res) == ("SolveResult(score=1, principal_variation=[Action(edge=(0, 1))], "
                          "positions_expanded=2)")
     assert res == SolveResult(1, [Action((0, 1))], 2) and res != SolveResult(1, [], 2)
-    res.score = 3
-    res.principal_variation.append(Action((1, 2)))
-    assert res == SolveResult(3, [Action((0, 1)), Action((1, 2))], 2)
+    with pytest.raises(AttributeError):
+        res.score = 3
+    with pytest.raises(AttributeError):
+        del res.positions_expanded
+    assert res == SolveResult(1, [Action((0, 1))], 2)
     with pytest.raises(TypeError):
         hash(res)
 

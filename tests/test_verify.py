@@ -173,6 +173,13 @@ def test_one_shot_first_movers_give_rows_for_every_n():
     assert [(n, first) for n, first, *_ in rows] == [(4, P), (4, S), (5, P), (5, S)]
 
 
+def test_a_script_without_a_side_is_refused():
+    # else the row would report the plain game value as a best response that holds
+    rows = window_rows(PathFamily(4), Variant.STANDARD, [6], (P,), "greedy-min")
+    with pytest.raises(ValueError, match="a script needs the side it plays"):
+        next(rows)
+
+
 def test_row_with_no_window_has_no_verdict():
     rows = list(window_rows(parse_family("List:Cl"), Variant.STANDARD, [5]))
     assert [(rep, holds) for *_, rep, holds in rows] == [(None, None)] * 2
